@@ -238,6 +238,8 @@ def _cmd_validate_poly(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    if args.instances < 1:
+        raise _UsageError(f"--instances must be at least 1, got {args.instances}")
     rng = np.random.default_rng(args.seed)
     failures: list[str] = []
 

@@ -1,9 +1,10 @@
 """Discovery bounds over ranked martingale values.
 
 Given the descending values S^1 >= ... >= S^K and a symmetric merging
-function F, every bound here is a minimum of F over a family of index sets,
-evaluated through one shared suffix-scan kernel: a matrix cell (r, j) scans
-the base {j+1..r} and the base extended by each whole tail {k..K}.
+function F, every bound here is a minimum of F over a base extended by
+whole tails {k..K}, evaluated by one log-domain kernel, ``tail_merges``: a
+matrix cell (r, j) takes the base {j+1..r} and the tails k = r+1..K+1
+(k = K+1 is the base alone).
 
   * discovery_matrix: the lower-triangular D[r, j] of those cell minima;
     row r read at level alpha as {j : D[r, j] < alpha} yields a confidence
@@ -14,6 +15,8 @@ the base {j+1..r} and the base extended by each whole tail {k..K}.
     over every index set meeting the top-r set.
   * subdiagonal_row: the same allowing one exception; the running minimum
     through column r-2.
+  * RowTracker: both row bounds for fixed rows, per simulation step, with
+    one kernel call per merge spec.
 
 ``brute_force_bound`` evaluates the unrestricted minima over all 2^K index
 sets and certifies the scans at desk scale.
@@ -33,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .logvalue import LN10, LogValue, log_add
+from .logvalue import LN10, LogValue
 from .martingales import RankedValues
 from .merging import (
     MergeSpec,
@@ -127,65 +130,37 @@ class ConfidenceRegion:
 
 
 # ---------------------------------------------------------------------------
-# the shared suffix scan
-
-
-@dataclass(frozen=True)
-class _SpecParts:
-    """Precomputed weight machinery for one merge spec."""
-
-    weights: tuple[float, ...]
-    log_weights: tuple[float, ...]
-    tail: np.ndarray  # tail[m] = sum of weights at degrees >= m; tail[len] = 0
-    log_tail: np.ndarray
-    active: tuple[int, ...]  # degrees with positive weight
-    top: int  # highest degree with positive weight
+# the tail-merge kernel
 
 
 @lru_cache(maxsize=64)
-def _parts(spec: MergeSpec) -> _SpecParts:
+def _tables(spec: MergeSpec, k: int) -> tuple:
+    """Weight tables of one spec over set sizes m = 0..k, built once per (spec, k).
+
+    Returns the (degree, log weight) pairs of positive weight; ``lc[deg, m]``,
+    log C(m, deg) for m > deg and +inf for m <= deg (sizes whose degree-deg
+    weight goes to the product term instead); and ``log_tail[m]``, the log of
+    the weight at degrees >= m, -inf above the top degree and 0 at m = 0 (the
+    empty set merges to 1).  The padding turns every out-of-range term into
+    an exact ``logaddexp`` no-op.
+    """
     weights = spec.weight_vector()
-    logw = tuple(math.log(w) if w > 0.0 else -math.inf for w in weights)
     tail = np.zeros(len(weights) + 1)
     tail[:-1] = np.cumsum(np.asarray(weights)[::-1])[::-1]
     with np.errstate(divide="ignore"):
-        log_tail = np.log(tail)
-    tail.setflags(write=False)
+        head = np.log(tail)[: k + 1]
+    log_tail = np.full(k + 1, -np.inf)
+    log_tail[: head.size] = head
+    log_tail[0] = 0.0
+    lc = np.full((len(weights), k + 1), np.inf)
+    active = []
+    for deg, w in enumerate(weights):
+        if w > 0.0:
+            active.append((deg, math.log(w)))
+            lc[deg, deg + 1:] = [log_comb(m, deg) for m in range(deg + 1, k + 1)]
+    lc.setflags(write=False)
     log_tail.setflags(write=False)
-    return _SpecParts(
-        weights=weights,
-        log_weights=logw,
-        tail=tail,
-        log_tail=log_tail,
-        active=tuple(d for d, w in enumerate(weights) if w > 0.0),
-        top=spec.max_degree,
-    )
-
-
-@lru_cache(maxsize=256)
-def _log_comb_row(deg: int, m_hi: int) -> np.ndarray:
-    """log C(m, deg) for m = 0..m_hi; -inf below the diagonal (never read)."""
-    out = np.full(m_hi + 1, -np.inf)
-    for m in range(deg, m_hi + 1):
-        out[m] = log_comb(m, deg)
-    out.setflags(write=False)
-    return out
-
-
-def _merge_scalar(levels: np.ndarray, m: int, logsum: float, parts: _SpecParts) -> float:
-    """Mixture value on one index set given its log esp levels and arity m."""
-    acc = -math.inf
-    tail_w = 0.0
-    for deg, w in enumerate(parts.weights):
-        if w <= 0.0:
-            continue
-        if deg < m:
-            acc = log_add(acc, parts.log_weights[deg] + float(levels[deg]) - log_comb(m, deg))
-        else:
-            tail_w += w
-    if tail_w > 0.0:
-        acc = log_add(acc, math.log(tail_w) + logsum)
-    return acc
+    return tuple(active), lc, log_tail
 
 
 def suffix_logsums(logs: np.ndarray) -> np.ndarray:
@@ -201,158 +176,107 @@ def suffix_logsums(logs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scan_min(
-    sorted_logs: np.ndarray,
-    suffix_levels: np.ndarray,
-    suffix_sums: np.ndarray,
-    base_levels: np.ndarray,
-    base_arity: int,
-    base_sum: float,
-    r: int,
-    parts: _SpecParts,
-) -> float:
-    """min of F(base) and F(base + {k..K}) over k = r+1..K, in natural log.
+def tail_merges(S, T, r, P, Psum, arity, spec: MergeSpec) -> np.ndarray:
+    """F(base + {k..K}) for k = r+1..K+1 in natural log; k = K+1 is the base alone.
 
-    ``base_levels`` are the log esp levels of the base set (degree 0..top),
-    ``base_sum`` the log of its full product.  An empty base contributes the
-    conventional F() = 1.
+    ``S`` and ``T`` are ``suffix_esp_levels`` (through the spec's top degree)
+    and ``suffix_logsums`` of the K descending values.  The base is given by
+    its log esp levels ``P[a]`` (a = 0..top, -inf above its size), its log
+    product ``Psum`` and its size ``arity``; each broadcasts against the
+    K-r+1 tail columns, so one call scores a batch of bases, or a row whose
+    base changes from cell to cell.  No set holding a +inf value may reach
+    the kernel (its padding would meet it as inf - inf): callers fill those
+    cells themselves.
     """
-    k = len(sorted_logs)
-    if parts.top >= 1 and base_arity >= 1 and not (base_sum < math.inf):
-        return math.inf  # base holds a +inf value: every candidate merges to +inf
-    if base_arity == 0:
-        best = 0.0
-    else:
-        best = _merge_scalar(base_levels, base_arity, base_sum, parts)
-    n_cand = k - r
-    if n_cand <= 0:
-        return best
+    k = T.size - 1
+    active, lc, log_tail = _tables(spec, k)
+    m = arity + np.arange(k - r, -1, -1)  # size of each candidate set
+    out = None
+    for deg, log_w in active:
+        acc = P[0] + S[deg, r:]
+        for a in range(1, deg + 1):
+            acc = np.logaddexp(acc, P[a] + S[deg - a, r:])
+        term = (log_w + acc) - lc[deg, m]
+        out = term if out is None else np.logaddexp(out, term)
+    # only sets of size <= top carry product weight: the last top+1 columns
+    end = -spec.max_degree - 1
+    tail = out[..., end:]
+    np.logaddexp(tail, log_tail[m[..., end:]] + (Psum + T[r:])[..., end:], out=tail)
+    return out
 
-    values = _extension_values(
-        sorted_logs, suffix_levels, suffix_sums, base_levels, base_arity, base_sum, r, parts
-    )
-    return min(best, float(values.min()))
 
-
-def _extension_values(
-    sorted_logs: np.ndarray,
-    suffix_levels: np.ndarray,
-    suffix_sums: np.ndarray,
-    base_levels: np.ndarray,
-    base_arity: int,
-    base_sum: float,
-    r: int,
-    parts: _SpecParts,
+def _row_cells(
+    logs: np.ndarray, S: np.ndarray, T: np.ndarray, r: int, spec: MergeSpec
 ) -> np.ndarray:
-    """F(base + {k..K}) for k = r+1..K as an array (requires r < K).
+    """Raw matrix cells (r, 0..r) in natural log: base {j+1..r}, minimized over its tails."""
+    n_inf = int(np.count_nonzero(np.isposinf(logs)))  # +inf values lead
+    lo = min(n_inf, r)  # bases of the columns j < lo hold a +inf value
+    prefix = logs[:r]
+    levels = suffix_esp_levels(prefix, spec.max_degree)[:, lo:, None]
+    sums = suffix_logsums(prefix)[lo:, None]
+    arity = np.arange(r - lo, -1, -1)[:, None]
+    merged = tail_merges(S, T, max(r, n_inf), levels, sums, arity, spec)
+    cells = np.full(r + 1, math.inf if spec.has_positive_degree else 0.0)
+    cells[lo:] = merged.min(axis=1)
+    return cells
 
-    Candidate i extends the base by {r+1+i .. K}; its arity m_hi - i falls
-    from m_hi = base_arity + (K - r) down to base_arity + 1, so every
-    arity-dependent region below is a contiguous slice.
+
+class RowTracker:
+    """Diagonal and subdiagonal values of fixed rows, recomputed per step.
+
+    Each row r is one candidate row over the tails {i+1..K}, i = 0..K, whose
+    base changes per cell: the empty set for i <= r-1-w (the whole-suffix
+    family of the exchange argument behind ``diagonal_row``) and the row's
+    width-w base for i >= r, where w is 1 for the diagonal (base {r}) and 2
+    for the subdiagonal (base {r-1, r}; 1 at r = 1).  The cells in between
+    are left out.  A step makes one kernel call per spec, whatever the
+    number of rows.
     """
-    k = len(sorted_logs)
-    n_cand = k - r
-    m_hi = base_arity + n_cand
-    values = np.full(n_cand, -np.inf)
-    for deg in parts.active:
-        cut = min(n_cand, m_hi - deg)  # candidates with arity > deg
-        if cut <= 0:
-            continue
-        cols = slice(r, r + cut)
-        acc: np.ndarray | None = None
-        for a in range(0, min(deg, base_arity) + 1):
-            term = float(base_levels[a]) + suffix_levels[deg - a, cols]
-            acc = term if acc is None else np.logaddexp(acc, term)
-        lc = _log_comb_row(deg, m_hi)
-        term = (parts.log_weights[deg] + acc) - lc[m_hi:m_hi - cut:-1]
-        np.logaddexp(values[:cut], term, out=values[:cut])
-    start = max(0, m_hi - parts.top)  # candidates with arity <= top collapse
-    if start < n_cand:
-        log_tail = parts.log_tail[m_hi - start:base_arity:-1]
-        term = log_tail + (base_sum + suffix_sums[r + start:k])
-        np.logaddexp(values[start:], term, out=values[start:])
-    return values
 
+    def __init__(self, k: int, rows: Sequence[int], diag_spec: MergeSpec, sub_spec: MergeSpec):
+        self.rows = np.asarray(rows, dtype=np.int64)
+        if not ((self.rows >= 1) & (self.rows <= k)).all():
+            raise DomainError(f"tracked rows must lie in 1..{k}, got {list(rows)}")
+        self._top = max(diag_spec.max_degree, sub_spec.max_degree)
+        r = self.rows[:, None]
+        self._last, self._prev = r - 1, np.maximum(r - 2, 0)
+        cols = np.arange(k + 1)
+        anchored = cols >= r
+        self._anchored = anchored
+        self._empty = np.where(anchored, 0.0, -np.inf)  # sends empty-base levels to -inf
+        self._specs = []
+        for spec, width in ((diag_spec, 1), (sub_spec, 2)):
+            w = np.minimum(width, r)
+            valid = anchored | (cols <= r - 1 - w)
+            two = w == 2 if width == 2 else None
+            self._specs.append((spec, width, two, valid, np.where(anchored, w, 0)))
 
-_EMPTY_BASE = np.array([0.0])
-_EMPTY_BASE.setflags(write=False)
-
-
-def suffix_merge_values(
-    sorted_logs: np.ndarray,
-    suffix_levels: np.ndarray,
-    suffix_sums: np.ndarray,
-    parts: _SpecParts,
-) -> np.ndarray:
-    """F({j..K}) for j = 1..K (natural log), one vectorized pass."""
-    return _extension_values(
-        sorted_logs, suffix_levels, suffix_sums, _EMPTY_BASE, 0, 0.0, 0, parts
-    )
-
-
-def _cell(
-    sorted_logs: np.ndarray,
-    suffix_levels: np.ndarray,
-    suffix_sums: np.ndarray,
-    prefix_levels: np.ndarray,
-    prefix_sums: np.ndarray,
-    r: int,
-    j: int,
-    parts: _SpecParts,
-) -> float:
-    """One matrix cell: base {j+1..r} plus tail extensions."""
-    return _scan_min(
-        sorted_logs,
-        suffix_levels,
-        suffix_sums,
-        prefix_levels[:, j],
-        r - j,
-        float(prefix_sums[j]),
-        r,
-        parts,
-    )
-
-
-def _row_inputs(sorted_logs: np.ndarray, r: int, parts: _SpecParts):
-    """Suffix machinery shared by the single-row entry points."""
-    prefix = sorted_logs[:r]
-    return (
-        suffix_esp_levels(sorted_logs, parts.top),
-        suffix_logsums(sorted_logs),
-        suffix_esp_levels(prefix, min(parts.top, r)),
-        suffix_logsums(prefix),
-    )
-
-
-def small_base_cell(
-    sorted_logs: np.ndarray,
-    suffix_levels: np.ndarray,
-    suffix_sums: np.ndarray,
-    r: int,
-    j: int,
-    parts: _SpecParts,
-) -> float:
-    """A matrix cell whose base {j+1..r} has one or two elements.
-
-    Builds the base levels directly instead of accumulating over the whole
-    prefix; bit-identical to the general path (the accumulate's first two
-    outputs are exactly these expressions) and cheap enough for per-step
-    tracking.
-    """
-    arity = r - j
-    s_last = float(sorted_logs[r - 1])
-    if arity == 1:
-        levels = np.array([0.0, s_last, -np.inf])
-        base_sum = s_last
-    elif arity == 2:
-        s_prev = float(sorted_logs[r - 2])
-        base_sum = s_prev + s_last
-        levels = np.array([0.0, float(np.logaddexp(s_last, s_prev)), base_sum])
-    else:
-        raise DomainError(f"small-base scan needs arity 1 or 2, got {arity}")
-    return _scan_min(
-        sorted_logs, suffix_levels, suffix_sums, levels, arity, base_sum, r, parts
-    )
+    def step(self, sorted_logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Natural-log diagonal and subdiagonal values of each row, given the
+        descending values."""
+        S = suffix_esp_levels(sorted_logs, self._top)
+        T = suffix_logsums(sorted_logs)
+        if sorted_logs[0] == math.inf:  # kept out of the kernel: score raw matrix rows
+            return tuple(
+                np.array([_row_cells(sorted_logs, S, T, r, spec)[: max(r + 1 - width, 1)].min()
+                          for r in self.rows])
+                for spec, width, *_ in self._specs
+            )
+        last, prev = sorted_logs[self._last], sorted_logs[self._prev]
+        out = []
+        for spec, _, two, valid, arity in self._specs:
+            # levels e_1, e_2 and log product of each row's base
+            if two is None:
+                e1, e2, prod = last + self._empty, -np.inf, last
+            else:
+                pair = prev + last
+                e1 = np.where(two, np.logaddexp(last, prev), last) + self._empty
+                e2 = np.where(two, pair, -np.inf) + self._empty
+                prod = np.where(two, pair, last)
+            levels = [0.0, e1, e2] + [-np.inf] * (spec.max_degree - 2)
+            v = tail_merges(S, T, 0, levels, np.where(self._anchored, prod, 0.0), arity, spec)
+            out.append(np.minimum.reduce(v, axis=1, where=valid, initial=np.inf))
+        return tuple(out)
 
 
 def _check_rank(ranked: RankedValues, r: int) -> None:
@@ -360,7 +284,7 @@ def _check_rank(ranked: RankedValues, r: int) -> None:
         raise DomainError(f"row {r} outside 1..{ranked.k}")
 
 
-def _row_min(ranked: RankedValues, r: int, j_hi: int, spec: MergeSpec) -> float:
+def _bound(ranked: RankedValues, r: int, j_hi: int, spec: MergeSpec) -> LogValue:
     """min over columns 0..j_hi of the raw matrix cells of row r.
 
     This running-minimum reading makes the bound the true minimum of F over
@@ -370,15 +294,11 @@ def _row_min(ranked: RankedValues, r: int, j_hi: int, spec: MergeSpec) -> float:
     families are covered by the row's cells.  It also makes the value agree
     bit for bit with the regularized matrix cell (r, j_hi).
     """
-    parts = _parts(spec)
-    suffix_levels, suffix_sums, prefix_levels, prefix_sums = _row_inputs(
-        ranked.sorted_logs, r, parts
-    )
-    return min(
-        _cell(ranked.sorted_logs, suffix_levels, suffix_sums,
-              prefix_levels, prefix_sums, r, j, parts)
-        for j in range(j_hi + 1)
-    )
+    _check_rank(ranked, r)
+    logs = ranked.sorted_logs
+    S = suffix_esp_levels(logs, spec.max_degree)
+    cells = _row_cells(logs, S, suffix_logsums(logs), r, spec)
+    return LogValue(float(cells[: j_hi + 1].min()))
 
 
 def diagonal_row(ranked: RankedValues, r: int, spec: MergeSpec) -> LogValue:
@@ -387,8 +307,7 @@ def diagonal_row(ranked: RankedValues, r: int, spec: MergeSpec) -> LogValue:
     The minimum of F over all index sets meeting the top-r set, equal to the
     regularized matrix entry at (r, r-1).
     """
-    _check_rank(ranked, r)
-    return LogValue(_row_min(ranked, r, r - 1, spec))
+    return _bound(ranked, r, r - 1, spec)
 
 
 def subdiagonal_row(ranked: RankedValues, r: int, spec: MergeSpec) -> LogValue:
@@ -398,31 +317,23 @@ def subdiagonal_row(ranked: RankedValues, r: int, spec: MergeSpec) -> LogValue:
     (at least one when r = 1), equal to the regularized matrix entry at
     (r, r-2); degree-2 merges fall back to the mean on singleton sets.
     """
-    _check_rank(ranked, r)
-    return LogValue(_row_min(ranked, r, max(r - 2, 0), spec))
+    return _bound(ranked, r, max(r - 2, 0), spec)
 
 
 def discovery_matrix(ranked: RankedValues, spec: MergeSpec) -> DiscoveryMatrix:
-    """The full lower-triangular matrix of suffix-scan minima (unregularized).
+    """The full lower-triangular matrix of tail-merge minima (unregularized).
 
-    Cost is O(K^3) vectorized scans for fixed small-degree specs; K = 500
-    stays comfortable on a laptop.
+    Row r is one kernel call over its r+1 bases and K-r+1 tails: O(K^3)
+    vectorized work for the fixed small-degree specs.  On a 2-vCPU Xeon
+    (Python 3.11.7, numpy 2.4.6) K = 200 takes 0.07 s under u1, 0.10 s under
+    u2 and 0.17 s under the u1/u2 mixture; K = 500 under u1 takes 0.8 s.
     """
     logs = ranked.sorted_logs
-    parts = _parts(spec)
-    suffix_levels = suffix_esp_levels(logs, parts.top)
-    suffix_sums = suffix_logsums(logs)
+    S = suffix_esp_levels(logs, spec.max_degree)
+    T = suffix_logsums(logs)
     rows = []
     for r in range(1, ranked.k + 1):
-        prefix = logs[:r]
-        prefix_levels = suffix_esp_levels(prefix, min(parts.top, r))
-        prefix_sums = suffix_logsums(prefix)
-        row = np.empty(r + 1)
-        for j in range(r + 1):
-            row[j] = _cell(
-                logs, suffix_levels, suffix_sums, prefix_levels, prefix_sums, r, j, parts
-            )
-        row /= LN10
+        row = _row_cells(logs, S, T, r, spec) / LN10
         row.setflags(write=False)
         rows.append(row)
     return DiscoveryMatrix(rows=tuple(rows), regularized=False)

@@ -17,19 +17,17 @@ reproduces identical trajectories bit for bit.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import discovery
-from .discovery import DiagonalSeries, DiscoveryMatrix, regularize
+from .discovery import DiagonalSeries, DiscoveryMatrix, RowTracker, regularize
 from .errors import DomainError
 from .logvalue import LN10, LogValue
 from .martingales import MartingaleTable, RankedValues, _frozen
-from .merging import MergeSpec, U1, U2, suffix_esp_levels
+from .merging import MergeSpec, U1, U2
 
 
 @dataclass(frozen=True)
@@ -158,48 +156,21 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     tracked = tuple(sorted(set(cfg.tracked_rows)))
     if tracked:
-        diag_parts = discovery._parts(cfg.merge_diagonal)
-        sub_parts = discovery._parts(cfg.merge_subdiagonal)
-        max_top = max(diag_parts.top, sub_parts.top)
-        diag_store = {r: np.empty(cfg.steps) for r in tracked}
-        sub_store = {r: np.empty(cfg.steps) for r in tracked}
+        tracker = RowTracker(cfg.k, tracked, cfg.merge_diagonal, cfg.merge_subdiagonal)
+        diag_store = np.empty((cfg.steps, len(tracked)))
+        sub_store = np.empty((cfg.steps, len(tracked)))
         for i in range(cfg.steps):
             logs[k_idx[i]] += log_inc[i]
-            sorted_logs = np.sort(logs)[::-1]
-            suffix_levels = suffix_esp_levels(sorted_logs, max_top)
-            suffix_sums = discovery.suffix_logsums(sorted_logs)
-            # Running minima over whole-tail suffixes {j..K} complete the
-            # anchored scans to the full qualifying-set minimum; one vector
-            # pass per merge spec covers every tracked row.
-            gs_diag = np.minimum.accumulate(discovery.suffix_merge_values(
-                sorted_logs, suffix_levels, suffix_sums, diag_parts))
-            gs_sub = gs_diag if sub_parts is diag_parts else np.minimum.accumulate(
-                discovery.suffix_merge_values(
-                    sorted_logs, suffix_levels, suffix_sums, sub_parts))
-            for r in tracked:
-                d = discovery.small_base_cell(
-                    sorted_logs, suffix_levels, suffix_sums, r, r - 1, diag_parts
-                )
-                if r >= 2:
-                    d = min(d, float(gs_diag[r - 2]))
-                diag_store[r][i] = d
-            for r in tracked:
-                s = discovery.small_base_cell(
-                    sorted_logs, suffix_levels, suffix_sums, r, r - 2 if r >= 2 else 0,
-                    sub_parts,
-                )
-                if r >= 3:
-                    s = min(s, float(gs_sub[r - 3]))
-                sub_store[r][i] = s
+            diag_store[i], sub_store[i] = tracker.step(np.sort(logs)[::-1])
             if (i + 1) in checkpoints:
                 emit_checkpoint(i + 1)
         diagonal_series = {
-            r: DiagonalSeries(row=r, kind="diagonal", log10_values=_frozen(diag_store[r] / LN10))
-            for r in tracked
+            r: DiagonalSeries(row=r, kind="diagonal", log10_values=_frozen(d / LN10))
+            for r, d in zip(tracked, diag_store.T)
         }
         subdiagonal_series = {
-            r: DiagonalSeries(row=r, kind="subdiagonal", log10_values=_frozen(sub_store[r] / LN10))
-            for r in tracked
+            r: DiagonalSeries(row=r, kind="subdiagonal", log10_values=_frozen(s / LN10))
+            for r, s in zip(tracked, sub_store.T)
         }
     else:
         # No per-step statistics: apply increments in blocks between
@@ -256,10 +227,6 @@ class SeedSummary:
         return LogValue.from_log10(float(self.log10_values.max()))
 
 
-def _max_workers() -> int:
-    return max(1, int(os.environ.get("EVALANCHE_THREADS", "1")))
-
-
 def replicate(cfg: ExperimentConfig, seeds: Sequence[int]) -> dict[str, SeedSummary]:
     """Run the config once per seed and aggregate the headline statistics.
 
@@ -269,13 +236,7 @@ def replicate(cfg: ExperimentConfig, seeds: Sequence[int]) -> dict[str, SeedSumm
     """
     if not seeds:
         raise DomainError("replicate needs at least one seed")
-    configs = [replace(cfg, seed=int(s)) for s in seeds]
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(run_experiment, configs))
-    else:
-        runs = [run_experiment(c) for c in configs]
+    runs = [run_experiment(replace(cfg, seed=int(s))) for s in seeds]
 
     stats: dict[str, list[float]] = {}
 

@@ -195,6 +195,10 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text("{")
     assert run_cli(capsys, "simulate", "--config", str(bad_cfg), "--out", str(tmp_path))[0] == 1
+    for n in ("0", "-1"):
+        code, out, err = run_cli(capsys, "oracle-check", "--instances", n)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_domain_errors_exit_2(capsys):

@@ -22,7 +22,7 @@ from evalanche import (
     regularize,
     subdiagonal_row,
 )
-from evalanche.discovery import DiscoveryMatrix
+from evalanche.discovery import DiscoveryMatrix, RowTracker
 from evalanche.errors import DomainError
 from oracles import subset_min_oracle
 
@@ -167,6 +167,35 @@ def test_diagonal_full_row_covers_small_pairs():
     assert got.log_e == pytest.approx(want.log_e, abs=1e-12)
 
 
+def test_row_tracker_matches_row_bounds():
+    """The tracker's per-cell bases reach the same minima as the matrix rows."""
+    rng = np.random.default_rng(21)
+    for trial in range(60):
+        k = int(rng.integers(1, 13))
+        logs = rng.normal(0.0, 6.0, size=k)
+        logs[k - int(rng.integers(0, 3)):] = -math.inf  # some values are exactly 0
+        rk = RankedValues.from_logs(logs)
+        rows = sorted({1, k, *(int(x) for x in rng.integers(1, k + 1, size=2))})
+        diag_spec, sub_spec = SPECS[trial % 3], SPECS[(trial // 3) % 3]
+        d, s = RowTracker(k, rows, diag_spec, sub_spec).step(rk.sorted_logs)
+        for n, r in enumerate(rows):
+            assert d[n] == pytest.approx(diagonal_row(rk, r, diag_spec).log_e, abs=1e-12)
+            assert s[n] == pytest.approx(subdiagonal_row(rk, r, sub_spec).log_e, abs=1e-12)
+
+
+def test_row_tracker_with_leading_infinite_values():
+    rk = RankedValues.from_values([LogValue(math.inf)] * 2 + lv(3, 0.5, 0.2, 0.1))
+    rows = [1, 2, 3, 4, 6]
+    for spec in SPECS:
+        d, s = RowTracker(rk.k, rows, spec, spec).step(rk.sorted_logs)
+        assert list(d) == [diagonal_row(rk, r, spec).log_e for r in rows]
+        assert list(s) == [subdiagonal_row(rk, r, spec).log_e for r in rows]
+        assert np.isinf(d[:2]).all() and np.isfinite(d[2:]).all()
+        assert np.isinf(s[:3]).all() and np.isfinite(s[3:]).all()
+    with pytest.raises(DomainError):
+        RowTracker(3, [0, 2], U1, U2)
+
+
 @given(st.lists(st.floats(min_value=1e-4, max_value=1e4), min_size=1, max_size=9))
 @settings(max_examples=40, deadline=None)
 def test_permutation_equivariance(values):
@@ -184,15 +213,21 @@ def test_permutation_equivariance(values):
 
 
 def test_infinite_values_rank_first_and_propagate():
-    vals = lv(3, 1) + [LogValue(math.inf)]
-    rk = RankedValues.from_values(vals)
+    inf = LogValue(math.inf)
+    rk = RankedValues.from_values(lv(3, 1) + [inf])
+    two = RankedValues.from_values([inf, inf] + lv(2))
     assert rk.value_at(1).is_infinite
-    assert diagonal_row(rk, 1, U1).is_infinite
-    m = discovery_matrix(rk, U1)
-    assert m.entry(1, 0).is_infinite
-    assert m.entry(3, 3).value == 1.0  # the empty set still caps the last column
-    # excluding the infinite value leaves finite bounds
-    assert not m.entry(3, 1).is_infinite
+    for spec in SPECS:
+        assert diagonal_row(rk, 1, spec).is_infinite
+        m = discovery_matrix(rk, spec)
+        assert m.entry(1, 0).is_infinite
+        assert m.entry(3, 3).value == 1.0  # the empty set still caps the last column
+        # excluding the infinite value leaves finite bounds
+        assert not m.entry(3, 1).is_infinite
+        # two leading +inf values: every set holding one merges to +inf
+        m = discovery_matrix(two, spec)
+        assert [m.entry(2, j).value for j in range(3)] == [math.inf, math.inf, 1.0]
+        assert [m.entry(3, j).value for j in range(4)] == [math.inf, math.inf, 2.0, 1.0]
 
 
 # ---------------------------------------------------------------------------

@@ -217,15 +217,10 @@ def test_replicate_identical_seeds_have_zero_spread():
     assert stat.minimum.log10 == stat.maximum.log10
 
 
-def test_replicate_requires_seeds_and_honors_thread_env(monkeypatch):
+def test_replicate_requires_seeds():
     cfg = small_config(steps=30, tracked_rows=(1,), checkpoints=())
     with pytest.raises(DomainError):
         replicate(cfg, [])
-    serial = replicate(cfg, [1, 2, 3])
-    monkeypatch.setenv("EVALANCHE_THREADS", "3")
-    threaded = replicate(cfg, [1, 2, 3])
-    for key in serial:
-        assert np.array_equal(serial[key].log10_values, threaded[key].log10_values)
 
 
 def test_seed_summary_order_statistics():
