@@ -25,10 +25,7 @@ from .merging import (
     U1_U2_HALF,
     ie_example_f,
     mixture_merge,
-    nesp_bell,
-    nesp_enumerate,
     nesp_log,
-    nesp_powersum,
 )
 from .polynomials import (
     MultiaffinePoly,
@@ -45,14 +42,10 @@ from .martingales import (
     step,
 )
 from .discovery import (
-    CONSTRAINT_EXACTLY_J_MISSING,
-    CONSTRAINT_GE2_IN_TOP_R,
-    CONSTRAINT_INTERSECTS_TOP_R,
     ColorBucket,
     ConfidenceRegion,
     DiagonalSeries,
     DiscoveryMatrix,
-    brute_force_bound,
     colorize,
     confidence_region,
     diagonal_row,
@@ -60,6 +53,8 @@ from .discovery import (
     regularize,
     subdiagonal_row,
 )
+from .oracles import CONSTRAINT_EXACTLY_J_MISSING, CONSTRAINT_GE2_IN_TOP_R, CONSTRAINT_INTERSECTS_TOP_R
+from .oracles import brute_force_bound, nesp_bell, nesp_enumerate, nesp_powersum
 from .simulate import (
     ExperimentConfig,
     RunResult,

@@ -18,10 +18,6 @@ import numpy as np
 
 from . import formats
 from .discovery import (
-    CONSTRAINT_EXACTLY_J_MISSING,
-    CONSTRAINT_GE2_IN_TOP_R,
-    CONSTRAINT_INTERSECTS_TOP_R,
-    brute_force_bound,
     confidence_region,
     diagonal_row,
     discovery_matrix,
@@ -37,11 +33,10 @@ from .merging import (
     U2,
     U1_U2_HALF,
     mixture_merge,
-    nesp_bell,
-    nesp_enumerate,
     nesp_log,
-    nesp_powersum,
 )
+from .oracles import CONSTRAINT_EXACTLY_J_MISSING, CONSTRAINT_GE2_IN_TOP_R, CONSTRAINT_INTERSECTS_TOP_R
+from .oracles import brute_force_bound, nesp_bell, nesp_enumerate, nesp_powersum
 from .polynomials import decompose_symmetric, validate_merging_polynomial
 from .simulate import run_experiment
 
@@ -169,7 +164,7 @@ def _cmd_matrix(args) -> int:
         obj = {
             "k": m.k,
             "regularized": m.regularized,
-            "rows": [[float(x) for x in row] for row in m.rows],
+            "rows": [row.tolist() for row in m.rows],
         }
         _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", args.out)
     else:

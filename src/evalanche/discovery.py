@@ -18,11 +18,12 @@ matrix cell (r, j) takes the base {j+1..r} and the tails k = r+1..K+1
   * RowTracker: both row bounds for fixed rows, per simulation step, with
     one kernel call per merge spec.
 
-``brute_force_bound`` evaluates the unrestricted minima over all 2^K index
-sets and certifies the scans at desk scale.
+``oracles.brute_force_bound`` evaluates the unrestricted minima over all 2^K
+index sets and certifies the scans at desk scale.
 
 Matrix and series containers store log10 floats (the serialization scale);
 all scan arithmetic happens in natural logs and is converted once on storage.
+A matrix is one (K, K+1) array whose cells above the diagonal are NaN.
 """
 
 from __future__ import annotations
@@ -38,19 +39,7 @@ import numpy as np
 from .errors import DomainError
 from .logvalue import LN10, LogValue
 from .martingales import RankedValues
-from .merging import (
-    MergeSpec,
-    as_log_array,
-    log_comb,
-    mixture_from_logs,
-    suffix_esp_levels,
-)
-
-BRUTE_FORCE_MAX = 16
-
-CONSTRAINT_INTERSECTS_TOP_R = "intersects-top-r"
-CONSTRAINT_GE2_IN_TOP_R = "ge2-in-top-r"
-CONSTRAINT_EXACTLY_J_MISSING = "exactly-j-missing-from-top-r"
+from .merging import MergeSpec, log_comb, suffix_esp_levels
 
 
 # ---------------------------------------------------------------------------
@@ -81,21 +70,28 @@ class DiagonalSeries:
 class DiscoveryMatrix:
     """Lower-triangular bounds D[r, j], rows r = 1..K, columns j = 0..r.
 
-    ``rows[r-1]`` holds the log10 entries of row r.  After ``regularize``
-    each row is non-increasing in j, so row slices read as upper intervals.
+    ``log10`` is one (K, K+1) array of log10 entries, made read-only on
+    construction: row r is ``log10[r-1, :r+1]`` and the cells with j > r hold
+    NaN and are never read.  ``rows[r-1]`` is a read-only view of row r.
+    After ``regularize`` each row is non-increasing in j, so row slices read
+    as upper intervals.
     """
 
-    rows: tuple[np.ndarray, ...]
+    log10: np.ndarray
     regularized: bool = False
 
     def __post_init__(self) -> None:
-        for i, row in enumerate(self.rows):
-            if row.size != i + 2:
-                raise DomainError(f"row {i + 1} must have {i + 2} entries, got {row.size}")
+        if self.log10.ndim != 2 or self.log10.shape[1] != self.k + 1:
+            raise DomainError(f"matrix must be a (K, K+1) array, got shape {self.log10.shape}")
+        self.log10.setflags(write=False)
 
     @property
     def k(self) -> int:
-        return len(self.rows)
+        return self.log10.shape[0]
+
+    @property
+    def rows(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.log10[i, : i + 2] for i in range(self.k))
 
     def _check(self, r: int, j: int | None = None) -> None:
         if not 1 <= r <= self.k:
@@ -105,14 +101,10 @@ class DiscoveryMatrix:
 
     def log10_entry(self, r: int, j: int) -> float:
         self._check(r, j)
-        return float(self.rows[r - 1][j])
+        return float(self.log10[r - 1, j])
 
     def entry(self, r: int, j: int) -> LogValue:
         return LogValue.from_log10(self.log10_entry(r, j))
-
-    def row_log10(self, r: int) -> np.ndarray:
-        self._check(r)
-        return self.rows[r - 1].copy()
 
 
 @dataclass(frozen=True)
@@ -331,22 +323,17 @@ def discovery_matrix(ranked: RankedValues, spec: MergeSpec) -> DiscoveryMatrix:
     logs = ranked.sorted_logs
     S = suffix_esp_levels(logs, spec.max_degree)
     T = suffix_logsums(logs)
-    rows = []
+    out = np.full((ranked.k, ranked.k + 1), np.nan)
     for r in range(1, ranked.k + 1):
-        row = _row_cells(logs, S, T, r, spec) / LN10
-        row.setflags(write=False)
-        rows.append(row)
-    return DiscoveryMatrix(rows=tuple(rows), regularized=False)
+        out[r - 1, : r + 1] = _row_cells(logs, S, T, r, spec)
+    out /= LN10
+    return DiscoveryMatrix(out)
 
 
 def regularize(m: DiscoveryMatrix) -> DiscoveryMatrix:
-    """Replace each row by its running minimum in j (idempotent)."""
-    rows = []
-    for row in m.rows:
-        reg = np.minimum.accumulate(row)
-        reg.setflags(write=False)
-        rows.append(reg)
-    return DiscoveryMatrix(rows=tuple(rows), regularized=True)
+    """Replace each row by its running minimum in j (idempotent); the NaN
+    cells above the diagonal follow the row's last cell and stay NaN."""
+    return DiscoveryMatrix(np.minimum.accumulate(m.log10, axis=1), regularized=True)
 
 
 def confidence_region(m: DiscoveryMatrix, r: int, alpha: float) -> ConfidenceRegion:
@@ -357,77 +344,10 @@ def confidence_region(m: DiscoveryMatrix, r: int, alpha: float) -> ConfidenceReg
         raise DomainError(f"significance level must be positive, got {alpha!r}")
     m._check(r)
     alpha_log10 = math.log10(alpha) if alpha != math.inf else math.inf
-    row = m.rows[r - 1]
+    row = m.log10[r - 1, : r + 1]
     members = frozenset(int(j) for j in np.flatnonzero(row < alpha_log10))
     lower = min(members) if members else None
     return ConfidenceRegion(r=r, alpha=alpha, members=members, lower_bound=lower)
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-
-
-@lru_cache(maxsize=32)
-def _subset_table(logs: tuple[float, ...], spec: MergeSpec) -> np.ndarray:
-    """F over every subset of the (descending) values, indexed by bitmask.
-
-    Bit i set means rank i+1 belongs to the subset.  The empty set gets the
-    conventional value 1.  Each subset is evaluated through the public
-    mixture semantics, keeping this path independent of the suffix scans it
-    certifies.
-    """
-    k = len(logs)
-    arr = np.asarray(logs)
-    out = np.empty(1 << k)
-    out[0] = 0.0
-    for mask in range(1, 1 << k):
-        idx = [i for i in range(k) if mask >> i & 1]
-        out[mask] = mixture_from_logs(spec, arr[idx])
-    out.setflags(write=False)
-    return out
-
-
-def brute_force_bound(
-    values: Sequence[LogValue],
-    constraint: str,
-    r: int,
-    spec: MergeSpec,
-    j: int | None = None,
-) -> LogValue:
-    """Exact minimum of F over every qualifying index set (K <= 16).
-
-    Constraints, over rank positions of the descending values:
-      * ``intersects-top-r``: the set meets {1..r};
-      * ``ge2-in-top-r``: the set holds at least two of {1..r};
-      * ``exactly-j-missing-from-top-r``: exactly j of {1..r} are absent
-        (requires ``j``; the empty set qualifies at j = r and counts as 1).
-
-    Returns +inf when no set qualifies (the empty infimum).
-    """
-    logs = as_log_array(values)
-    k = len(logs)
-    if k > BRUTE_FORCE_MAX:
-        raise DomainError(f"brute force capped at {BRUTE_FORCE_MAX} values, got {k}")
-    if not 1 <= r <= k:
-        raise DomainError(f"row {r} outside 1..{k}")
-    order = np.argsort(-logs, kind="stable")
-    table = _subset_table(tuple(float(x) for x in logs[order]), spec)
-    masks = np.arange(1 << k, dtype=np.uint32)
-    top = np.uint32((1 << r) - 1)
-    in_top = np.bitwise_count(masks & top)
-    if constraint == CONSTRAINT_INTERSECTS_TOP_R:
-        qualify = in_top >= 1
-    elif constraint == CONSTRAINT_GE2_IN_TOP_R:
-        qualify = in_top >= 2
-    elif constraint == CONSTRAINT_EXACTLY_J_MISSING:
-        if j is None or not 0 <= j <= r:
-            raise DomainError(f"need a column j in 0..{r}, got {j!r}")
-        qualify = in_top == r - j
-    else:
-        raise DomainError(f"unknown constraint {constraint!r}")
-    if not qualify.any():
-        return LogValue(math.inf)
-    return LogValue(float(table[qualify].min()))
 
 
 # ---------------------------------------------------------------------------
@@ -443,20 +363,19 @@ class ColorBucket(enum.Enum):
     BLACK = "black"
 
 
-# Half-open buckets; each boundary belongs to the bucket above it.
-_BUCKET_EDGES = (
-    (math.log(1e20), ColorBucket.BLACK),
-    (math.log(1e14), ColorBucket.DARKRED),
-    (math.log(1e8), ColorBucket.RED),
-    (math.log(100.0), ColorBucket.ORANGE),
-    (math.log(10.0), ColorBucket.YELLOW),
-)
+_BUCKETS = tuple(ColorBucket)
+
+# Ascending natural-log lower edges of the buckets above green.  Half-open
+# buckets: each edge belongs to the bucket above it.
+_BUCKET_EDGES = np.array([math.log(x) for x in (10.0, 100.0, 1e8, 1e14, 1e20)])
+
+
+def bucket_indexes(log_e: np.ndarray) -> np.ndarray:
+    """Indexes into ``ColorBucket`` order of natural-log values (see ``colorize``)."""
+    return np.searchsorted(_BUCKET_EDGES, log_e, side="right")
 
 
 def colorize(v: LogValue) -> ColorBucket:
     """Evidence bucket of a merged value: [0,10) green, [10,100) yellow,
     [100,1e8) orange, [1e8,1e14) red, [1e14,1e20) dark red, [1e20,inf] black."""
-    for edge, bucket in _BUCKET_EDGES:
-        if v.log_e >= edge:
-            return bucket
-    return ColorBucket.GREEN
+    return _BUCKETS[int(bucket_indexes(v.log_e))]

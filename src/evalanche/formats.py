@@ -19,22 +19,18 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .discovery import ColorBucket, ConfidenceRegion, DiagonalSeries, DiscoveryMatrix, colorize
+from .discovery import ColorBucket, ConfidenceRegion, DiagonalSeries, DiscoveryMatrix
+from .discovery import bucket_indexes, confidence_region
 from .errors import DomainError
-from .logvalue import LogValue
-from .martingales import _frozen
+from .logvalue import LN10, LogValue
 from .merging import MergeSpec
 from .polynomials import MultiaffinePoly, subset_to_mask
 from .simulate import ExperimentConfig, RunResult
 
-BUCKET_HEX: Mapping[ColorBucket, str] = {
-    ColorBucket.GREEN: "#2ca02c",
-    ColorBucket.YELLOW: "#ffdf00",
-    ColorBucket.ORANGE: "#ff7f0e",
-    ColorBucket.RED: "#d62728",
-    ColorBucket.DARKRED: "#8b0000",
-    ColorBucket.BLACK: "#000000",
-}
+# Indexed in ColorBucket order, as ``bucket_indexes`` returns them.
+_BUCKET_NAMES = [b.value for b in ColorBucket]
+_BUCKET_HEXES = ["#2ca02c", "#ffdf00", "#ff7f0e", "#d62728", "#8b0000", "#000000"]
+BUCKET_HEX: Mapping[ColorBucket, str] = dict(zip(ColorBucket, _BUCKET_HEXES))
 
 SERIES_HEADER = "step,row,kind,log10_value,value"
 MATRIX_HEADER = "r,j,log10_value,bucket"
@@ -129,36 +125,54 @@ def parse_series_csv(text: str) -> list[SeriesRecord]:
 
 def matrix_csv(m: DiscoveryMatrix) -> str:
     lines = [MATRIX_HEADER]
-    for r in range(1, m.k + 1):
-        for j in range(r + 1):
-            l10 = m.log10_entry(r, j)
-            bucket = colorize(m.entry(r, j)).value
-            lines.append(f"{r},{j},{fmt_float(l10)},{bucket}")
+    for r, row in enumerate(m.rows, start=1):
+        # row * LN10 is the multiply LogValue.from_log10 does: cells bucket as colorize
+        buckets = bucket_indexes(row * LN10).tolist()
+        lines += [
+            f"{r},{j},{fmt_float(l10)},{_BUCKET_NAMES[b]}"
+            for j, (l10, b) in enumerate(zip(row.tolist(), buckets))
+        ]
     return "\n".join(lines) + "\n"
 
 
 def parse_matrix_csv(text: str) -> DiscoveryMatrix:
+    """Inverse of ``matrix_csv``: each lower-triangle cell exactly once, never
+    NaN (+-inf are legal); a bad line raises DomainError naming it."""
     lines = text.splitlines()
     if not lines or lines[0] != MATRIX_HEADER:
         raise DomainError(f"matrix CSV must start with {MATRIX_HEADER!r}")
-    cells: dict[tuple[int, int], float] = {}
-    k = 0
-    for line in lines[1:]:
+    rs, js, values = [], [], []
+    for n, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        r_s, j_s, l10, _bucket = line.split(",")
-        r, j = int(r_s), int(j_s)
-        cells[(r, j)] = parse_float(l10)
-        k = max(k, r)
-    rows = []
-    for r in range(1, k + 1):
-        row = np.empty(r + 1)
-        for j in range(r + 1):
-            if (r, j) not in cells:
-                raise DomainError(f"matrix CSV is missing cell ({r},{j})")
-            row[j] = cells[(r, j)]
-        rows.append(_frozen(row))
-    return DiscoveryMatrix(rows=tuple(rows), regularized=False)
+        try:
+            r_s, j_s, l10, _bucket = line.split(",")
+            r, j, value = int(r_s), int(j_s), float(l10)
+        except ValueError:
+            raise DomainError(f"line {n}: expected r,j,log10_value,bucket, got {line!r}") from None
+        if r < 1 or not 0 <= j <= r:
+            raise DomainError(f"line {n}: cell ({r},{j}) lies outside the lower triangle")
+        if math.isnan(value):
+            raise DomainError(f"line {n}: cell ({r},{j}) is NaN")
+        rs.append(r)
+        js.append(j)
+        values.append(value)
+    k = max(rs, default=0)
+    if len(rs) < k * (k + 3) // 2:  # found without allocating a (k, k+1) array
+        present = set(zip(rs, js))
+        r, j = next((r, j) for r in range(1, k + 1) for j in range(r + 1) if (r, j) not in present)
+        raise DomainError(f"matrix CSV is missing cell ({r},{j})")
+    flat = (np.array(rs, dtype=np.int64) - 1) * (k + 1) + np.array(js, dtype=np.int64)
+    seen = np.zeros(k * (k + 1), dtype=bool)
+    seen[flat] = True
+    if np.count_nonzero(seen) < len(rs):
+        _, first = np.unique(flat, return_index=True)
+        i = int(np.setdiff1d(np.arange(len(rs)), first)[0])
+        line_no = [n for n, line in enumerate(lines[1:], start=2) if line][i]
+        raise DomainError(f"line {line_no}: repeated cell ({rs[i]},{js[i]})")
+    out = np.full(k * (k + 1), np.nan)
+    out[flat] = values
+    return DiscoveryMatrix(out.reshape(k, k + 1))
 
 
 def values_csv(values: Sequence[LogValue]) -> str:
@@ -196,13 +210,12 @@ def heatmap_svg(m: DiscoveryMatrix, cell: int = 4) -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    for r in range(1, m.k + 1):
-        y = (r - 1) * cell
-        for j in range(r + 1):
-            hexcode = BUCKET_HEX[colorize(m.entry(r, j))]
-            parts.append(
-                f'<rect x="{j * cell}" y="{y}" width="{cell}" height="{cell}" fill="{hexcode}"/>'
-            )
+    for y, row in enumerate(m.rows):
+        parts += [
+            f'<rect x="{j * cell}" y="{y * cell}" width="{cell}" height="{cell}" '
+            f'fill="{_BUCKET_HEXES[b]}"/>'
+            for j, b in enumerate(bucket_indexes(row * LN10).tolist())
+        ]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -423,8 +436,6 @@ def write_bundle(cfg: ExperimentConfig, run: RunResult, out_dir: str | Path) -> 
     matrix_paths: list[Path] = []
     heatmap_paths: list[Path] = []
     region_paths: list[Path] = []
-    from .discovery import confidence_region  # local import avoids a cycle at module load
-
     for step in sorted(run.matrices):
         raw, reg = run.matrices[step]
         raw_path = out / f"matrix_{step}.csv"

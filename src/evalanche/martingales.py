@@ -61,7 +61,7 @@ class MartingaleTable:
         return LogValue(float(self.log_values[k - 1]))
 
 
-def gaussian_log_density(x: float, mean: float, sd: float) -> float:
+def gaussian_log_density(x: float | np.ndarray, mean: float, sd: float) -> float | np.ndarray:
     z = (x - mean) / sd
     return -0.5 * z * z - math.log(sd) - 0.5 * math.log(2.0 * math.pi)
 

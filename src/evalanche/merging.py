@@ -12,10 +12,8 @@ production path, ``nesp_log``, runs the forward DP recurrence
 
 entirely in the log domain; every term is nonnegative, so there is no
 cancellation and values from 1e-300 to 1e+300 and beyond are handled without
-loss of structure.  ``nesp_powersum`` and ``nesp_bell`` are linear-scale
-power-sum paths kept as independent cross-check oracles; they are accurate
-only on well-conditioned inputs (one dominating input cancels catastrophically
-in p_1^2 - p_2 and friends).
+loss of structure.  The linear-scale power-sum and Bell paths and the
+subset enumeration that certify it live in ``oracles``.
 
 Arity rule: a merge of degree n applied to m < n arguments evaluates
 U_min(n, m), extending the degree-2-on-one-argument fallback to every arity
@@ -31,8 +29,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
-from .logvalue import INFINITE, LogValue, ZERO, log_add
+from .errors import DomainError
+from .logvalue import INFINITE, LogValue, log_add
 
 WEIGHT_TOL = 1e-12
 
@@ -208,128 +206,6 @@ def mixture_from_logs(spec: MergeSpec, logs: np.ndarray) -> float:
         d = min(deg, m)
         acc = log_add(acc, math.log(w) + float(levels[d]) - log_comb(m, d))
     return acc
-
-
-def _linear_values(values: Sequence[LogValue]) -> np.ndarray:
-    logs = as_log_array(values)
-    if (logs == np.inf).any():
-        return np.full(len(logs), np.inf)
-    with np.errstate(over="ignore"):
-        lin = np.exp(logs)
-    if np.isinf(lin).any():
-        raise NumericalError("input overflows the linear double range")
-    return lin
-
-
-def _power_sum(lin: np.ndarray, i: int) -> float:
-    with np.errstate(over="ignore"):
-        total = float(np.sum(lin ** i))
-    if math.isinf(total):
-        raise NumericalError(f"power sum p_{i} overflows the double range")
-    return total
-
-
-def _finish_linear(raw: float, scale: float, m: int, n_eff: int) -> LogValue:
-    """Shared tail of the linear-scale oracle paths: normalize and guard."""
-    if not math.isfinite(raw) or not math.isfinite(scale):
-        raise NumericalError("intermediate overflow in linear-scale merge")
-    denom = 1.0
-    for i in range(n_eff):
-        denom *= m - i
-    result = raw / denom
-    if result < 0.0:
-        if result < -1e-9 * max(1.0, scale / denom):
-            raise NumericalError(
-                f"catastrophic cancellation: merge of nonnegative inputs came out {result!r}"
-            )
-        return ZERO
-    return LogValue.of(result)
-
-
-def nesp_powersum(values: Sequence[LogValue], n: int) -> LogValue:
-    """U_n for n in 1..4 via the explicit power-sum formulas (oracle path)."""
-    if not 1 <= n <= 4:
-        raise DomainError(f"power-sum path supports n in 1..4 (got {n}); use nesp_bell")
-    lin = _linear_values(values)
-    if np.isinf(lin).any():
-        return INFINITE
-    m = len(lin)
-    n_eff = min(n, m)
-    try:
-        p = [float(_power_sum(lin, i)) for i in range(1, n_eff + 1)]
-        if n_eff == 1:
-            terms = [p[0]]
-        elif n_eff == 2:
-            terms = [p[0] ** 2, -p[1]]
-        elif n_eff == 3:
-            terms = [p[0] ** 3, -3.0 * p[1] * p[0], 2.0 * p[2]]
-        else:
-            terms = [
-                p[0] ** 4,
-                -6.0 * p[1] * p[0] ** 2,
-                8.0 * p[2] * p[0],
-                3.0 * p[1] ** 2,
-                -6.0 * p[3],
-            ]
-    except OverflowError as exc:
-        raise NumericalError("intermediate overflow in power-sum merge") from exc
-    raw = math.fsum(terms)
-    scale = max(abs(t) for t in terms)
-    return _finish_linear(raw, scale, m, n_eff)
-
-
-def nesp_bell(values: Sequence[LogValue], n: int) -> LogValue:
-    """U_n via the complete Bell polynomial of the signed power sums.
-
-    B_0 = 1, B_r = sum_i C(r-1, i) B_{r-1-i} x_{i+1} with
-    x_i = (-1)^(i-1) (i-1)! p_i, and U_n = B_n / (m falling n).  Signed terms
-    appear, so this path is an oracle for well-conditioned inputs only.
-    """
-    if n < 1:
-        raise DomainError(f"nesp degree must be >= 1, got {n}")
-    lin = _linear_values(values)
-    if np.isinf(lin).any():
-        return INFINITE
-    m = len(lin)
-    n_eff = min(n, m)
-    x = [
-        (-1.0) ** (i - 1) * math.factorial(i - 1) * _power_sum(lin, i)
-        for i in range(1, n_eff + 1)
-    ]
-    bell = [1.0]
-    scale = 1.0
-    for r in range(1, n_eff + 1):
-        try:
-            terms = [math.comb(r - 1, i) * bell[r - 1 - i] * x[i] for i in range(r)]
-        except OverflowError as exc:
-            raise NumericalError("intermediate overflow in Bell recursion") from exc
-        val = math.fsum(terms)
-        if not math.isfinite(val):
-            raise NumericalError("intermediate overflow in Bell recursion")
-        scale = max(scale, max((abs(t) for t in terms), default=0.0))
-        bell.append(val)
-    return _finish_linear(bell[n_eff], scale, m, n_eff)
-
-
-def nesp_enumerate(values: Sequence[LogValue], n: int) -> LogValue:
-    """Reference path: U_n by explicit enumeration of all n-subsets.
-
-    Exponential in the input size; exists to certify nesp_log, never for
-    production work.
-    """
-    import itertools
-
-    logs = as_log_array(values)
-    if n < 1:
-        raise DomainError(f"nesp degree must be >= 1, got {n}")
-    m = len(logs)
-    n_eff = min(n, m)
-    if (logs == np.inf).any():
-        return INFINITE
-    acc = -math.inf
-    for combo in itertools.combinations(range(m), n_eff):
-        acc = log_add(acc, float(sum(logs[i] for i in combo)))
-    return LogValue(acc - log_comb(m, n_eff))
 
 
 def ie_example_f(e1: LogValue, e2: LogValue) -> LogValue:

@@ -26,7 +26,7 @@ from . import discovery
 from .discovery import DiagonalSeries, DiscoveryMatrix, RowTracker, regularize
 from .errors import DomainError
 from .logvalue import LN10, LogValue
-from .martingales import MartingaleTable, RankedValues, _frozen
+from .martingales import MartingaleTable, RankedValues, _frozen, gaussian_log_density
 from .merging import MergeSpec, U1, U2
 
 
@@ -130,13 +130,8 @@ def draw_streams(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
     mean = np.where(is_false, cfg.true_dist_false_nulls[0], cfg.null_dist[0])
     sd = np.where(is_false, cfg.true_dist_false_nulls[1], cfg.null_dist[1])
     x = mean + sd * z
-    log_inc = _log_density(x, cfg.bet_dist) - _log_density(x, cfg.null_dist)
+    log_inc = gaussian_log_density(x, *cfg.bet_dist) - gaussian_log_density(x, *cfg.null_dist)
     return k_idx, x, log_inc
-
-
-def _log_density(x: np.ndarray, dist: tuple[float, float]) -> np.ndarray:
-    z = (x - dist[0]) / dist[1]
-    return -0.5 * z * z - math.log(dist[1]) - 0.5 * math.log(2.0 * math.pi)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:

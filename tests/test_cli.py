@@ -199,6 +199,21 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         code, out, err = run_cli(capsys, "oracle-check", "--instances", n)
         assert (code, out) == (1, "")
         assert err.startswith("error:") and err.count("\n") == 1
+    matrix = tmp_path / "bad_matrix.csv"
+    for body in (
+        "1,0\n1,1,0.0,green\n",  # two fields
+        "a,0,0.0,green\n1,1,0.0,green\n",  # non-integer r
+        "1,0.5,0.0,green\n1,1,0.0,green\n",  # non-integer j
+        "1,0,nan,green\n1,1,0.0,green\n",  # NaN cell
+        "1,0,0.0,green\n1,1,0.0,green\n1,7,3.0,green\n",  # outside the triangle
+        "1,0,0.0,green\n1,0,0.0,green\n1,1,0.0,green\n",  # repeated cell
+        "1,0,0.0,green\n1,0,0.0,green\n",  # repeated cell standing in for a missing one
+    ):
+        matrix.write_text("r,j,log10_value,bucket\n" + body)
+        code, out, err = run_cli(capsys, "region", "--matrix", str(matrix), "--row", "1",
+                                 "--alpha", "10")
+        assert (code, out) == (1, ""), body
+        assert err.startswith("error:") and err.count("\n") == 1 and "line " in err, body
 
 
 def test_domain_errors_exit_2(capsys):

@@ -22,7 +22,7 @@ from evalanche import (
     regularize,
     subdiagonal_row,
 )
-from evalanche.discovery import DiscoveryMatrix, RowTracker
+from evalanche.discovery import DiscoveryMatrix, RowTracker, bucket_indexes
 from evalanche.errors import DomainError
 from oracles import subset_min_oracle
 
@@ -235,7 +235,10 @@ def test_infinite_values_rank_first_and_propagate():
 
 
 def _matrix_from_log10_rows(rows):
-    return DiscoveryMatrix(rows=tuple(np.asarray(r, dtype=float) for r in rows))
+    log10 = np.full((len(rows), len(rows) + 1), np.nan)
+    for i, row in enumerate(rows):
+        log10[i, : i + 2] = row
+    return DiscoveryMatrix(log10)
 
 
 def test_regularize_running_minimum():
@@ -243,6 +246,10 @@ def test_regularize_running_minimum():
     reg = regularize(m)
     assert list(reg.rows[1]) == [5.0, 5.0, 2.0]
     assert reg.regularized
+    assert not reg.log10.flags.writeable
+    for i, row in enumerate(reg.rows):
+        assert row.base is reg.log10 and row.size == i + 2
+        assert not row.flags.writeable
     again = regularize(reg)
     assert all(np.array_equal(a, b) for a, b in zip(reg.rows, again.rows))
 
@@ -311,39 +318,59 @@ def test_regularized_regions_are_upper_intervals():
 # color buckets
 
 
-@pytest.mark.parametrize(
-    "value,bucket",
-    [
-        (0.0, ColorBucket.GREEN),
-        (1.13e-20, ColorBucket.GREEN),
-        (5.0, ColorBucket.GREEN),
-        (9.999999, ColorBucket.GREEN),
-        (10.0, ColorBucket.YELLOW),
-        (99.0, ColorBucket.YELLOW),
-        (100.0, ColorBucket.ORANGE),
-        (1e7, ColorBucket.ORANGE),
-        (1e8, ColorBucket.RED),
-        (1e13, ColorBucket.RED),
-        (1e14, ColorBucket.DARKRED),
-        (1e19, ColorBucket.DARKRED),
-        (1e20, ColorBucket.BLACK),
-        (math.inf, ColorBucket.BLACK),
-    ],
-)
+BUCKET_CASES = [
+    (0.0, ColorBucket.GREEN),
+    (1.13e-20, ColorBucket.GREEN),
+    (5.0, ColorBucket.GREEN),
+    (9.999999, ColorBucket.GREEN),
+    (10.0, ColorBucket.YELLOW),
+    (99.0, ColorBucket.YELLOW),
+    (100.0, ColorBucket.ORANGE),
+    (1e7, ColorBucket.ORANGE),
+    (1e8, ColorBucket.RED),
+    (1e13, ColorBucket.RED),
+    (1e14, ColorBucket.DARKRED),
+    (1e19, ColorBucket.DARKRED),
+    (1e20, ColorBucket.BLACK),
+    (math.inf, ColorBucket.BLACK),
+]
+
+BOUNDARIES = [
+    (10.0, ColorBucket.YELLOW),
+    (100.0, ColorBucket.ORANGE),
+    (1e8, ColorBucket.RED),
+    (1e14, ColorBucket.DARKRED),
+    (1e20, ColorBucket.BLACK),
+]
+
+
+def _array_buckets(logs):
+    """The vectorized rule over one array, as ColorBucket members."""
+    return [list(ColorBucket)[i] for i in bucket_indexes(np.array(logs))]
+
+
+@pytest.mark.parametrize("value,bucket", BUCKET_CASES)
 def test_colorize_buckets(value, bucket):
     assert colorize(LogValue.of(value)) is bucket
 
 
+def test_bucket_rule_array_form_matches_colorize():
+    logs = [LogValue.of(value).log_e for value, _ in BUCKET_CASES] + [-math.inf]
+    for boundary, _ in BOUNDARIES:
+        edge = LogValue.of(boundary).log_e
+        logs += [np.nextafter(edge, -math.inf), edge, np.nextafter(edge, math.inf)]
+    got = _array_buckets(logs)
+    assert got[: len(BUCKET_CASES)] == [bucket for _, bucket in BUCKET_CASES]
+    assert got == [colorize(LogValue(float(x))) for x in logs]
+
+
 def test_colorize_boundaries_belong_to_the_upper_bucket():
-    for boundary, upper in [
-        (10.0, ColorBucket.YELLOW),
-        (100.0, ColorBucket.ORANGE),
-        (1e8, ColorBucket.RED),
-        (1e14, ColorBucket.DARKRED),
-        (1e20, ColorBucket.BLACK),
-    ]:
+    for boundary, upper in BOUNDARIES:
         assert colorize(LogValue.of(boundary)) is upper
         assert colorize(LogValue.of(boundary * 0.999999)) is not upper
+        edge = LogValue.of(boundary).log_e
+        below, at = _array_buckets([np.nextafter(edge, -math.inf), edge])
+        assert at is upper and below is not upper
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,13 @@ def test_matrix_csv_rejects_gaps():
         formats.parse_matrix_csv("nope\n")
 
 
+def test_matrix_csv_keeps_infinite_cells():
+    text = "r,j,log10_value,bucket\n1,0,inf,black\n1,1,-inf,green\n"
+    m = formats.parse_matrix_csv(text)
+    assert m.rows[0].tolist() == [math.inf, -math.inf]
+    assert formats.matrix_csv(m) == text
+
+
 def test_values_csv_round_trip():
     values = [LogValue.of(v) for v in (8.0, 4.0, 1.0, 2.5e-30)]
     text = formats.values_csv(values)
