@@ -41,13 +41,6 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-def parse_float(s: str) -> float:
-    try:
-        return float(s)
-    except ValueError as exc:
-        raise DomainError(f"not a number: {s!r}") from exc
-
-
 def linear_cell(log10_value: float) -> str:
     """Linear value text, or empty when outside the double range."""
     v = LogValue.from_log10(log10_value)
@@ -59,63 +52,65 @@ def linear_cell(log10_value: float) -> str:
     return fmt_float(x)
 
 
+def _data_lines(text: str, header: str, what: str):
+    """(line number, line) of each non-empty line after ``header``."""
+    lines = text.splitlines()
+    if not lines or lines[0] != header:
+        raise DomainError(f"{what} CSV must start with {header!r}")
+    return ((n, line) for n, line in enumerate(lines[1:], start=2) if line)
+
+
 # ---------------------------------------------------------------------------
 # series
 
 
-@dataclass(frozen=True)
-class SeriesRecord:
-    step: int
-    row: int
-    kind: str
-    log10_value: float
-    value: float | None
+_SERIES_KINDS = ("diagonal", "subdiagonal")
 
 
-def series_records(run: RunResult) -> list[SeriesRecord]:
-    records: list[SeriesRecord] = []
-    rows = sorted(set(run.diagonal_series) | set(run.subdiagonal_series))
-    n_steps = 0
-    for series in list(run.diagonal_series.values()) + list(run.subdiagonal_series.values()):
-        n_steps = max(n_steps, len(series))
-    for step in range(1, n_steps + 1):
-        for row in rows:
-            for kind, table in (("diagonal", run.diagonal_series),
-                                ("subdiagonal", run.subdiagonal_series)):
-                series = table.get(row)
-                if series is None or len(series) < step:
-                    continue
-                l10 = float(series.log10_values[step - 1])
-                cell = linear_cell(l10)
-                records.append(SeriesRecord(
-                    step=step, row=row, kind=kind, log10_value=l10,
-                    value=parse_float(cell) if cell else None,
-                ))
-    return records
+def series_records(run: RunResult) -> list[tuple[int, int, str, float]]:
+    """One (step, row, kind, log10_value) per series CSV line, ordered by step, row,
+    then diagonal before subdiagonal; a missing or shorter series adds nothing."""
+    columns = [
+        (row, kind, table[row].log10_values.tolist())
+        for row in sorted(set(run.diagonal_series) | set(run.subdiagonal_series))
+        for kind, table in zip(_SERIES_KINDS, (run.diagonal_series, run.subdiagonal_series))
+        if row in table
+    ]
+    n_steps = max((len(values) for _, _, values in columns), default=0)
+    return [
+        (step, row, kind, values[step - 1])
+        for step in range(1, n_steps + 1)
+        for row, kind, values in columns
+        if step <= len(values)
+    ]
 
 
-def series_csv(records: Sequence[SeriesRecord]) -> str:
+def series_csv(records: Sequence[tuple[int, int, str, float]]) -> str:
+    """The ``value`` column is derived here, by ``linear_cell``."""
     lines = [SERIES_HEADER]
-    for rec in records:
-        value = "" if rec.value is None else fmt_float(rec.value)
-        lines.append(f"{rec.step},{rec.row},{rec.kind},{fmt_float(rec.log10_value)},{value}")
+    lines += [
+        f"{step},{row},{kind},{fmt_float(l10)},{linear_cell(l10)}"
+        for step, row, kind, l10 in records
+    ]
     return "\n".join(lines) + "\n"
 
 
-def parse_series_csv(text: str) -> list[SeriesRecord]:
-    lines = text.splitlines()
-    if not lines or lines[0] != SERIES_HEADER:
-        raise DomainError(f"series CSV must start with {SERIES_HEADER!r}")
+def parse_series_csv(text: str) -> list[tuple[int, int, str, float]]:
+    """Inverse of ``series_csv``; a bad line, including a ``value`` that is
+    not ``linear_cell(log10_value)``, raises DomainError naming it."""
     records = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        step, row, kind, l10, value = line.split(",")
-        records.append(SeriesRecord(
-            step=int(step), row=int(row), kind=kind,
-            log10_value=parse_float(l10),
-            value=parse_float(value) if value else None,
-        ))
+    for n, line in _data_lines(text, SERIES_HEADER, "series"):
+        try:
+            step_s, row_s, kind, l10_s, value = line.split(",")
+            step, row, l10 = int(step_s), int(row_s), float(l10_s)
+            cell = linear_cell(l10)  # DomainError when l10 is NaN
+        except (ValueError, DomainError):
+            raise DomainError(f"line {n}: expected {SERIES_HEADER}, got {line!r}") from None
+        if kind not in _SERIES_KINDS:
+            raise DomainError(f"line {n}: kind must be diagonal or subdiagonal, got {kind!r}")
+        if value != cell:
+            raise DomainError(f"line {n}: value {value!r} is not the linear value of {l10_s}")
+        records.append((step, row, kind, l10))
     return records
 
 
@@ -138,13 +133,8 @@ def matrix_csv(m: DiscoveryMatrix) -> str:
 def parse_matrix_csv(text: str) -> DiscoveryMatrix:
     """Inverse of ``matrix_csv``: each lower-triangle cell exactly once, never
     NaN (+-inf are legal); a bad line raises DomainError naming it."""
-    lines = text.splitlines()
-    if not lines or lines[0] != MATRIX_HEADER:
-        raise DomainError(f"matrix CSV must start with {MATRIX_HEADER!r}")
     rs, js, values = [], [], []
-    for n, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
+    for n, line in _data_lines(text, MATRIX_HEADER, "matrix"):
         try:
             r_s, j_s, l10, _bucket = line.split(",")
             r, j, value = int(r_s), int(j_s), float(l10)
@@ -168,7 +158,7 @@ def parse_matrix_csv(text: str) -> DiscoveryMatrix:
     if np.count_nonzero(seen) < len(rs):
         _, first = np.unique(flat, return_index=True)
         i = int(np.setdiff1d(np.arange(len(rs)), first)[0])
-        line_no = [n for n, line in enumerate(lines[1:], start=2) if line][i]
+        line_no = [n for n, _ in _data_lines(text, MATRIX_HEADER, "matrix")][i]
         raise DomainError(f"line {line_no}: repeated cell ({rs[i]},{js[i]})")
     out = np.full(k * (k + 1), np.nan)
     out[flat] = values
@@ -183,15 +173,18 @@ def values_csv(values: Sequence[LogValue]) -> str:
 
 
 def parse_values_csv(text: str) -> list[LogValue]:
-    lines = text.splitlines()
-    if not lines or lines[0] != VALUES_HEADER:
-        raise DomainError(f"values CSV must start with {VALUES_HEADER!r}")
+    """Inverse of ``values_csv``: hypotheses 1..K once each, in any order; a
+    bad line raises DomainError naming it."""
     by_index: dict[int, LogValue] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        k_s, l10 = line.split(",")
-        by_index[int(k_s)] = LogValue.from_log10(parse_float(l10))
+    for n, line in _data_lines(text, VALUES_HEADER, "values"):
+        try:
+            k_s, l10_s = line.split(",")
+            i, value = int(k_s), LogValue.from_log10(float(l10_s))  # DomainError on NaN
+        except (ValueError, DomainError):
+            raise DomainError(f"line {n}: expected k,log10_value, got {line!r}") from None
+        if i in by_index:
+            raise DomainError(f"line {n}: repeated hypothesis {i}")
+        by_index[i] = value
     if sorted(by_index) != list(range(1, len(by_index) + 1)):
         raise DomainError("values CSV must number hypotheses 1..K")
     return [by_index[i] for i in range(1, len(by_index) + 1)]
@@ -272,14 +265,38 @@ def merge_spec_to_obj(spec: MergeSpec) -> dict:
     return {"kind": "mixture", "weights": list(spec.weights)}  # type: ignore[arg-type]
 
 
-def merge_spec_from_obj(obj) -> MergeSpec:
+def _json_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_ints(value, name: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise DomainError(f"{name} must be a list of integers, got {value!r}")
+    return tuple(_json_int(v, f"{name} entry") for v in value)
+
+
+def _json_float(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} is too large for a double, got {value!r}") from None
+
+
+def merge_spec_from_obj(obj, name: str = "merge spec") -> MergeSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise DomainError(f"merge spec must be an object with a kind, got {obj!r}")
+        raise DomainError(f"{name} must be an object with a kind, got {obj!r}")
     if obj["kind"] == "nesp":
-        return MergeSpec.nesp(int(obj["n"]))
+        return MergeSpec.nesp(_json_int(obj.get("n"), f"{name} n"))
     if obj["kind"] == "mixture":
-        return MergeSpec.mixture(obj["weights"])
-    raise DomainError(f"unknown merge kind {obj['kind']!r}")
+        weights = obj.get("weights")
+        if not isinstance(weights, list):
+            raise DomainError(f"{name} weights must be a list of numbers, got {weights!r}")
+        return MergeSpec.mixture(_json_float(w, f"{name} weight") for w in weights)
+    raise DomainError(f"{name} has unknown merge kind {obj['kind']!r}")
 
 
 def parse_merge_flag(text: str) -> MergeSpec:
@@ -323,40 +340,33 @@ def config_to_json(cfg: ExperimentConfig) -> str:
 def _dist_from_obj(obj, name: str) -> tuple[float, float]:
     if not isinstance(obj, dict) or set(obj) != {"mean", "sd"}:
         raise DomainError(f"{name} must be an object with mean and sd, got {obj!r}")
-    return (float(obj["mean"]), float(obj["sd"]))
+    return (_json_float(obj["mean"], f"{name} mean"), _json_float(obj["sd"], f"{name} sd"))
+
+
+_CONFIG_FIELDS = {  # JSON field -> reader; the first six are required
+    "k": _json_int, "n_false": _json_int, "null_dist": _dist_from_obj,
+    "true_dist_false_nulls": _dist_from_obj, "bet_dist": _dist_from_obj, "steps": _json_int,
+    "seed": _json_int, "scheduler": lambda value, name: value, "tracked_rows": _json_ints,
+    "merge_diagonal": merge_spec_from_obj, "merge_subdiagonal": merge_spec_from_obj,
+    "merge_matrix": merge_spec_from_obj, "checkpoints": _json_ints,
+}
 
 
 def config_from_obj(obj) -> ExperimentConfig:
+    """Unset optional fields take the ExperimentConfig defaults (seed 0)."""
     if not isinstance(obj, dict):
         raise DomainError("config must be a JSON object")
-    try:
-        return ExperimentConfig(
-            k=int(obj["k"]),
-            n_false=int(obj["n_false"]),
-            null_dist=_dist_from_obj(obj["null_dist"], "null_dist"),
-            true_dist_false_nulls=_dist_from_obj(
-                obj["true_dist_false_nulls"], "true_dist_false_nulls"
-            ),
-            bet_dist=_dist_from_obj(obj["bet_dist"], "bet_dist"),
-            steps=int(obj["steps"]),
-            seed=int(obj.get("seed", 0)),
-            scheduler=obj.get("scheduler", "uniform"),
-            tracked_rows=tuple(int(r) for r in obj.get("tracked_rows", [])),
-            merge_diagonal=merge_spec_from_obj(obj.get("merge_diagonal", {"kind": "nesp", "n": 1})),
-            merge_subdiagonal=merge_spec_from_obj(
-                obj.get("merge_subdiagonal", {"kind": "nesp", "n": 2})
-            ),
-            merge_matrix=merge_spec_from_obj(obj.get("merge_matrix", {"kind": "nesp", "n": 1})),
-            checkpoints=tuple(int(c) for c in obj.get("checkpoints", [])),
-        )
-    except KeyError as exc:
-        raise DomainError(f"config is missing field {exc.args[0]!r}") from exc
+    for name in list(_CONFIG_FIELDS)[:6]:
+        if name not in obj:
+            raise DomainError(f"config is missing field {name!r}")
+    fields = {name: read(obj[name], name) for name, read in _CONFIG_FIELDS.items() if name in obj}
+    return ExperimentConfig(**{"seed": 0, **fields})
 
 
 def config_from_json(text: str) -> ExperimentConfig:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
         raise DomainError(f"config is not valid JSON: {exc}") from exc
     return config_from_obj(obj)
 
@@ -365,15 +375,21 @@ def poly_from_json(text: str) -> MultiaffinePoly:
     """Polynomial JSON: {"k": 2, "coeffs": {"": 0.2, "1": 0.3, "1,2": 0.5}}."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
         raise DomainError(f"polynomial is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "k" not in obj or "coeffs" not in obj:
-        raise DomainError("polynomial JSON needs fields k and coeffs")
-    k = int(obj["k"])
+    if not isinstance(obj, dict) or "k" not in obj or not isinstance(obj.get("coeffs"), dict):
+        raise DomainError("polynomial JSON needs fields k and coeffs, coeffs an object")
+    k = _json_int(obj["k"], "polynomial k")
     coeffs: dict[int, float] = {}
     for key, val in obj["coeffs"].items():
-        subset = tuple(int(s) for s in key.split(",")) if key.strip() else ()
-        coeffs[subset_to_mask(subset, k)] = float(val)
+        try:
+            subset = tuple(int(s) for s in key.split(",")) if key.strip() else ()
+        except ValueError:
+            raise DomainError(f"coefficient key {key!r} is not a comma-separated index list") from None
+        mask = subset_to_mask(subset, k)
+        if mask in coeffs:
+            raise DomainError(f"coefficient key {key!r} repeats a monomial")
+        coeffs[mask] = _json_float(val, f"coefficient {key!r}")
     return MultiaffinePoly(k=k, coeffs=coeffs)
 
 

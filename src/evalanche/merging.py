@@ -6,7 +6,8 @@ polynomials (NESPs)
     U_n(s_1, ..., s_K) = elementary_symmetric_n(s) / binomial(K, n)
 
 and their convex mixtures (with U_0 understood to be the constant 1).  The
-production path, ``nesp_log``, runs the forward DP recurrence
+production path, ``mixture_from_logs`` (behind ``nesp_log`` and
+``mixture_merge``), runs the forward DP recurrence
 
     e_j <- e_j + s_i * e_{j-1}
 
@@ -96,11 +97,6 @@ class MergeSpec:
             return (0.0,) * self.n + (1.0,)  # type: ignore[operator]
         return self.weights  # type: ignore[return-value]
 
-    def describe(self) -> str:
-        if self.kind == "nesp":
-            return f"u{self.n}"
-        return "mix:" + ",".join(repr(w) for w in self.weights)  # type: ignore[union-attr]
-
 
 U1 = MergeSpec.nesp(1)
 U2 = MergeSpec.nesp(2)
@@ -169,30 +165,16 @@ def suffix_esp_levels(logs: np.ndarray, n_max: int) -> np.ndarray:
 
 def nesp_log(values: Sequence[LogValue], n: int) -> LogValue:
     """U_n of the inputs via the log-domain DP (the production path)."""
-    logs = as_log_array(values)
-    if n < 1:
-        raise DomainError(f"nesp degree must be >= 1, got {n}")
-    return LogValue(nesp_from_logs(logs, n))
-
-
-def nesp_from_logs(logs: np.ndarray, n: int) -> float:
-    m = len(logs)
-    n_eff = min(n, m)
-    levels = esp_log_levels(logs, n_eff)
-    if levels[n_eff] == np.inf:
-        return np.inf
-    return float(levels[n_eff] - log_comb(m, n_eff))
+    return LogValue(mixture_from_logs(MergeSpec.nesp(n), as_log_array(values)))
 
 
 def mixture_merge(spec: MergeSpec, values: Sequence[LogValue]) -> LogValue:
     """Evaluate a MergeSpec: sum_n lambda_n U_n, accumulated by log-sum-exp."""
-    if spec.kind == "nesp":
-        return nesp_log(values, spec.n)  # type: ignore[arg-type]
-    logs = as_log_array(values)
-    return LogValue(mixture_from_logs(spec, logs))
+    return LogValue(mixture_from_logs(spec, as_log_array(values)))
 
 
 def mixture_from_logs(spec: MergeSpec, logs: np.ndarray) -> float:
+    """log of the merge of ``logs``; a NESP is the mixture with one unit weight."""
     m = len(logs)
     if (logs == np.inf).any():
         return np.inf if spec.has_positive_degree else 0.0

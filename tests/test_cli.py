@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evalanche import (
     ExperimentConfig,
@@ -214,6 +218,35 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                                  "--alpha", "10")
         assert (code, out) == (1, ""), body
         assert err.startswith("error:") and err.count("\n") == 1 and "line " in err, body
+    values = tmp_path / "bad_values.csv"
+    for body in (
+        "1,2,3\n",  # three fields
+        "1.5,0.5\n",  # non-integer index
+        "1,abc\n",  # non-number value
+        "1,nan\n",  # NaN value
+        "1,0.5\n1,0.7\n",  # repeated index
+    ):
+        values.write_text("k,log10_value\n" + body)
+        code, out, err = run_cli(capsys, "diagonal", "--values", str(values))
+        assert (code, out) == (1, ""), body
+        assert err.startswith("error:") and err.count("\n") == 1 and "line " in err, body
+    base = json.loads(formats.config_to_json(write_config(tmp_path)[0]))
+    for field, value, named in (
+        ("k", "abc", "k must be an integer"),
+        ("tracked_rows", 5, "tracked_rows"),
+        ("null_dist", {"mean": "x", "sd": 1}, "null_dist mean"),
+        ("merge_matrix", {"kind": "mixture", "weights": 3}, "merge_matrix weights"),
+    ):
+        bad_cfg.write_text(json.dumps({**base, field: value}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(bad_cfg), "--out", str(tmp_path))
+        assert (code, out) == (1, ""), field
+        assert err.startswith("error:") and err.count("\n") == 1 and named in err, field
+    poly = tmp_path / "bad_poly.json"
+    for coeffs, named in (({"1,a": 1.0}, "'1,a'"), ([1], "coeffs")):
+        poly.write_text(json.dumps({"k": 2, "coeffs": coeffs}))
+        code, out, err = run_cli(capsys, "validate-poly", "--poly", str(poly))
+        assert (code, out) == (1, ""), coeffs
+        assert err.startswith("error:") and err.count("\n") == 1 and named in err, coeffs
 
 
 def test_domain_errors_exit_2(capsys):
@@ -235,3 +268,76 @@ def test_entry_point_help(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+# --- fuzzing the input parsers through the CLI -------------------------------
+
+_CELL = st.sampled_from(["1", "2", "0", "-1", "1.5", "1e400", "inf", "-inf", "nan", "a", "",
+                         "green"])
+_LOG10 = st.floats(-400, 400) | st.sampled_from([float("inf"), float("-inf")])
+
+
+def _csv(header, lines):
+    """Well-formed data lines, one of which may be swapped for a random line."""
+    garbage = st.lists(_CELL, min_size=1, max_size=5).map(",".join)
+
+    def text(args):
+        body, bad, at = args
+        if bad is not None:
+            body[at % len(body)] = bad
+        return "\n".join([header, *body]) + "\n"
+
+    return st.tuples(lines, st.none() | garbage, st.integers(0, 9)).map(text)
+
+
+_VALUES_LINES = st.lists(_LOG10, min_size=1, max_size=10).map(
+    lambda xs: [f"{i},{x!r}" for i, x in enumerate(xs, start=1)])
+_TRIANGLE = [(r, j) for r in range(1, 4) for j in range(r + 1)]  # the 9 cells of K=3
+_MATRIX_LINES = st.lists(_LOG10, min_size=9, max_size=9).map(
+    lambda xs: [f"{r},{j},{x!r},green" for (r, j), x in zip(_TRIANGLE, xs)])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats(-10, 10) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+_FUZZ_CONFIG = {
+    "k": 3, "n_false": 1, "steps": 5, "seed": 3, "scheduler": "uniform",
+    "null_dist": {"mean": 0.0, "sd": 1.0}, "true_dist_false_nulls": {"mean": -1.0, "sd": 1.0},
+    "bet_dist": {"mean": -0.82, "sd": 1.0}, "tracked_rows": [1, 2], "checkpoints": [5],
+    "merge_diagonal": {"kind": "nesp", "n": 1}, "merge_subdiagonal": {"kind": "nesp", "n": 2},
+    "merge_matrix": {"kind": "mixture", "weights": [0.0, 0.5, 0.5]},
+}
+_POLY_KEYS = st.sampled_from(["", "1", "2", "1,2", "2,1", "1,a", "3", "0"])
+_CASES = st.one_of(
+    _csv("k,log10_value", _VALUES_LINES).map(lambda text: ("diagonal", "--values", text)),
+    _csv("r,j,log10_value,bucket", _MATRIX_LINES).map(
+        lambda text: ("region", "--matrix", text, "--row", "1", "--alpha", "10")),
+    st.tuples(st.sampled_from(sorted(_FUZZ_CONFIG)), _JSON).map(
+        lambda fv: ("simulate", "--config", json.dumps({**_FUZZ_CONFIG, fv[0]: fv[1]}))),
+    st.tuples(st.one_of(st.integers(-1, 4), _JSON),
+              st.one_of(st.dictionaries(_POLY_KEYS, _JSON, max_size=4), _JSON)).map(
+        lambda kc: ("validate-poly", "--poly", json.dumps({"k": kc[0], "coeffs": kc[1]}))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_CASES)
+def test_cli_parsers_never_raise(tmp_path_factory, case):
+    """Generated inputs exit 0, 1 or 2; a failure is one `error:` line."""
+    work = tmp_path_factory.getbasetemp() / "fuzz"
+    work.mkdir(exist_ok=True)
+    command, flag, text, *rest = case
+    (work / "input").write_text(text)
+    argv = [command, flag, str(work / "input"), *rest]
+    if command == "simulate":
+        argv += ["--out", str(work / "out")]
+    out, err = io.StringIO(), io.StringIO()
+    # extreme but legal distributions overflow numpy to +-inf with a warning;
+    # the CLI contract is about exit codes and error lines, not warnings
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1

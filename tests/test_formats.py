@@ -32,9 +32,7 @@ def small_run():
 
 def test_float_round_trip_formatting():
     for x in (0.0, 1.0, 13 / 3, -2.5, 1e-300, 1e300, math.inf, -math.inf):
-        assert formats.parse_float(formats.fmt_float(x)) == x
-    with pytest.raises(DomainError):
-        formats.parse_float("not-a-number")
+        assert float(formats.fmt_float(x)) == x
 
 
 def test_series_csv_round_trip_is_byte_identical():
@@ -42,7 +40,10 @@ def test_series_csv_round_trip_is_byte_identical():
     records = formats.series_records(run)
     text = formats.series_csv(records)
     assert text.startswith("step,row,kind,log10_value,value\n")
-    again = formats.series_csv(formats.parse_series_csv(text))
+    assert len(text.splitlines()) == 1 + 20 * 4
+    parsed = formats.parse_series_csv(text)
+    assert parsed == records
+    again = formats.series_csv(parsed)
     assert again == text
 
 
@@ -51,19 +52,27 @@ def test_series_value_column_blank_outside_linear_range():
     from evalanche.simulate import RunResult
     from evalanche.martingales import MartingaleTable
 
-    series = DiagonalSeries(
-        row=1, kind="diagonal",
-        log10_values=np.array([0.5, 400.0, -400.0, -math.inf]),
-    )
+    def series(row, kind, *values):
+        return DiagonalSeries(row=row, kind=kind, log10_values=np.array(values))
+
+    # row 3 is diagonal-only; row 1 has a diagonal shorter than its subdiagonal
     run = RunResult(
-        final_table=MartingaleTable.fresh(1),
-        diagonal_series={1: series},
-        subdiagonal_series={},
+        final_table=MartingaleTable.fresh(3),
+        diagonal_series={3: series(3, "diagonal", 0.5, 400.0, -400.0, -math.inf),
+                         1: series(1, "diagonal", 1.0, 2.0)},
+        subdiagonal_series={1: series(1, "subdiagonal", 0.25, 0.75, 1.5)},
         matrices={},
         ground_truth=frozenset(),
     )
-    text = formats.series_csv(formats.series_records(run))
-    lines = text.splitlines()[1:]
+    records = formats.series_records(run)
+    assert records == [
+        (1, 1, "diagonal", 1.0), (1, 1, "subdiagonal", 0.25), (1, 3, "diagonal", 0.5),
+        (2, 1, "diagonal", 2.0), (2, 1, "subdiagonal", 0.75), (2, 3, "diagonal", 400.0),
+        (3, 1, "subdiagonal", 1.5), (3, 3, "diagonal", -400.0),
+        (4, 3, "diagonal", -math.inf),
+    ]
+    text = formats.series_csv(records)
+    lines = [line for line in text.splitlines()[1:] if ",3,diagonal," in line]
     cells = [line.split(",")[4] for line in lines]
     logs = [line.split(",")[3] for line in lines]
     assert cells[0] != "" and float(cells[0]) == pytest.approx(10 ** 0.5)
@@ -72,6 +81,29 @@ def test_series_value_column_blank_outside_linear_range():
     assert cells[3] == "0.0"  # exact zero is representable
     assert logs[3] == "-inf"  # the log column is always present
     assert formats.series_csv(formats.parse_series_csv(text)) == text
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "2,1,diagonal,0.5",  # four fields
+        "2,1,diagonal,0.0,1.0,1.0",  # six fields
+        "a,1,diagonal,0.0,1.0",  # non-integer step
+        "2,1.5,diagonal,0.0,1.0",  # non-integer row
+        "2,1,bogus,0.0,1.0",  # unknown kind, with a consistent value
+        "2,1,diagonal,abc,1.0",  # log10_value not a number
+        "2,1,diagonal,nan,",  # NaN log10_value
+        "2,1,diagonal,0.0,abc",  # value not a number
+        "2,1,diagonal,2.0,999",  # value disagrees with log10_value
+        "2,1,diagonal,2.0,100",  # same number, not the written text
+        "2,1,diagonal,400.0,inf",  # must be blank above the double range
+        "2,1,diagonal,2.0,",  # must not be blank inside it
+    ],
+)
+def test_parse_series_csv_rejects_bad_lines(line):
+    text = f"step,row,kind,log10_value,value\n1,1,diagonal,0.0,1.0\n{line}\n"
+    with pytest.raises(DomainError, match="^line 3: "):
+        formats.parse_series_csv(text)
 
 
 def test_matrix_csv_round_trip_and_buckets():
@@ -106,6 +138,8 @@ def test_values_csv_round_trip():
     back = formats.parse_values_csv(text)
     assert [v.log10 for v in back] == [v.log10 for v in values]
     assert formats.values_csv(back) == text
+    shuffled = "k,log10_value\n2,1.0\n\n1,0.5\n"
+    assert [v.log10 for v in formats.parse_values_csv(shuffled)] == [0.5, 1.0]
 
 
 def test_heatmap_svg_structure():
@@ -185,6 +219,11 @@ def test_config_json_errors():
         formats.config_from_json("{not json")
     with pytest.raises(DomainError):
         formats.config_from_json(json.dumps({"k": 3}))
+    obj = formats.config_to_obj(small_run()[0])
+    with pytest.raises(DomainError, match="bet_dist sd is too large"):
+        formats.config_from_json(json.dumps({**obj, "bet_dist": {"mean": 0, "sd": 10 ** 400}}))
+    with pytest.raises(DomainError, match="not valid JSON"):
+        formats.config_from_json('{"k": 1' + "0" * 5000 + "}")
 
 
 def test_poly_json():
@@ -196,6 +235,10 @@ def test_poly_json():
     assert poly.coefficient(()) == 0.2
     with pytest.raises(DomainError):
         formats.poly_from_json('{"k": 2}')
+    with pytest.raises(DomainError, match="repeats a monomial"):
+        formats.poly_from_json('{"k": 2, "coeffs": {"1,2": 0.5, "2,1": 0.5}}')
+    with pytest.raises(DomainError, match="not valid JSON"):
+        formats.poly_from_json('{"k": 1' + "0" * 5000 + ', "coeffs": {}}')
 
 
 def test_manifest_lists_versions_and_files():
