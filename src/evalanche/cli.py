@@ -133,7 +133,7 @@ def _cmd_simulate(args) -> int:
         cfg = replace(cfg, seed=args.seed)
     run = run_experiment(cfg)
     bundle = formats.write_bundle(cfg, run, args.out)
-    sys.stdout.write(f"{bundle.manifest}\n")
+    sys.stdout.write(f"{bundle['manifest.json']}\n")
     return 0
 
 

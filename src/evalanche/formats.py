@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import platform
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -194,8 +193,9 @@ def parse_values_csv(text: str) -> list[LogValue]:
 # SVG
 
 
-def heatmap_svg(m: DiscoveryMatrix, cell: int = 4) -> str:
-    """One rect per matrix cell, row 1 at the top, colored by bucket."""
+def heatmap_svg(m: DiscoveryMatrix) -> str:
+    """One 4-pixel rect per matrix cell, row 1 at the top, colored by bucket."""
+    cell = 4
     width = (m.k + 1) * cell
     height = m.k * cell
     parts = [
@@ -216,8 +216,9 @@ def heatmap_svg(m: DiscoveryMatrix, cell: int = 4) -> str:
 _LINE_COLORS = ("#2ca02c", "#ff7f0e", "#1f77b4", "#d62728", "#9467bd", "#8c564b")
 
 
-def series_svg(series: Sequence[DiagonalSeries], width: int = 640, height: int = 400) -> str:
-    """Log-scale line chart of tracked bounds over steps."""
+def series_svg(series: Sequence[DiagonalSeries]) -> str:
+    """Log-scale 640 x 400 line chart of tracked bounds over steps."""
+    width, height = 640, 400
     finite: list[float] = []
     for s in series:
         vals = s.log10_values[np.isfinite(s.log10_values)]
@@ -290,19 +291,27 @@ def merge_spec_from_obj(obj, name: str = "merge spec") -> MergeSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError(f"{name} must be an object with a kind, got {obj!r}")
     if obj["kind"] == "nesp":
-        return MergeSpec.nesp(_json_int(obj.get("n"), f"{name} n"))
-    if obj["kind"] == "mixture":
+        fields = {"n": _json_int(obj.get("n"), f"{name} n")}
+    elif obj["kind"] == "mixture":
         weights = obj.get("weights")
         if not isinstance(weights, list):
             raise DomainError(f"{name} weights must be a list of numbers, got {weights!r}")
-        return MergeSpec.mixture(_json_float(w, f"{name} weight") for w in weights)
-    raise DomainError(f"{name} has unknown merge kind {obj['kind']!r}")
+        fields = {"weights": tuple(_json_float(w, f"{name} weight") for w in weights)}
+    else:
+        raise DomainError(f"{name} has unknown merge kind {obj['kind']!r}")
+    try:
+        return MergeSpec(kind=obj["kind"], **fields)
+    except DomainError as exc:
+        raise DomainError(f"{name}: {exc}") from None
 
 
 def parse_merge_flag(text: str) -> MergeSpec:
     """CLI merge notation: u1, u2, ... or mix:w0,w1,..."""
     if text.startswith("u") and text[1:].isdigit():
-        return MergeSpec.nesp(int(text[1:]))
+        try:
+            return MergeSpec.nesp(int(text[1:]))
+        except ValueError:  # a digit int() does not read, such as "²", or over 4300 digits
+            raise DomainError(f"bad merge degree in {text!r}") from None
     if text.startswith("mix:"):
         try:
             weights = [float(w) for w in text[4:].split(",")]
@@ -423,67 +432,30 @@ def manifest_json(cfg: ExperimentConfig, files: Sequence[str]) -> str:
 REGION_ALPHAS = (10.0, 100.0)
 
 
-@dataclass(frozen=True)
-class OutputBundle:
-    manifest: Path
-    series_csv: Path | None
-    series_svg: Path | None
-    matrix_csvs: tuple[Path, ...]
-    heatmap_svgs: tuple[Path, ...]
-    region_reports: tuple[Path, ...]
-
-
-def write_bundle(cfg: ExperimentConfig, run: RunResult, out_dir: str | Path) -> OutputBundle:
-    """Write every artifact of a run; the manifest pins (config, seed)."""
+def write_bundle(cfg: ExperimentConfig, run: RunResult, out_dir: str | Path) -> dict[str, Path]:
+    """Write every artifact of a run as soon as it is made; the manifest pins
+    (config, seed).  Returns {file name: path}, the manifest's file list."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files: list[str] = []
+    paths: dict[str, Path] = {}
 
-    series_path = svg_path = None
-    if cfg.tracked_rows:
-        series_path = out / "series.csv"
-        series_path.write_text(series_csv(series_records(run)))
-        files.append(series_path.name)
-        all_series = list(run.diagonal_series.values()) + list(run.subdiagonal_series.values())
-        svg_path = out / "series.svg"
-        svg_path.write_text(series_svg(all_series))
-        files.append(svg_path.name)
+    def write(name: str, text: str) -> None:
+        paths[name] = out / name
+        paths[name].write_text(text)
 
-    matrix_paths: list[Path] = []
-    heatmap_paths: list[Path] = []
-    region_paths: list[Path] = []
+    rows = sorted(set(cfg.tracked_rows))
+    if rows:
+        write("series.csv", series_csv(series_records(run)))
+        write("series.svg", series_svg([*run.diagonal_series.values(), *run.subdiagonal_series.values()]))
     for step in sorted(run.matrices):
         raw, reg = run.matrices[step]
-        raw_path = out / f"matrix_{step}.csv"
-        raw_path.write_text(matrix_csv(raw))
-        reg_path = out / f"matrix_{step}_regularized.csv"
-        reg_path.write_text(matrix_csv(reg))
-        hm_path = out / f"heatmap_{step}.svg"
-        hm_path.write_text(heatmap_svg(raw))
-        matrix_paths += [raw_path, reg_path]
-        heatmap_paths.append(hm_path)
-        files += [raw_path.name, reg_path.name, hm_path.name]
-        if cfg.tracked_rows:
-            report = {
-                "step": step,
-                "regions": [
-                    region_to_obj(confidence_region(reg, r, alpha))
-                    for r in sorted(set(cfg.tracked_rows))
-                    for alpha in REGION_ALPHAS
-                ],
-            }
-            rp = out / f"regions_{step}.json"
-            rp.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-            region_paths.append(rp)
-            files.append(rp.name)
-
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(manifest_json(cfg, files + [manifest_path.name]))
-    return OutputBundle(
-        manifest=manifest_path,
-        series_csv=series_path,
-        series_svg=svg_path,
-        matrix_csvs=tuple(matrix_paths),
-        heatmap_svgs=tuple(heatmap_paths),
-        region_reports=tuple(region_paths),
-    )
+        write(f"matrix_{step}.csv", matrix_csv(raw))
+        write(f"matrix_{step}_regularized.csv", matrix_csv(reg))
+        write(f"heatmap_{step}.svg", heatmap_svg(raw))
+        if rows:
+            regions = [region_to_obj(confidence_region(reg, r, alpha))
+                       for r in rows for alpha in REGION_ALPHAS]
+            report = {"step": step, "regions": regions}
+            write(f"regions_{step}.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write("manifest.json", manifest_json(cfg, [*paths, "manifest.json"]))
+    return paths

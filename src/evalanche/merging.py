@@ -34,6 +34,11 @@ from .errors import DomainError
 from .logvalue import INFINITE, LogValue, log_add
 
 WEIGHT_TOL = 1e-12
+# weight_vector holds degree+1 weights and the discovery tables (degree+1) x
+# (K+1) doubles.  A degree above the number of merged values acts as that
+# number (U_n of m <= n values is their product), so a higher limit would
+# only let a typo exhaust memory.
+MAX_DEGREE = 1_000
 
 
 @dataclass(frozen=True)
@@ -50,8 +55,8 @@ class MergeSpec:
 
     def __post_init__(self) -> None:
         if self.kind == "nesp":
-            if self.n is None or self.n < 1:
-                raise DomainError(f"nesp degree must be >= 1, got {self.n!r}")
+            if self.n is None or not 1 <= self.n <= MAX_DEGREE:
+                raise DomainError(f"nesp degree must lie in 1..{MAX_DEGREE}, got {self.n!r}")
             if self.weights is not None:
                 raise DomainError("nesp spec takes no weights")
         elif self.kind == "mixture":
@@ -60,6 +65,8 @@ class MergeSpec:
             w = self.weights
             if not w:
                 raise DomainError("mixture needs at least one weight")
+            if len(w) - 1 > MAX_DEGREE:
+                raise DomainError(f"mixture degree must be at most {MAX_DEGREE}, got {len(w) - 1}")
             if any(math.isnan(x) or x < 0.0 for x in w):
                 raise DomainError(f"mixture weights must be nonnegative, got {w}")
             if abs(math.fsum(w) - 1.0) > WEIGHT_TOL:

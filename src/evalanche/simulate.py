@@ -29,6 +29,16 @@ from .logvalue import LN10, LogValue
 from .martingales import MartingaleTable, RankedValues, _frozen, gaussian_log_density
 from .merging import MergeSpec, U1, U2
 
+# Size limits, checked before a run allocates anything.  A run keeps the K
+# logs and re-sorts them at every tracked step, and each checkpoint runs the
+# O(K^3) discovery kernel (about 1 s at K = 500).
+MAX_K = 10_000
+# draw_streams holds about ten float64 arrays of `steps` values (80 MB here).
+MAX_STEPS = 1_000_000
+# Doubles a run keeps for its outputs: two per tracked row per step and two
+# K x (K+1) matrices per checkpoint; 0.8 GB at this limit.
+MAX_RUN_VALUES = 100_000_000
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -49,12 +59,12 @@ class ExperimentConfig:
     checkpoints: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise DomainError(f"need at least one hypothesis, got k={self.k}")
+        if not 1 <= self.k <= MAX_K:
+            raise DomainError(f"k must lie in 1..{MAX_K}, got {self.k}")
         if not 0 <= self.n_false <= self.k:
             raise DomainError(f"n_false={self.n_false} outside 0..{self.k}")
-        if self.steps < 0:
-            raise DomainError(f"steps must be >= 0, got {self.steps}")
+        if not 0 <= self.steps <= MAX_STEPS:
+            raise DomainError(f"steps must lie in 0..{MAX_STEPS}, got {self.steps}")
         if not 0 <= self.seed < 2 ** 64:
             raise DomainError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         for name, dist in (
@@ -74,6 +84,13 @@ class ExperimentConfig:
         for c in self.checkpoints:
             if not 0 <= c <= self.steps:
                 raise DomainError(f"checkpoint {c} outside 0..{self.steps}")
+        kept = (2 * len(set(self.tracked_rows)) * self.steps
+                + 2 * len(set(self.checkpoints)) * self.k * (self.k + 1))
+        if kept > MAX_RUN_VALUES:
+            raise DomainError(
+                f"tracked_rows, steps and checkpoints would keep {kept} values, "
+                f"more than {MAX_RUN_VALUES}"
+            )
 
 
 def paper_experiment_config(
@@ -81,7 +98,6 @@ def paper_experiment_config(
     steps: int = 10_000,
     tracked_rows: tuple[int, ...] = (98, 99, 100, 101),
     checkpoints: tuple[int, ...] | None = None,
-    merge_matrix: MergeSpec | None = None,
 ) -> ExperimentConfig:
     """The 200-hypothesis Gaussian study: 100 false nulls with N(-1,1) truth,
     N(0,1) nulls, fixed likelihood-ratio betting.
@@ -103,7 +119,7 @@ def paper_experiment_config(
         tracked_rows=tracked_rows,
         merge_diagonal=U1,
         merge_subdiagonal=U2,
-        merge_matrix=merge_matrix if merge_matrix is not None else U1,
+        merge_matrix=U1,
         checkpoints=(steps,) if checkpoints is None else checkpoints,
     )
 
@@ -129,61 +145,55 @@ def draw_streams(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
     is_false = k_idx < cfg.n_false
     mean = np.where(is_false, cfg.true_dist_false_nulls[0], cfg.null_dist[0])
     sd = np.where(is_false, cfg.true_dist_false_nulls[1], cfg.null_dist[1])
-    x = mean + sd * z
-    log_inc = gaussian_log_density(x, *cfg.bet_dist) - gaussian_log_density(x, *cfg.null_dist)
+    # a tiny sd sends a log density to -inf, the right limit; but an
+    # observation of zero density under both bet and null has no ratio
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = mean + sd * z
+        log_inc = gaussian_log_density(x, *cfg.bet_dist) - gaussian_log_density(x, *cfg.null_dist)
+    if np.isnan(log_inc).any():
+        raise DomainError(
+            f"an observation has zero density under both bet_dist {cfg.bet_dist} and "
+            f"null_dist {cfg.null_dist} in double precision, so its log increment is NaN"
+        )
     return k_idx, x, log_inc
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    """Run one seeded experiment; deterministic given (config, seed)."""
+    """Run one seeded experiment; deterministic given (config, seed).
+
+    One pass per stop: every step when rows are tracked, otherwise step 0,
+    the checkpoints and the last step.  Each pass applies its block of
+    increments with ``np.add.at``, which accumulates in index order, so the
+    logs carry the same bits whatever the stops.
+    """
     k_idx, _, log_inc = draw_streams(cfg)
     logs = np.zeros(cfg.k)
-    checkpoints = set(cfg.checkpoints)
-    matrices: dict[int, tuple[DiscoveryMatrix, DiscoveryMatrix]] = {}
-
-    def emit_checkpoint(step: int) -> None:
-        ranked = RankedValues.from_logs(logs.copy())
-        raw = discovery.discovery_matrix(ranked, cfg.merge_matrix)
-        matrices[step] = (raw, regularize(raw))
-
-    if 0 in checkpoints:
-        emit_checkpoint(0)
-
     tracked = tuple(sorted(set(cfg.tracked_rows)))
     if tracked:
         tracker = RowTracker(cfg.k, tracked, cfg.merge_diagonal, cfg.merge_subdiagonal)
-        diag_store = np.empty((cfg.steps, len(tracked)))
-        sub_store = np.empty((cfg.steps, len(tracked)))
-        for i in range(cfg.steps):
-            logs[k_idx[i]] += log_inc[i]
-            diag_store[i], sub_store[i] = tracker.step(np.sort(logs)[::-1])
-            if (i + 1) in checkpoints:
-                emit_checkpoint(i + 1)
-        diagonal_series = {
-            r: DiagonalSeries(row=r, kind="diagonal", log10_values=_frozen(d / LN10))
-            for r, d in zip(tracked, diag_store.T)
-        }
-        subdiagonal_series = {
-            r: DiagonalSeries(row=r, kind="subdiagonal", log10_values=_frozen(s / LN10))
-            for r, s in zip(tracked, sub_store.T)
-        }
+        stops = range(cfg.steps + 1)
     else:
-        # No per-step statistics: apply increments in blocks between
-        # checkpoints; np.add.at accumulates in index order, bit-identical
-        # to the step loop.
-        diagonal_series = {}
-        subdiagonal_series = {}
-        cuts = sorted(c for c in checkpoints if 0 < c <= cfg.steps)
-        start = 0
-        for c in cuts:
-            np.add.at(logs, k_idx[start:c], log_inc[start:c])
-            start = c
-            emit_checkpoint(c)
-        np.add.at(logs, k_idx[start:], log_inc[start:])
+        stops = sorted({0, cfg.steps, *cfg.checkpoints})
+    checkpoints = set(cfg.checkpoints)
+    store = np.empty((2, cfg.steps, len(tracked)))  # diagonal, subdiagonal
+    matrices: dict[int, tuple[DiscoveryMatrix, DiscoveryMatrix]] = {}
+    start = 0
+    for stop in stops:
+        np.add.at(logs, k_idx[start:stop], log_inc[start:stop])
+        start = stop
+        if tracked and stop:
+            store[:, stop - 1] = tracker.step(np.sort(logs)[::-1])
+        if stop in checkpoints:
+            raw = discovery.discovery_matrix(RankedValues.from_logs(logs.copy()), cfg.merge_matrix)
+            matrices[stop] = (raw, regularize(raw))
 
-    final_table = MartingaleTable(log_values=_frozen(logs), step=cfg.steps)
+    diagonal_series, subdiagonal_series = (
+        {r: DiagonalSeries(row=r, kind=kind, log10_values=_frozen(col / LN10))
+         for r, col in zip(tracked, values.T)}
+        for kind, values in zip(("diagonal", "subdiagonal"), store)
+    )
     return RunResult(
-        final_table=final_table,
+        final_table=MartingaleTable(log_values=_frozen(logs), step=cfg.steps),
         diagonal_series=diagonal_series,
         subdiagonal_series=subdiagonal_series,
         matrices=matrices,
@@ -231,14 +241,14 @@ def replicate(cfg: ExperimentConfig, seeds: Sequence[int]) -> dict[str, SeedSumm
     """
     if not seeds:
         raise DomainError("replicate needs at least one seed")
-    runs = [run_experiment(replace(cfg, seed=int(s))) for s in seeds]
-
+    rows = sorted(set(cfg.tracked_rows))
     stats: dict[str, list[float]] = {}
 
     def put(name: str, value: float) -> None:
         stats.setdefault(name, []).append(value)
 
-    for run in runs:
+    for seed in seeds:
+        run = run_experiment(replace(cfg, seed=int(seed)))
         for r, series in run.diagonal_series.items():
             if len(series):
                 put(f"diagonal_r{r}", float(series.log10_values[-1]))
@@ -246,7 +256,7 @@ def replicate(cfg: ExperimentConfig, seeds: Sequence[int]) -> dict[str, SeedSumm
             if len(series):
                 put(f"subdiagonal_r{r}", float(series.log10_values[-1]))
         for step, (raw, _) in run.matrices.items():
-            for r in cfg.tracked_rows:
+            for r in rows:
                 for j in (r - 1, r - 2, r):
                     if 0 <= j <= r:
                         put(f"matrix{step}_r{r}_j{j}", raw.log10_entry(r, j))

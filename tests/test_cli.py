@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import warnings
 from pathlib import Path
 
 import pytest
@@ -19,6 +18,8 @@ from evalanche import (
 )
 from evalanche import formats
 from evalanche.cli import main
+from evalanche.merging import MAX_DEGREE
+from evalanche.simulate import MAX_K, MAX_STEPS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -236,11 +237,28 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ("tracked_rows", 5, "tracked_rows"),
         ("null_dist", {"mean": "x", "sd": 1}, "null_dist mean"),
         ("merge_matrix", {"kind": "mixture", "weights": 3}, "merge_matrix weights"),
+        ("k", MAX_K + 1, "k must lie"),
+        ("k", 10 ** 18, "k must lie"),
+        ("steps", MAX_STEPS + 1, "steps must lie"),
+        ("merge_diagonal", {"kind": "nesp", "n": MAX_DEGREE + 1}, "merge_diagonal: nesp degree"),
+        ("merge_matrix", {"kind": "mixture", "weights": [0.0] * (MAX_DEGREE + 1) + [1.0]},
+         "merge_matrix: mixture degree"),
     ):
         bad_cfg.write_text(json.dumps({**base, field: value}))
         code, out, err = run_cli(capsys, "simulate", "--config", str(bad_cfg), "--out", str(tmp_path))
         assert (code, out) == (1, ""), field
         assert err.startswith("error:") and err.count("\n") == 1 and named in err, field
+    bad_cfg.write_text(json.dumps({**base, "k": MAX_K, "checkpoints": [25]}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(bad_cfg), "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "checkpoints" in err
+    for command in ("merge", "diagonal"):
+        for flag in (f"u{MAX_DEGREE + 1}", "u100000000000", "u" + "1" * 5000, "u\u00b2",
+                     "mix:" + ",".join(["0"] * (MAX_DEGREE + 1) + ["1"])):
+            code, out, err = run_cli(capsys, command, "--values", "1,2", "--merge", flag)
+            assert (code, out) == (1, ""), (command, flag[:20])
+            assert err.startswith("error:") and err.count("\n") == 1 and "degree" in err, flag[:20]
+    assert run_cli(capsys, "merge", "--values", "1,2", "--merge", f"u{MAX_DEGREE}")[0] == 0
     poly = tmp_path / "bad_poly.json"
     for coeffs, named in (({"1,a": 1.0}, "'1,a'"), ([1], "coeffs")):
         poly.write_text(json.dumps({"k": 2, "coeffs": coeffs}))
@@ -249,13 +267,21 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1 and named in err, coeffs
 
 
-def test_domain_errors_exit_2(capsys):
+def test_domain_errors_exit_2(tmp_path, capsys):
     # a value outside [0, inf] is rejected by the library, not the parser
     code, _, err = run_cli(capsys, "merge", "--values", "nan,4", "--merge", "u1")
     assert code == 2
     assert "error" in err
     code, _, err = run_cli(capsys, "merge", "--values=-3,4", "--merge", "u1")
     assert code == 2
+    # zero density under both bet and null leaves no likelihood ratio
+    cfg, path = write_config(tmp_path)
+    tiny = {"mean": 0.0, "sd": 5e-324}
+    path.write_text(json.dumps({**formats.config_to_obj(cfg), "bet_dist": tiny, "null_dist": tiny}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "bet_dist" in err and "null_dist" in err
 
 
 def test_oracle_check_passes(capsys):
@@ -332,11 +358,7 @@ def test_cli_parsers_never_raise(tmp_path_factory, case):
     if command == "simulate":
         argv += ["--out", str(work / "out")]
     out, err = io.StringIO(), io.StringIO()
-    # extreme but legal distributions overflow numpy to +-inf with a warning;
-    # the CLI contract is about exit codes and error lines, not warnings
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
     if code:

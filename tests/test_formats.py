@@ -253,18 +253,16 @@ def test_manifest_lists_versions_and_files():
 def test_write_bundle(tmp_path):
     cfg, run = small_run()
     bundle = formats.write_bundle(cfg, run, tmp_path / "out")
-    assert bundle.manifest.exists()
-    assert bundle.series_csv is not None and bundle.series_csv.exists()
-    assert bundle.series_svg is not None and bundle.series_svg.exists()
-    assert all(p.exists() for p in bundle.matrix_csvs)
-    assert all(p.exists() for p in bundle.heatmap_svgs)
-    assert all(p.exists() for p in bundle.region_reports)
-    manifest = json.loads(bundle.manifest.read_text())
-    listed = set(manifest["files"])
+    assert set(bundle) == {
+        "manifest.json", "series.csv", "series.svg", "matrix_20.csv",
+        "matrix_20_regularized.csv", "heatmap_20.svg", "regions_20.json",
+    }
+    assert all(path == tmp_path / "out" / name for name, path in bundle.items())
+    manifest = json.loads(bundle["manifest.json"].read_text())
     on_disk = {p.name for p in (tmp_path / "out").iterdir()}
-    assert listed == on_disk
+    assert manifest["files"] == sorted(bundle) == sorted(on_disk)
     # region report matches the library computation
-    report = json.loads(bundle.region_reports[0].read_text())
+    report = json.loads(bundle["regions_20.json"].read_text())
     raw, reg = run.matrices[20]
     for entry in report["regions"]:
         region = confidence_region(reg, entry["r"], entry["alpha"])
@@ -277,7 +275,6 @@ def test_bundle_reproducible(tmp_path):
     a = formats.write_bundle(cfg, run, tmp_path / "a")
     cfg2, run2 = small_run()
     b = formats.write_bundle(cfg2, run2, tmp_path / "b")
-    for pa, pb in [(a.manifest, b.manifest), (a.series_csv, b.series_csv)]:
-        assert pa.read_bytes() == pb.read_bytes()
-    for pa, pb in zip(a.matrix_csvs, b.matrix_csvs):
-        assert pa.read_bytes() == pb.read_bytes()
+    assert list(a) == list(b)
+    for name in a:
+        assert a[name].read_bytes() == b[name].read_bytes(), name

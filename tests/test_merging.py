@@ -19,6 +19,7 @@ from evalanche import (
     nesp_powersum,
 )
 from evalanche.errors import DomainError, NumericalError
+from evalanche.merging import MAX_DEGREE
 from oracles import nesp_log_oracle
 
 
@@ -159,6 +160,12 @@ def test_merge_spec_validation():
     with pytest.raises(DomainError):
         MergeSpec.mixture([])
     assert MergeSpec.mixture([0.25, 0.75]).max_degree == 1
+    assert MergeSpec.nesp(MAX_DEGREE).max_degree == MAX_DEGREE
+    assert MergeSpec.mixture([0.0] * MAX_DEGREE + [1.0]).max_degree == MAX_DEGREE
+    with pytest.raises(DomainError, match="degree"):
+        MergeSpec.nesp(MAX_DEGREE + 1)
+    with pytest.raises(DomainError, match="degree"):
+        MergeSpec.mixture([0.0] * (MAX_DEGREE + 1) + [1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from evalanche import (
     subdiagonal_row,
 )
 from evalanche.errors import DomainError
-from evalanche.simulate import draw_streams
+from evalanche.simulate import MAX_K, MAX_RUN_VALUES, MAX_STEPS, draw_streams
 
 
 def small_config(**overrides):
@@ -54,11 +54,24 @@ def small_config(**overrides):
         dict(checkpoints=(41,)),
         dict(seed=-1),
         dict(seed=2 ** 64),
+        dict(k=MAX_K + 1),
+        dict(steps=MAX_STEPS + 1),
+        dict(k=MAX_K, checkpoints=(0,)),  # two (K, K+1) matrices, over MAX_RUN_VALUES
     ],
 )
 def test_config_validation(overrides):
     with pytest.raises(DomainError):
         small_config(**overrides)
+
+
+def test_config_size_limits_are_inclusive():
+    small_config(k=MAX_K, checkpoints=())
+    small_config(steps=MAX_STEPS, checkpoints=())
+    at_budget = dict(k=MAX_K, steps=MAX_STEPS, checkpoints=())
+    assert 2 * 50 * MAX_STEPS == MAX_RUN_VALUES
+    small_config(tracked_rows=tuple(range(1, 51)), **at_budget)
+    with pytest.raises(DomainError, match="tracked_rows"):
+        small_config(tracked_rows=tuple(range(1, 52)), **at_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +102,24 @@ def test_bit_level_determinism():
 
 
 def test_tracked_and_untracked_paths_agree_bitwise():
-    tracked = run_experiment(small_config(steps=200, checkpoints=()))
-    untracked = run_experiment(small_config(steps=200, tracked_rows=(), checkpoints=()))
+    """Stopping at every step or only at the checkpoints gives the same bits."""
+    checkpoints = (0, 1, 77, 200)
+    tracked = run_experiment(small_config(steps=200, checkpoints=checkpoints))
+    untracked = run_experiment(small_config(steps=200, tracked_rows=(), checkpoints=checkpoints))
     assert np.array_equal(tracked.final_table.log_values, untracked.final_table.log_values)
+    assert sorted(tracked.matrices) == sorted(untracked.matrices) == list(checkpoints)
+    for c in checkpoints:
+        for a, b in zip(tracked.matrices[c], untracked.matrices[c]):
+            assert np.array_equal(a.log10, b.log10, equal_nan=True)
+    assert untracked.diagonal_series == untracked.subdiagonal_series == {}
+
+
+def test_tiny_sd_sends_increments_to_infinity_silently():
+    """Runs under tier-1's error::RuntimeWarning: no overflow warning escapes."""
+    _, _, inc = draw_streams(small_config(bet_dist=(-0.82, 1e-300)))
+    assert (inc == -np.inf).all()
+    run = run_experiment(small_config(null_dist=(0.0, 5e-324)))
+    assert np.isposinf(run.final_table.log_values).any()
 
 
 def test_mid_run_checkpoints_match_replayed_prefix():
@@ -215,6 +243,13 @@ def test_replicate_identical_seeds_have_zero_spread():
     summary = replicate(cfg, [5, 5, 5])
     stat = summary["diagonal_r3"]
     assert stat.minimum.log10 == stat.maximum.log10
+
+
+def test_replicate_counts_a_repeated_row_once():
+    cfg = small_config(steps=30, tracked_rows=(2, 2), checkpoints=(30,))
+    summary = replicate(cfg, [1, 2, 3])
+    assert {"diagonal_r2", "matrix30_r2_j1"} <= set(summary)
+    assert all(len(stat.log10_values) == 3 for stat in summary.values())
 
 
 def test_replicate_requires_seeds():
