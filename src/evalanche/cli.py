@@ -1,17 +1,19 @@
 """Command-line front end.
 
 Subcommands: simulate, diagonal, subdiag, matrix, region, merge,
-validate-poly, oracle-check.  Data goes to stdout or files; diagnostics go
-to stderr.  Exit codes: 0 success, 1 usage error (bad flags, unreadable or
-malformed config, unwritable output), 2 numerical or domain error.
+validate-poly, oracle-check.  This module parses flags, reads inputs and
+dispatches; every ``--format`` output is rendered by ``formats``.  Data goes
+to stdout or files; diagnostics go to stderr.  Exit codes: 0 success, 1
+usage error (bad flags, unreadable or malformed input file, unwritable
+output), 2 numerical or domain error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import math
+import contextlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,7 @@ from .discovery import (
     subdiagonal_row,
 )
 from .errors import DomainError, EvalancheError
-from .logvalue import LogValue
+from .logvalue import LN10, LogValue
 from .martingales import RankedValues
 from .merging import (
     MergeSpec,
@@ -50,27 +52,29 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-class _as_usage_error:
+@contextlib.contextmanager
+def _as_usage_error(context: str):
     """Reclassify input-parsing DomainErrors as usage errors (exit 1)."""
+    try:
+        yield
+    except DomainError as exc:
+        raise _UsageError(f"{context}: {exc}") from exc
 
-    def __init__(self, context: str) -> None:
-        self.context = context
 
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is not None and issubclass(exc_type, DomainError):
-            raise _UsageError(f"{self.context}: {exc}") from exc
-        return False
+def _read(path: str, what: str, parse):
+    """``parse`` of the file's text; an unreadable or malformed file is a usage error."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise _UsageError(f"cannot read {what}: {exc}") from exc
+    with _as_usage_error(f"bad {what} file {path!r}"):
+        return parse(text)
 
 
 def _load_values(text: str) -> list[LogValue]:
     """Either a values CSV path or an inline comma list of linear values."""
-    path = Path(text)
-    if path.exists():
-        with _as_usage_error(f"bad values file {text!r}"):
-            return formats.parse_values_csv(path.read_text())
+    if Path(text).exists():
+        return _read(text, "values", formats.parse_values_csv)
     try:
         nums = [float(t) for t in text.split(",")]
     except ValueError as exc:
@@ -87,10 +91,9 @@ def _parse_rows(text: str | None, k: int) -> list[int]:
     if text is None:
         return list(range(1, k + 1))
     try:
-        rows = [int(t) for t in text.split(",")]
+        return [int(t) for t in text.split(",")]
     except ValueError as exc:
         raise _UsageError(f"--rows must be comma-separated integers, got {text!r}") from exc
-    return rows
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -100,37 +103,11 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _row_table_csv(rows: list[tuple[int, LogValue]]) -> str:
-    lines = ["r,log10_value,value"]
-    for r, v in rows:
-        cell = formats.linear_cell(v.log10)
-        lines.append(f"{r},{formats.fmt_float(v.log10)},{cell}")
-    return "\n".join(lines) + "\n"
-
-
-def _row_table_json(kind: str, spec: MergeSpec, rows: list[tuple[int, LogValue]]) -> str:
-    obj = {
-        "kind": kind,
-        "merge": formats.merge_spec_to_obj(spec),
-        "rows": [
-            {"r": r, "log10_value": v.log10, "value": v.value if math.isfinite(v.value) else None}
-            for r, v in rows
-        ],
-    }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def _cmd_simulate(args) -> int:
-    try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        raise _UsageError(f"cannot read config: {exc}") from exc
-    with _as_usage_error(f"bad config {args.config!r}"):
-        cfg = formats.config_from_json(text)
+    cfg = _read(args.config, "config", formats.config_from_json)
     if args.seed is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, seed=args.seed)
+        with _as_usage_error("bad --seed"):
+            cfg = replace(cfg, seed=args.seed)
     run = run_experiment(cfg)
     bundle = formats.write_bundle(cfg, run, args.out)
     sys.stdout.write(f"{bundle['manifest.json']}\n")
@@ -144,10 +121,7 @@ def _cmd_row_scan(args, kind: str) -> int:
     rows = _parse_rows(args.rows, ranked.k)
     fn = diagonal_row if kind == "diagonal" else subdiagonal_row
     table = [(r, fn(ranked, r, spec)) for r in rows]
-    if args.format == "json":
-        _emit(_row_table_json(kind, spec, table), args.out)
-    else:
-        _emit(_row_table_csv(table), args.out)
+    _emit(formats.row_table(kind, spec, table, args.format), args.out)
     return 0
 
 
@@ -160,66 +134,26 @@ def _cmd_matrix(args) -> int:
         m = regularize(m)
     if args.heatmap:
         Path(args.heatmap).write_text(formats.heatmap_svg(m))
-    if args.format == "json":
-        obj = {
-            "k": m.k,
-            "regularized": m.regularized,
-            "rows": [row.tolist() for row in m.rows],
-        }
-        _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit(formats.matrix_csv(m), args.out)
+    _emit(formats.matrix_report(m, args.format), args.out)
     return 0
 
 
 def _cmd_region(args) -> int:
-    try:
-        text = Path(args.matrix).read_text()
-    except OSError as exc:
-        raise _UsageError(f"cannot read matrix: {exc}") from exc
-    with _as_usage_error(f"bad matrix file {args.matrix!r}"):
-        parsed = formats.parse_matrix_csv(text)
-    m = regularize(parsed)
+    m = regularize(_read(args.matrix, "matrix", formats.parse_matrix_csv))
     region = confidence_region(m, args.row, args.alpha)
-    if args.format == "json":
-        _emit(json.dumps(formats.region_to_obj(region), indent=2, sort_keys=True) + "\n", args.out)
-        return 0
-    if region.members:
-        members = f"{{{region.lower_bound}..{region.r}}}"
-    else:
-        members = "{}"
-    _emit(
-        f"r={region.r} alpha={formats.fmt_float(region.alpha)} "
-        f"members={members} lower_bound={region.lower_bound}\n",
-        args.out,
-    )
+    _emit(formats.region_report(region, args.format), args.out)
     return 0
 
 
 def _cmd_merge(args) -> int:
     values = _load_values(args.values)
     spec = _parse_merge(args.merge)
-    v = mixture_merge(spec, values)
-    if args.format == "json":
-        obj = {
-            "merge": formats.merge_spec_to_obj(spec),
-            "log10_value": v.log10,
-            "value": v.value if math.isfinite(v.value) else None,
-        }
-        _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        cell = formats.linear_cell(v.log10)
-        _emit(f"log10_value,value\n{formats.fmt_float(v.log10)},{cell}\n", args.out)
+    _emit(formats.merge_report(spec, mixture_merge(spec, values), args.format), args.out)
     return 0
 
 
 def _cmd_validate_poly(args) -> int:
-    try:
-        text = Path(args.poly).read_text()
-    except OSError as exc:
-        raise _UsageError(f"cannot read polynomial: {exc}") from exc
-    with _as_usage_error(f"bad polynomial file {args.poly!r}"):
-        poly = formats.poly_from_json(text)
+    poly = _read(args.poly, "polynomial", formats.poly_from_json)
     verdict = validate_merging_polynomial(poly)
     lines = ["valid" if verdict.ok else "invalid"]
     lines += [f"violation: {v}" for v in verdict.violations]
@@ -235,6 +169,8 @@ def _cmd_validate_poly(args) -> int:
 def _cmd_oracle_check(args) -> int:
     if args.instances < 1:
         raise _UsageError(f"--instances must be at least 1, got {args.instances}")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     failures: list[str] = []
 
@@ -284,7 +220,7 @@ def _cmd_oracle_check(args) -> int:
                 worst = max(worst, abs(ds.log_e - os_.log_e))
                 for j in range(r + 1):
                     o = brute_force_bound(values, CONSTRAINT_EXACTLY_J_MISSING, r, spec, j=j)
-                    worst = max(worst, abs(m.log10_entry(r, j) * math.log(10.0) - o.log_e))
+                    worst = max(worst, abs(m.log10_entry(r, j) * LN10 - o.log_e))
     report("scans vs brute-force subset minima", worst, 1e-9, args.instances)
 
     return 0 if not failures else 2
@@ -352,10 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (_UsageError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except EvalancheError as exc:

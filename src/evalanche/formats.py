@@ -1,14 +1,17 @@
 """Deterministic file formats: CSV series/matrices, JSON configs and
-reports, SVG heatmaps and line charts.
+reports, SVG heatmaps and line charts, and the CLI reports.
 
 Floats are written with Python's shortest round-trip repr, so
-serialize -> parse -> serialize is byte-identical.  The linear ``value``
-column is left empty whenever the represented value falls outside the
-linear double range (it is always recoverable from ``log10_value``).
+serialize -> parse -> serialize is byte-identical.  Every JSON text has one
+layout (``json_text``).  The linear ``value`` is derived from
+``log10_value`` by one rule (``linear_value``): a CSV cell is empty, and a
+JSON value null, whenever the represented value falls outside the linear
+double range (it is always recoverable from ``log10_value``).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import platform
@@ -28,6 +31,7 @@ from .simulate import ExperimentConfig, RunResult
 
 # Indexed in ColorBucket order, as ``bucket_indexes`` returns them.
 _BUCKET_NAMES = [b.value for b in ColorBucket]
+_BUCKET_INDEX = {name: i for i, name in enumerate(_BUCKET_NAMES)}
 _BUCKET_HEXES = ["#2ca02c", "#ffdf00", "#ff7f0e", "#d62728", "#8b0000", "#000000"]
 BUCKET_HEX: Mapping[ColorBucket, str] = dict(zip(ColorBucket, _BUCKET_HEXES))
 
@@ -40,15 +44,34 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-def linear_cell(log10_value: float) -> str:
-    """Linear value text, or empty when outside the double range."""
+def linear_value(log10_value: float) -> float | None:
+    """Linear value, or None when outside the double range."""
     v = LogValue.from_log10(log10_value)
     x = v.value
-    if math.isinf(x):
-        return ""
-    if x == 0.0 and not v.is_zero:
-        return ""  # positive but underflows
-    return fmt_float(x)
+    if math.isinf(x) or (x == 0.0 and not v.is_zero):  # overflows, or positive but underflows
+        return None
+    return x
+
+
+def linear_cell(log10_value: float) -> str:
+    """CSV text of ``linear_value``: empty when it is None."""
+    x = linear_value(log10_value)
+    return "" if x is None else fmt_float(x)
+
+
+def _value_csv(log10_value: float) -> str:
+    """``log10_value,value`` fields of a CSV line."""
+    return f"{fmt_float(log10_value)},{linear_cell(log10_value)}"
+
+
+def _value_obj(log10_value: float) -> dict:
+    """``log10_value`` and ``value`` of a JSON report: null where the CSV cell is blank."""
+    return {"log10_value": log10_value, "value": linear_value(log10_value)}
+
+
+def json_text(obj) -> str:
+    """The one JSON layout of every report and file."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _data_lines(text: str, header: str, what: str):
@@ -87,10 +110,7 @@ def series_records(run: RunResult) -> list[tuple[int, int, str, float]]:
 def series_csv(records: Sequence[tuple[int, int, str, float]]) -> str:
     """The ``value`` column is derived here, by ``linear_cell``."""
     lines = [SERIES_HEADER]
-    lines += [
-        f"{step},{row},{kind},{fmt_float(l10)},{linear_cell(l10)}"
-        for step, row, kind, l10 in records
-    ]
+    lines += [f"{step},{row},{kind},{_value_csv(l10)}" for step, row, kind, l10 in records]
     return "\n".join(lines) + "\n"
 
 
@@ -131,11 +151,12 @@ def matrix_csv(m: DiscoveryMatrix) -> str:
 
 def parse_matrix_csv(text: str) -> DiscoveryMatrix:
     """Inverse of ``matrix_csv``: each lower-triangle cell exactly once, never
-    NaN (+-inf are legal); a bad line raises DomainError naming it."""
-    rs, js, values = [], [], []
+    NaN (+-inf are legal), in the bucket of its value; a bad line raises
+    DomainError naming it."""
+    rs, js, values, buckets = [], [], [], []
     for n, line in _data_lines(text, MATRIX_HEADER, "matrix"):
         try:
-            r_s, j_s, l10, _bucket = line.split(",")
+            r_s, j_s, l10, bucket = line.split(",")
             r, j, value = int(r_s), int(j_s), float(l10)
         except ValueError:
             raise DomainError(f"line {n}: expected r,j,log10_value,bucket, got {line!r}") from None
@@ -146,6 +167,17 @@ def parse_matrix_csv(text: str) -> DiscoveryMatrix:
         rs.append(r)
         js.append(j)
         values.append(value)
+        buckets.append(_BUCKET_INDEX.get(bucket, -1))  # an int per line, not the name
+
+    def line_at(i: int) -> tuple[int, str]:  # recovered only on error
+        return next(itertools.islice(_data_lines(text, MATRIX_HEADER, "matrix"), i, None))
+
+    log10 = np.array(values)
+    want = bucket_indexes(log10 * LN10)  # the multiply matrix_csv buckets
+    wrong = np.flatnonzero(np.array(buckets) != want)
+    if wrong.size:
+        n, line = line_at(int(wrong[0]))
+        raise DomainError(f"line {n}: bucket of {line!r} must be {_BUCKET_NAMES[want[wrong[0]]]}")
     k = max(rs, default=0)
     if len(rs) < k * (k + 3) // 2:  # found without allocating a (k, k+1) array
         present = set(zip(rs, js))
@@ -157,10 +189,9 @@ def parse_matrix_csv(text: str) -> DiscoveryMatrix:
     if np.count_nonzero(seen) < len(rs):
         _, first = np.unique(flat, return_index=True)
         i = int(np.setdiff1d(np.arange(len(rs)), first)[0])
-        line_no = [n for n, _ in _data_lines(text, MATRIX_HEADER, "matrix")][i]
-        raise DomainError(f"line {line_no}: repeated cell ({rs[i]},{js[i]})")
+        raise DomainError(f"line {line_at(i)[0]}: repeated cell ({rs[i]},{js[i]})")
     out = np.full(k * (k + 1), np.nan)
-    out[flat] = values
+    out[flat] = log10
     return DiscoveryMatrix(out.reshape(k, k + 1))
 
 
@@ -343,7 +374,7 @@ def config_to_obj(cfg: ExperimentConfig) -> dict:
 
 
 def config_to_json(cfg: ExperimentConfig) -> str:
-    return json.dumps(config_to_obj(cfg), indent=2, sort_keys=True) + "\n"
+    return json_text(config_to_obj(cfg))
 
 
 def _dist_from_obj(obj, name: str) -> tuple[float, float]:
@@ -411,6 +442,41 @@ def region_to_obj(region: ConfidenceRegion) -> dict:
     }
 
 
+# ---------------------------------------------------------------------------
+# CLI reports: each takes the --format value, and any value but json is the text form
+
+
+def merge_report(spec: MergeSpec, v: LogValue, fmt: str) -> str:
+    if fmt == "json":
+        return json_text({"merge": merge_spec_to_obj(spec), **_value_obj(v.log10)})
+    return f"log10_value,value\n{_value_csv(v.log10)}\n"
+
+
+def row_table(kind: str, spec: MergeSpec, rows: Sequence[tuple[int, LogValue]], fmt: str) -> str:
+    """Discovery diagonal or subdiagonal values, one per (row, value) pair."""
+    if fmt == "json":
+        table = [{"r": r, **_value_obj(v.log10)} for r, v in rows]
+        return json_text({"kind": kind, "merge": merge_spec_to_obj(spec), "rows": table})
+    lines = ["r,log10_value,value"]
+    lines += [f"{r},{_value_csv(v.log10)}" for r, v in rows]
+    return "\n".join(lines) + "\n"
+
+
+def matrix_report(m: DiscoveryMatrix, fmt: str) -> str:
+    if fmt == "json":
+        rows = [row.tolist() for row in m.rows]
+        return json_text({"k": m.k, "regularized": m.regularized, "rows": rows})
+    return matrix_csv(m)
+
+
+def region_report(region: ConfidenceRegion, fmt: str) -> str:
+    if fmt == "json":
+        return json_text(region_to_obj(region))
+    members = f"{{{region.lower_bound}..{region.r}}}" if region.members else "{}"
+    return (f"r={region.r} alpha={fmt_float(region.alpha)} members={members} "
+            f"lower_bound={region.lower_bound}\n")
+
+
 def manifest_json(cfg: ExperimentConfig, files: Sequence[str]) -> str:
     obj = {
         "config": config_to_obj(cfg),
@@ -422,7 +488,7 @@ def manifest_json(cfg: ExperimentConfig, files: Sequence[str]) -> str:
         },
         "files": sorted(files),
     }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json_text(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +521,6 @@ def write_bundle(cfg: ExperimentConfig, run: RunResult, out_dir: str | Path) -> 
         if rows:
             regions = [region_to_obj(confidence_region(reg, r, alpha))
                        for r in rows for alpha in REGION_ALPHAS]
-            report = {"step": step, "regions": regions}
-            write(f"regions_{step}.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+            write(f"regions_{step}.json", json_text({"step": step, "regions": regions}))
     write("manifest.json", manifest_json(cfg, [*paths, "manifest.json"]))
     return paths

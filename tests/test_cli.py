@@ -11,6 +11,7 @@ from evalanche import (
     LogValue,
     RankedValues,
     U1,
+    colorize,
     confidence_region,
     diagonal_row,
     discovery_matrix,
@@ -48,6 +49,9 @@ def test_merge_inline_values(capsys):
     assert header == "log10_value,value"
     l10, value = row.split(",")
     assert float(value) == pytest.approx(19.0, rel=1e-12)
+    # 1e-400 is positive but below the double range: the value cell is blank
+    code, out, _ = run_cli(capsys, "merge", "--values", "1e-200,1e-200", "--merge", "u2")
+    assert (code, out) == (0, "log10_value,value\n-400.0,\n")
 
 
 def test_merge_json_format(capsys):
@@ -56,6 +60,11 @@ def test_merge_json_format(capsys):
     obj = json.loads(out)
     assert obj["value"] == pytest.approx(13 / 3, rel=1e-12)
     assert obj["merge"] == {"kind": "nesp", "n": 1}
+    # null exactly where the CSV value is blank, not 0.0
+    code, out, _ = run_cli(capsys, "merge", "--values", "1e-200,1e-200", "--merge", "u2",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"merge": {"kind": "nesp", "n": 2}, "log10_value": -400.0, "value": None}
 
 
 def test_diagonal_matches_library(capsys):
@@ -67,6 +76,15 @@ def test_diagonal_matches_library(capsys):
     for line in lines[1:]:
         r, l10, _val = line.split(",")
         assert float(l10) == diagonal_row(rk, int(r), U1).log10
+    for fmt in ("csv", "json"):  # 1e-400 in every row: blank in CSV, null in JSON
+        code, out, _ = run_cli(capsys, "diagonal", "--values", "1e-200,1e-200", "--merge", "u2",
+                               "--format", fmt)
+        assert code == 0
+        if fmt == "csv":
+            assert out == "r,log10_value,value\n1,-400.0,\n2,-400.0,\n"
+        else:
+            assert [(row["r"], row["log10_value"], row["value"]) for row in json.loads(out)["rows"]] \
+                == [(1, -400.0, None), (2, -400.0, None)]
 
 
 def test_subdiag_selected_rows(capsys):
@@ -78,6 +96,20 @@ def test_subdiag_selected_rows(capsys):
     assert len(lines) == 2
     _, l10, value = lines[1].split(",")
     assert float(value) == pytest.approx(44 / 3, rel=1e-12)
+    code, out, _ = run_cli(
+        capsys, "subdiag", "--values", "8,4,1", "--merge", "u2", "--rows", "2", "--format", "json"
+    )
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert row["value"] == float(value) and row["log10_value"] == float(l10)
+    for fmt in ("csv", "json"):
+        code, out, _ = run_cli(capsys, "subdiag", "--values", "1e-200,1e-200", "--merge", "u2",
+                               "--rows", "2", "--format", fmt)
+        assert code == 0
+        if fmt == "csv":
+            assert out == "r,log10_value,value\n2,-400.0,\n"
+        else:
+            assert json.loads(out)["rows"] == [{"r": 2, "log10_value": -400.0, "value": None}]
 
 
 def test_matrix_golden_bytes(tmp_path, capsys):
@@ -200,19 +232,27 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text("{")
     assert run_cli(capsys, "simulate", "--config", str(bad_cfg), "--out", str(tmp_path))[0] == 1
-    for n in ("0", "-1"):
-        code, out, err = run_cli(capsys, "oracle-check", "--instances", n)
-        assert (code, out) == (1, "")
-        assert err.startswith("error:") and err.count("\n") == 1
+    for flag, n in (("--instances", "0"), ("--instances", "-1"), ("--seed", "-1")):
+        code, out, err = run_cli(capsys, "oracle-check", flag, n)
+        assert (code, out) == (1, ""), (flag, n)
+        assert err.startswith("error:") and err.count("\n") == 1 and flag in err, (flag, n)
+    _, good_cfg = write_config(tmp_path)
+    for seed in ("-1", str(2 ** 64)):
+        code, out, err = run_cli(capsys, "simulate", "--config", str(good_cfg), "--seed", seed,
+                                 "--out", str(tmp_path / "o"))
+        assert (code, out) == (1, ""), seed
+        assert err.startswith("error:") and err.count("\n") == 1 and "--seed" in err, seed
     matrix = tmp_path / "bad_matrix.csv"
     for body in (
         "1,0\n1,1,0.0,green\n",  # two fields
         "a,0,0.0,green\n1,1,0.0,green\n",  # non-integer r
         "1,0.5,0.0,green\n1,1,0.0,green\n",  # non-integer j
         "1,0,nan,green\n1,1,0.0,green\n",  # NaN cell
-        "1,0,0.0,green\n1,1,0.0,green\n1,7,3.0,green\n",  # outside the triangle
+        "1,0,0.0,green\n1,1,0.0,green\n1,7,3.0,orange\n",  # outside the triangle
         "1,0,0.0,green\n1,0,0.0,green\n1,1,0.0,green\n",  # repeated cell
         "1,0,0.0,green\n1,0,0.0,green\n",  # repeated cell standing in for a missing one
+        "1,0,25.0,green\n1,1,0.5,green\n",  # 1e25 is black, not green
+        "1,0,25.0,black\n1,1,0.5,not-a-colour\n",  # unknown bucket
     ):
         matrix.write_text("r,j,log10_value,bucket\n" + body)
         code, out, err = run_cli(capsys, "region", "--matrix", str(matrix), "--row", "1",
@@ -320,7 +360,8 @@ _VALUES_LINES = st.lists(_LOG10, min_size=1, max_size=10).map(
     lambda xs: [f"{i},{x!r}" for i, x in enumerate(xs, start=1)])
 _TRIANGLE = [(r, j) for r in range(1, 4) for j in range(r + 1)]  # the 9 cells of K=3
 _MATRIX_LINES = st.lists(_LOG10, min_size=9, max_size=9).map(
-    lambda xs: [f"{r},{j},{x!r},green" for (r, j), x in zip(_TRIANGLE, xs)])
+    lambda xs: [f"{r},{j},{x!r},{colorize(LogValue.from_log10(x)).value}"
+                for (r, j), x in zip(_TRIANGLE, xs)])
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 12) | st.floats(-10, 10) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
