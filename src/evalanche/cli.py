@@ -73,7 +73,7 @@ def _read(path: str, what: str, parse):
 
 def _load_values(text: str) -> list[LogValue]:
     """Either a values CSV path or an inline comma list of linear values."""
-    if Path(text).exists():
+    if Path(text).is_file():
         return _read(text, "values", formats.parse_values_csv)
     try:
         nums = [float(t) for t in text.split(",")]

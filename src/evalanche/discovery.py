@@ -15,8 +15,8 @@ matrix cell (r, j) takes the base {j+1..r} and the tails k = r+1..K+1
     over every index set meeting the top-r set.
   * subdiagonal_row: the same allowing one exception; the running minimum
     through column r-2.
-  * RowTracker: both row bounds for fixed rows, per simulation step, with
-    one kernel call per merge spec.
+  * RowTracker: both row bounds for fixed rows over a block of simulation
+    steps, with two kernel calls per merge spec.
 
 ``oracles.brute_force_bound`` evaluates the unrestricted minima over all 2^K
 index sets and certifies the scans at desk scale.
@@ -156,15 +156,12 @@ def _tables(spec: MergeSpec, k: int) -> tuple:
 
 
 def suffix_logsums(logs: np.ndarray) -> np.ndarray:
-    """Log of the product over each suffix logs[i:]; +inf columns for +inf
-    entries (which must lead, descending order)."""
-    k = len(logs)
-    out = np.zeros(k + 1)
-    n_inf = int(np.count_nonzero(np.isposinf(logs)))
-    tail = logs[n_inf:]
-    if tail.size:
-        out[n_inf:k] = np.cumsum(tail[::-1])[::-1]
-    out[:n_inf] = np.inf
+    """Log of the product over each suffix logs[..., i:], shape (..., K+1); +inf
+    columns for +inf entries (which must lead, descending order)."""
+    inf = np.isposinf(logs)
+    out = np.zeros(logs.shape[:-1] + (logs.shape[-1] + 1,))
+    sums = np.cumsum(np.where(inf, 0.0, logs)[..., ::-1], axis=-1)[..., ::-1]
+    out[..., :-1] = np.where(inf, np.inf, sums)
     return out
 
 
@@ -172,28 +169,29 @@ def tail_merges(S, T, r, P, Psum, arity, spec: MergeSpec) -> np.ndarray:
     """F(base + {k..K}) for k = r+1..K+1 in natural log; k = K+1 is the base alone.
 
     ``S`` and ``T`` are ``suffix_esp_levels`` (through the spec's top degree)
-    and ``suffix_logsums`` of the K descending values.  The base is given by
-    its log esp levels ``P[a]`` (a = 0..top, -inf above its size), its log
-    product ``Psum`` and its size ``arity``; each broadcasts against the
-    K-r+1 tail columns, so one call scores a batch of bases, or a row whose
-    base changes from cell to cell.  No set holding a +inf value may reach
-    the kernel (its padding would meet it as inf - inf): callers fill those
-    cells themselves.
+    and ``suffix_logsums`` of K descending values, with any leading batch
+    axes: ``S[..., deg, r:]`` and ``T[..., r:]`` are read.  The base is given
+    by its log esp levels ``P[a]`` (a = 0..len(P)-1; the levels above are
+    zero and their exact ``logaddexp`` no-ops are skipped), its log product
+    ``Psum`` and its size ``arity``; each broadcasts against the K-r+1 tail
+    columns, so one call scores a batch of bases, or a row whose base changes
+    from cell to cell.  No set holding a +inf value may reach the kernel (its
+    padding would meet it as inf - inf): callers fill those cells themselves.
     """
-    k = T.size - 1
+    k = T.shape[-1] - 1
     active, lc, log_tail = _tables(spec, k)
     m = arity + np.arange(k - r, -1, -1)  # size of each candidate set
     out = None
     for deg, log_w in active:
-        acc = P[0] + S[deg, r:]
-        for a in range(1, deg + 1):
-            acc = np.logaddexp(acc, P[a] + S[deg - a, r:])
+        acc = P[0] + S[..., deg, r:]
+        for a in range(1, min(deg, len(P) - 1) + 1):
+            acc = np.logaddexp(acc, P[a] + S[..., deg - a, r:])
         term = (log_w + acc) - lc[deg, m]
         out = term if out is None else np.logaddexp(out, term)
     # only sets of size <= top carry product weight: the last top+1 columns
     end = -spec.max_degree - 1
     tail = out[..., end:]
-    np.logaddexp(tail, log_tail[m[..., end:]] + (Psum + T[r:])[..., end:], out=tail)
+    np.logaddexp(tail, log_tail[m[..., end:]] + (Psum + T[..., r:])[..., end:], out=tail)
     return out
 
 
@@ -214,15 +212,17 @@ def _row_cells(
 
 
 class RowTracker:
-    """Diagonal and subdiagonal values of fixed rows, recomputed per step.
+    """Diagonal and subdiagonal values of fixed rows over blocks of steps.
 
     Each row r is one candidate row over the tails {i+1..K}, i = 0..K, whose
     base changes per cell: the empty set for i <= r-1-w (the whole-suffix
     family of the exchange argument behind ``diagonal_row``) and the row's
     width-w base for i >= r, where w is 1 for the diagonal (base {r}) and 2
     for the subdiagonal (base {r-1, r}; 1 at r = 1).  The cells in between
-    are left out.  A step makes one kernel call per spec, whatever the
-    number of rows.
+    are left out.  The empty-base cells are the same for every row, so a
+    step scores them once per spec and each row reads their prefix minimum;
+    the anchored cells take one kernel call per spec over the columns from
+    the smallest tracked row on, whatever the number of rows.
     """
 
     def __init__(self, k: int, rows: Sequence[int], diag_spec: MergeSpec, sub_spec: MergeSpec):
@@ -232,43 +232,43 @@ class RowTracker:
         self._top = max(diag_spec.max_degree, sub_spec.max_degree)
         r = self.rows[:, None]
         self._last, self._prev = r - 1, np.maximum(r - 2, 0)
-        cols = np.arange(k + 1)
-        anchored = cols >= r
-        self._anchored = anchored
-        self._empty = np.where(anchored, 0.0, -np.inf)  # sends empty-base levels to -inf
+        self._lo = int(self.rows.min(initial=k))  # first anchored column of any row
+        self._anchored = anchored = np.arange(self._lo, k + 1) >= r
         self._specs = []
         for spec, width in ((diag_spec, 1), (sub_spec, 2)):
             w = np.minimum(width, r)
-            valid = anchored | (cols <= r - 1 - w)
             two = w == 2 if width == 2 else None
-            self._specs.append((spec, width, two, valid, np.where(anchored, w, 0)))
+            # last empty-base column of each row (-1: none) and the anchored arity
+            self._specs.append((spec, width, two, (r - 1 - w)[:, 0], np.where(anchored, w, 0)))
 
-    def step(self, sorted_logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Natural-log diagonal and subdiagonal values of each row, given the
-        descending values."""
-        S = suffix_esp_levels(sorted_logs, self._top)
-        T = suffix_logsums(sorted_logs)
-        if sorted_logs[0] == math.inf:  # kept out of the kernel: score raw matrix rows
-            return tuple(
-                np.array([_row_cells(sorted_logs, S, T, r, spec)[: max(r + 1 - width, 1)].min()
-                          for r in self.rows])
-                for spec, width, *_ in self._specs
-            )
-        last, prev = sorted_logs[self._last], sorted_logs[self._prev]
-        out = []
-        for spec, _, two, valid, arity in self._specs:
-            # levels e_1, e_2 and log product of each row's base
+    def step(self, block: np.ndarray) -> np.ndarray:
+        """Natural-log (diagonal, subdiagonal) values, shape (2, B, R), of the
+        R rows after each of B steps, given a (B, K) block of descending values."""
+        out = np.empty((2, len(block), self.rows.size))
+        inf_rows = block[:, 0] == math.inf
+        for b in np.flatnonzero(inf_rows):  # kept out of the kernel: score raw matrix rows
+            logs = block[b]
+            S, T = suffix_esp_levels(logs, self._top), suffix_logsums(logs)
+            out[:, b] = [[_row_cells(logs, S, T, r, spec)[: max(r + 1 - width, 1)].min()
+                          for r in self.rows] for spec, width, *_ in self._specs]
+        block = block[~inf_rows]
+        S, T = suffix_esp_levels(block, self._top), suffix_logsums(block)
+        last, prev = block[:, self._last], block[:, self._prev]
+        for n, (spec, _, two, cut, arity) in enumerate(self._specs):
+            # levels e_0, e_1, e_2 and log product of each row's base
             if two is None:
-                e1, e2, prod = last + self._empty, -np.inf, last
+                levels, prod = (0.0, last), last
             else:
                 pair = prev + last
-                e1 = np.where(two, np.logaddexp(last, prev), last) + self._empty
-                e2 = np.where(two, pair, -np.inf) + self._empty
-                prod = np.where(two, pair, last)
-            levels = [0.0, e1, e2] + [-np.inf] * (spec.max_degree - 2)
-            v = tail_merges(S, T, 0, levels, np.where(self._anchored, prod, 0.0), arity, spec)
-            out.append(np.minimum.reduce(v, axis=1, where=valid, initial=np.inf))
-        return tuple(out)
+                e1 = np.where(two, np.logaddexp(last, prev), last)
+                levels, prod = (0.0, e1, np.where(two, pair, -np.inf)), np.where(two, pair, last)
+            empty = np.minimum.accumulate(tail_merges(S, T, 0, (0.0,), 0.0, 0, spec), axis=-1)
+            v = tail_merges(S[:, None], T[:, None], self._lo, levels, prod, arity, spec)
+            out[n, ~inf_rows] = np.minimum(
+                np.where(cut < 0, np.inf, empty[:, cut]),
+                np.minimum.reduce(v, axis=-1, where=self._anchored, initial=np.inf),
+            )
+        return out
 
 
 def _check_rank(ranked: RankedValues, r: int) -> None:

@@ -145,28 +145,28 @@ def esp_log_levels(logs: np.ndarray, n_max: int) -> np.ndarray:
 def suffix_esp_levels(logs: np.ndarray, n_max: int) -> np.ndarray:
     """Per-suffix elementary symmetric levels, one reverse pass per degree.
 
-    Returns an array of shape (n_max + 1, len(logs) + 1) whose column i holds
-    the log-levels of the suffix logs[i:]; the final column is the empty
+    ``logs`` has shape (..., K), one row of values per leading index.
+    Returns an array of shape (..., n_max + 1, K + 1) whose column i holds
+    the log-levels of the suffix logs[..., i:]; the final column is the empty
     suffix (e_0 = 1, higher levels 0).  Degree b uses the identity
     e_b(suffix_i) = sum_{j >= i} s_j * e_{b-1}(suffix_{j+1}), a suffix
     log-sum-exp of nonnegative terms.
 
-    Any +inf inputs must sit at the front of ``logs`` (descending order);
-    their columns are forced to +inf for degrees >= 1.
+    Any +inf inputs must sit at the front of each row (descending order);
+    their columns are forced to +inf for degrees >= 1.  The finite columns
+    never read them, so they enter the recurrence as -inf.
     """
-    k = len(logs)
-    out = np.full((n_max + 1, k + 1), -np.inf)
-    out[0, :] = 0.0
-    n_inf = int(np.count_nonzero(np.isposinf(logs)))
-    if n_inf and not np.isposinf(logs[:n_inf]).all():
+    k = logs.shape[-1]
+    out = np.full(logs.shape[:-1] + (n_max + 1, k + 1), -np.inf)
+    out[..., 0, :] = 0.0
+    inf = np.isposinf(logs)
+    if (inf[..., 1:] & ~inf[..., :-1]).any():
         raise DomainError("suffix levels require descending order")
-    finite = logs[n_inf:]
+    finite = np.where(inf, -np.inf, logs)
     for b in range(1, n_max + 1):
-        terms = finite + out[b - 1, n_inf + 1:]
-        if terms.size:
-            out[b, n_inf:k] = np.logaddexp.accumulate(terms[::-1])[::-1]
-        if n_inf:
-            out[b, :n_inf] = np.inf
+        terms = finite + out[..., b - 1, 1:]
+        out[..., b, :k] = np.logaddexp.accumulate(terms[..., ::-1], axis=-1)[..., ::-1]
+    np.copyto(out[..., 1:, :k], np.inf, where=inf[..., None, :])
     return out
 
 

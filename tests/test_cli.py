@@ -227,6 +227,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run_cli(capsys, "merge", "--values", "8,4")[0] == 1  # --merge required
     assert run_cli(capsys, "merge", "--values", "8,4", "--merge", "nope")[0] == 1
     assert run_cli(capsys, "merge", "--values", "a,b", "--merge", "u1")[0] == 1
+    for text in ("", str(tmp_path)):  # neither a file nor numbers: '' names the current directory
+        code, out, err = run_cli(capsys, "merge", "--values", text, "--merge", "u1")
+        assert (code, out) == (1, ""), text
+        assert err.startswith("error: --values must be a file or comma-separated numbers"), text
+        assert err.count("\n") == 1, text
     assert run_cli(capsys, "simulate", "--config", str(tmp_path / "missing.json"),
                    "--out", str(tmp_path))[0] == 1
     bad_cfg = tmp_path / "bad.json"

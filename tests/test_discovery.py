@@ -177,7 +177,7 @@ def test_row_tracker_matches_row_bounds():
         rk = RankedValues.from_logs(logs)
         rows = sorted({1, k, *(int(x) for x in rng.integers(1, k + 1, size=2))})
         diag_spec, sub_spec = SPECS[trial % 3], SPECS[(trial // 3) % 3]
-        d, s = RowTracker(k, rows, diag_spec, sub_spec).step(rk.sorted_logs)
+        d, s = RowTracker(k, rows, diag_spec, sub_spec).step(rk.sorted_logs[None])[:, 0]
         for n, r in enumerate(rows):
             assert d[n] == pytest.approx(diagonal_row(rk, r, diag_spec).log_e, abs=1e-12)
             assert s[n] == pytest.approx(subdiagonal_row(rk, r, sub_spec).log_e, abs=1e-12)
@@ -187,13 +187,42 @@ def test_row_tracker_with_leading_infinite_values():
     rk = RankedValues.from_values([LogValue(math.inf)] * 2 + lv(3, 0.5, 0.2, 0.1))
     rows = [1, 2, 3, 4, 6]
     for spec in SPECS:
-        d, s = RowTracker(rk.k, rows, spec, spec).step(rk.sorted_logs)
+        d, s = RowTracker(rk.k, rows, spec, spec).step(rk.sorted_logs[None])[:, 0]
         assert list(d) == [diagonal_row(rk, r, spec).log_e for r in rows]
         assert list(s) == [subdiagonal_row(rk, r, spec).log_e for r in rows]
         assert np.isinf(d[:2]).all() and np.isfinite(d[2:]).all()
         assert np.isinf(s[:3]).all() and np.isfinite(s[3:]).all()
     with pytest.raises(DomainError):
         RowTracker(3, [0, 2], U1, U2)
+
+
+# a few repeated values make ties; -inf is a value of exactly zero
+_TRACKED_LOGS = st.one_of(
+    st.sampled_from([-math.inf, -2.0, 0.0, 1.5]),
+    st.floats(min_value=-700.0, max_value=700.0),
+)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_row_tracker_block_equals_single_steps(data):
+    """A (B, K) block scores each of its rows exactly as a one-row block does."""
+    k = data.draw(st.integers(1, 12), label="k")
+    spread = data.draw(st.lists(st.integers(1, k), max_size=3), label="spread")
+    rows = sorted({r for r in (1, 2, k - 1, k) if 1 <= r <= k} | set(spread))
+    block = np.array(data.draw(
+        st.lists(st.lists(_TRACKED_LOGS, min_size=k, max_size=k), min_size=1, max_size=6),
+        label="block",
+    ))
+    block = np.sort(block, axis=1)[:, ::-1]
+    if data.draw(st.booleans(), label="infinite row"):
+        block[len(block) // 2, : data.draw(st.integers(1, k), label="n_inf")] = math.inf
+    specs = data.draw(st.tuples(st.sampled_from(SPECS), st.sampled_from(SPECS)), label="specs")
+    tracker = RowTracker(k, rows, *specs)
+    got = tracker.step(block)
+    want = np.concatenate([tracker.step(row[None]) for row in block], axis=1)
+    assert got.shape == (2, len(block), len(rows))
+    assert np.array_equal(got, want)
 
 
 @given(st.lists(st.floats(min_value=1e-4, max_value=1e4), min_size=1, max_size=9))

@@ -1,5 +1,7 @@
 import math
 import os
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +20,17 @@ from evalanche import (
     subdiagonal_row,
 )
 from evalanche.errors import DomainError
-from evalanche.simulate import MAX_K, MAX_RUN_VALUES, MAX_STEPS, draw_streams
+from evalanche.discovery import RowTracker, discovery_matrix
+from evalanche.logvalue import LN10
+from evalanche.martingales import RankedValues
+from evalanche.merging import U1_U2_HALF
+from evalanche.simulate import (
+    MAX_K,
+    MAX_RUN_VALUES,
+    MAX_STEPS,
+    TRACK_BLOCK_CELLS,
+    draw_streams,
+)
 
 
 def small_config(**overrides):
@@ -136,6 +148,55 @@ def test_mid_run_checkpoints_match_replayed_prefix():
     got, _ = run.matrices[20]
     for r in range(1, cfg.k + 1):
         assert np.array_equal(want.rows[r - 1], got.rows[r - 1])
+
+
+@pytest.mark.parametrize("null_sd", [1.0, 1e-160])  # 1e-160 sends false nulls to +inf
+def test_tracked_blocks_match_per_step_tracking(null_sd):
+    """Blocks of steps, split at checkpoints inside them, score each step
+    exactly as one tracker step per increment does."""
+    k = 40
+    block = TRACK_BLOCK_CELLS // (k + 1)
+    steps = 2 * block + 37
+    checkpoints = (block // 2, block + 3, steps)
+    cfg = small_config(
+        k=k, n_false=20, steps=steps, tracked_rows=(1, 2, 20, 39, 40), checkpoints=checkpoints,
+        null_dist=(0.0, null_sd), merge_diagonal=U1_U2_HALF, merge_subdiagonal=U2,
+    )
+    assert steps % block and 0 < checkpoints[0] < block < checkpoints[1] < 2 * block
+    run = run_experiment(cfg)
+    k_idx, _, inc = draw_streams(cfg)
+    tracker = RowTracker(k, cfg.tracked_rows, cfg.merge_diagonal, cfg.merge_subdiagonal)
+    logs = np.zeros(k)
+    want = np.empty((2, steps, len(cfg.tracked_rows)))
+    for t in range(steps):
+        logs[k_idx[t]] += inc[t]
+        want[:, t] = tracker.step(np.sort(logs)[::-1][None])[:, 0]
+        if t + 1 in checkpoints:
+            raw = discovery_matrix(RankedValues.from_logs(logs.copy()), cfg.merge_matrix)
+            assert np.array_equal(run.matrices[t + 1][0].log10, raw.log10, equal_nan=True)
+    assert np.array_equal(run.final_table.log_values, logs)
+    if null_sd < 1.0:
+        assert np.isposinf(logs).any()
+    for n, r in enumerate(cfg.tracked_rows):
+        assert np.array_equal(run.diagonal_series[r].log10_values, want[0, :, n] / LN10)
+        assert np.array_equal(run.subdiagonal_series[r].log10_values, want[1, :, n] / LN10)
+
+
+def test_tracked_run_peak_memory():
+    """The Python-heap peak of a tracked run guards the tracker's block size.
+
+    1.25 MB measured with blocks of 40 steps at K = 200; 81-step blocks
+    reach 2.3 MB and 256-step blocks 6.6 MB.
+    """
+    cfg = paper_experiment_config(steps=2_000, checkpoints=())
+    run_experiment(replace(cfg, steps=10))  # first-call caches stay out of the peak
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_ground_truth_labels():
