@@ -21,6 +21,51 @@ matrix cell (r, j) takes the base {j+1..r} and the tails k = r+1..K+1
 ``oracles.brute_force_bound`` evaluates the unrestricted minima over all 2^K
 index sets and certifies the scans at desk scale.
 
+Threshold walk.  Under a spec of top degree 1 (u1, or a mixture of U_0 and
+U_1) F is an increasing affine function of the mean, and the matrix and row
+bounds skip most tails.  Fix a cell (r, j) and let e(k) be the exact log of F
+over the base and the tail {k..K} of the stored doubles.  Going from
+{k+1..K} to {k..K} adds S^k, no smaller than any value already in the tail:
+it lowers the mean only if S^k lies below the mean, and once it does not, no
+later (larger) value does.  So e is non-increasing and then non-decreasing
+in k, a valley over the cell's tails (for the empty base, the base-alone end
+k = K+1 merges the empty set to 1 and stands outside it).  Let delta bound
+|c - e| for every computed cell c.  Score a window of tails [L, R] and let w
+be its smallest c, taken at m.  If c(L) > w + 2 delta, then e(L) > w + delta
+>= e(m) with m > L, the valley gives e(k) >= e(L) for every k < L, and so
+c(k) >= e(k) - delta > w; likewise on the right.  When both edges pass, or
+sit at the ends of the valley, no unscored tail computes to a value <= w,
+and the stored minimum carries the bits of the minimum over all tails.  A
+window holding a set of zeros (w = -inf) needs no check.
+
+Per block of rows a vectorised binary search places each cell's valley at
+the first k with S^k (a + D_k) <= the base's sum, where a is the base's size
+and D_k the sum of 1 - S^t / S^k over the tail {k..K}.  The walk scores the
+tails within 2 of it, and the two product-term columns (tail sizes 1 and 0),
+through ``tail_merges``.  A cell whose window fails the check is scored over
+all its tails: flat stretches such as ties, all-equal values or spreads near
+delta.  The search only places the window; correctness rests on the check.
+
+Rounding margin.  Let u = 2^-53, M = max |finite log| + log(K+1), which
+bounds every partial log-sum, and W = max |log w| over the spec's weights.
+One ``np.logaddexp``, z = max + log1p(exp(-|x - y|)), adds a local error
+below u(|z| + 3): u|z| from the final addition, and under 3u from the
+rounded difference, exp and log1p, each within an ulp.  It passes its
+inputs' errors on with weights summing to 1, so errors along a chain add.
+
+  * The suffix ``logaddexp.accumulate``: each tail level S[1, k] and each
+    base level P[1] is a chain of at most K steps, within K u (M + 3).
+  * The kernel's own steps: P[0] + S[1] and P[1] + S[0] add 0 exactly; its
+    ``logaddexp`` adds u(M + 3); "+ log w" and "- log m" add u(M + W) each,
+    plus 2uW and 2u log(K+1) for the ``math.log`` of w and m; a mixture's
+    ``logaddexp`` with log w_0 adds u(M + W + 3) + 2uW.  The product term
+    is an exact no-op on sets of two or more values; a one-value set takes
+    its "+ log w" and ``logaddexp`` there instead, and the empty set is
+    exact.
+
+Together |c - e| < (K + 8) u (M + W + 4); the walk takes delta =
+2^-50 (K + 8)(M + W + 4), eight times that.
+
 Matrix and series containers store log10 floats (the serialization scale);
 all scan arithmetic happens in natural logs and is converted once on storage.
 A matrix is one (K, K+1) array whose cells above the diagonal are NaN.
@@ -124,6 +169,14 @@ class ConfidenceRegion:
 # ---------------------------------------------------------------------------
 # the tail-merge kernel
 
+# Cells per block: a tracked run scores B = max(1, TRACK_BLOCK_CELLS // (K+1))
+# steps per RowTracker.step call (40 at K = 200), and discovery_matrix scores
+# B rows per block.  That already amortises the per-call numpy overhead: on a
+# 2-vCPU Xeon (Python 3.11.7, numpy 2.4.6) 256-step blocks tracked the paper
+# study no faster and raised a 2,000-step run's Python-heap peak from 1.25 MB
+# to 6.6 MB.
+TRACK_BLOCK_CELLS = 2 ** 13
+
 
 @lru_cache(maxsize=64)
 def _tables(spec: MergeSpec, k: int) -> tuple:
@@ -165,33 +218,46 @@ def suffix_logsums(logs: np.ndarray) -> np.ndarray:
     return out
 
 
-def tail_merges(S, T, r, P, Psum, arity, spec: MergeSpec) -> np.ndarray:
-    """F(base + {k..K}) for k = r+1..K+1 in natural log; k = K+1 is the base alone.
+def tail_merges(S, T, tails, P, Psum, arity, spec: MergeSpec) -> np.ndarray:
+    """F(base + {i+1..K}) in natural log for tail starts i; i = K is the base alone.
 
     ``S`` and ``T`` are ``suffix_esp_levels`` (through the spec's top degree)
     and ``suffix_logsums`` of K descending values, with any leading batch
-    axes: ``S[..., deg, r:]`` and ``T[..., r:]`` are read.  The base is given
-    by its log esp levels ``P[a]`` (a = 0..len(P)-1; the levels above are
-    zero and their exact ``logaddexp`` no-ops are skipped), its log product
-    ``Psum`` and its size ``arity``; each broadcasts against the K-r+1 tail
-    columns, so one call scores a batch of bases, or a row whose base changes
-    from cell to cell.  No set holding a +inf value may reach the kernel (its
-    padding would meet it as inf - inf): callers fill those cells themselves.
+    axes.  ``tails`` is an int r, for the contiguous tails i = r..K (the
+    K-r+1 result columns read ``S[..., deg, r:]`` and ``T[..., r:]``), or an
+    integer array of tail starts gathered from one unbatched ``S`` and ``T``
+    and broadcasting against the bases.  The base is given by its log esp
+    levels ``P[a]`` (a = 0..len(P)-1; the levels above are zero and their
+    exact ``logaddexp`` no-ops are skipped), its log product ``Psum`` and its
+    size ``arity``; each broadcasts against the tail columns, so one call
+    scores a batch of bases, or a row whose base changes from cell to cell.
+    Every cell takes the same elementwise operations either way, so a
+    gathered cell carries the bits of its contiguous counterpart.  No set
+    holding a +inf value may reach the kernel (its padding would meet it as
+    inf - inf): callers fill those cells themselves.
     """
     k = T.shape[-1] - 1
     active, lc, log_tail = _tables(spec, k)
-    m = arity + np.arange(k - r, -1, -1)  # size of each candidate set
+    contiguous = np.ndim(tails) == 0
+    cols = slice(tails, None) if contiguous else tails
+    size = np.arange(k - tails, -1, -1) if contiguous else k - tails  # tail sizes
+    m = arity + size  # size of each candidate set
     out = None
     for deg, log_w in active:
-        acc = P[0] + S[..., deg, r:]
+        acc = P[0] + S[..., deg, cols]
         for a in range(1, min(deg, len(P) - 1) + 1):
-            acc = np.logaddexp(acc, P[a] + S[..., deg - a, r:])
+            acc = np.logaddexp(acc, P[a] + S[..., deg - a, cols])
         term = (log_w + acc) - lc[deg, m]
         out = term if out is None else np.logaddexp(out, term)
-    # only sets of size <= top carry product weight: the last top+1 columns
-    end = -spec.max_degree - 1
-    tail = out[..., end:]
-    np.logaddexp(tail, log_tail[m[..., end:]] + (Psum + T[..., r:])[..., end:], out=tail)
+    # only sets of size <= top carry product weight: tails of size <= top,
+    # the last top+1 columns of a contiguous call
+    top = spec.max_degree
+    if contiguous:
+        tail = out[..., -top - 1:]
+        np.logaddexp(tail, log_tail[m[..., -top - 1:]] + (Psum + T[..., cols])[..., -top - 1:],
+                     out=tail)
+    else:
+        np.logaddexp(out, log_tail[m] + (Psum + T[..., cols]), out=out, where=size <= top)
     return out
 
 
@@ -209,6 +275,89 @@ def _row_cells(
     cells = np.full(r + 1, math.inf if spec.has_positive_degree else 0.0)
     cells[lo:] = merged.min(axis=1)
     return cells
+
+
+def _walk_margin(logs: np.ndarray, spec: MergeSpec) -> float:
+    """The rounding margin delta of the threshold walk (module docstring)."""
+    k = logs.size
+    active, _, _ = _tables(spec, k)
+    scale = (float(np.abs(logs[np.isfinite(logs)]).max(initial=0.0)) + math.log(k + 1)
+             + max(abs(log_w) for _, log_w in active))
+    return 2.0 ** -50 * (k + 8) * (scale + 4.0)
+
+
+def _walk_rows(logs: np.ndarray, S: np.ndarray, T: np.ndarray, r0: int, r1: int,
+               spec: MergeSpec) -> np.ndarray:
+    """Raw cells of rows r0..r1 under a spec of top degree 1, by the threshold
+    walk (see the module docstring): shape (r1-r0+1, r1+1), NaN above the
+    diagonal, each cell the bits of ``_row_cells``."""
+    k = logs.size
+    n_inf = int(np.count_nonzero(np.isposinf(logs)))
+    r = np.arange(r0, r1 + 1)[:, None]
+    j = np.arange(r1 + 1)
+    lo = np.minimum(n_inf, r)  # bases of the columns j < lo hold a +inf value
+    jc = np.clip(j, lo, r)  # out-of-row cells score a copy of a row cell
+    # each row's bases {j+1..r} from its own padded prefix: -inf and -0.0 are
+    # exact identities of the suffix logaddexp and cumsum, so every base
+    # carries the bits of the row's unpadded suffix tables (whose empty base
+    # has the log product 0.0, not the padding's -0.0)
+    pad = np.arange(r1) >= r
+    levels = suffix_esp_levels(np.where(pad, -np.inf, logs[:r1]), 1)
+    sums = suffix_logsums(np.where(pad, -0.0, logs[:r1]))
+    base_sum = np.take_along_axis(levels[:, 1], jc, axis=1)  # log of the base's sum
+    Psum = np.where(jc == r, 0.0, np.take_along_axis(sums, jc, axis=1))
+    arity = r - jc
+
+    def score(tails):
+        return tail_merges(S, T, tails, (0.0, base_sum), Psum, arity, spec)
+
+    # the valley runs over the tail starts i0..hi; the base-alone end i = K is
+    # a mean only for a nonempty base
+    i0 = np.maximum(r, n_inf)
+    hi = np.maximum(np.where(arity == 0, k - 1, k), i0)
+    # place each valley: the first i with x_i (a + D_i) <= the base's sum,
+    # where D_i is the sum of 1 - x_t / x_i over t >= i
+    finite = np.where(np.isfinite(logs), logs, 0.0)
+    dev = np.maximum(np.arange(k, 0, -1) - np.exp(S[1, :k] - finite), 0.0)
+    a, b = np.broadcast_to(i0, hi.shape), hi
+    with np.errstate(divide="ignore"):  # log 0 for an empty base over tied values
+        while (a < b).any():
+            mid = np.minimum((a + b) // 2, k - 1)
+            falls = logs[mid] + np.log(arity + dev[mid]) > base_sum
+            a, b = np.where((a < b) & falls, mid + 1, a), np.where((a < b) & ~falls, mid, b)
+    # score the window [left, right] of the five tails within 2 of the valley
+    left = np.maximum(i0, np.minimum(a - 2, hi - 4))
+    right = np.minimum(left + 4, hi)
+    first = low = score(left)
+    for t in range(1, 5):
+        last = score(np.minimum(left + t, right))
+        low = np.minimum(low, last)
+    edge = low + 2.0 * _walk_margin(logs, spec)
+    certified = ((left == i0) | (first > edge)) & ((right == hi) | (last > edge))
+    certified |= low == -math.inf  # a set of zeros: nothing computes lower
+    # the two product-term columns, tail sizes 1 and 0
+    cells = np.minimum(low, np.minimum(score(np.maximum(k - 1, i0)), score(np.full_like(i0, k))))
+    rescan = (j >= lo) & (j <= r) & ~certified  # flat stretches: score every tail
+    for n in np.flatnonzero(rescan.any(axis=1)):
+        cols = rescan[n]
+        cells[n, cols] = tail_merges(S, T, int(i0[n, 0]), (0.0, base_sum[n, cols, None]),
+                                     Psum[n, cols, None], arity[n, cols, None], spec).min(axis=-1)
+    cells[j < lo] = math.inf
+    cells[j > r] = math.nan
+    return cells
+
+
+def _rows(logs: np.ndarray, S: np.ndarray, T: np.ndarray, r0: int, r1: int,
+          spec: MergeSpec) -> np.ndarray:
+    """Raw cells of rows r0..r1 in natural log, shape (r1-r0+1, r1+1), NaN
+    above the diagonal: the threshold walk for a spec of top degree 1, every
+    tail of every cell otherwise (no unimodality is claimed there)."""
+    if spec.max_degree == 1:
+        return _walk_rows(logs, S, T, r0, r1, spec)
+    out = np.full((r1 - r0 + 1, r1 + 1), np.nan)
+    for r in range(r0, r1 + 1):
+        out[r - r0, : r + 1] = _row_cells(logs, S, T, r, spec)
+    return out
 
 
 class RowTracker:
@@ -289,7 +438,7 @@ def _bound(ranked: RankedValues, r: int, j_hi: int, spec: MergeSpec) -> LogValue
     _check_rank(ranked, r)
     logs = ranked.sorted_logs
     S = suffix_esp_levels(logs, spec.max_degree)
-    cells = _row_cells(logs, S, suffix_logsums(logs), r, spec)
+    cells = _rows(logs, S, suffix_logsums(logs), r, r, spec)[0]
     return LogValue(float(cells[: j_hi + 1].min()))
 
 
@@ -315,17 +464,24 @@ def subdiagonal_row(ranked: RankedValues, r: int, spec: MergeSpec) -> LogValue:
 def discovery_matrix(ranked: RankedValues, spec: MergeSpec) -> DiscoveryMatrix:
     """The full lower-triangular matrix of tail-merge minima (unregularized).
 
-    Row r is one kernel call over its r+1 bases and K-r+1 tails: O(K^3)
-    vectorized work for the fixed small-degree specs.  On a 2-vCPU Xeon
-    (Python 3.11.7, numpy 2.4.6) K = 200 takes 0.07 s under u1, 0.10 s under
-    u2 and 0.17 s under the u1/u2 mixture; K = 500 under u1 takes 0.8 s.
+    Rows are scored in blocks of ``max(1, TRACK_BLOCK_CELLS // (K+1))``.
+    Under a spec of top degree 1 (u1, or a mixture of U_0 and U_1) the
+    threshold walk scores seven kernel cells per matrix cell after an
+    O(log K) search, O(K^2 log K) work in all; every other spec scores each
+    cell over all its tails, one kernel call per row and O(K^3) work.  On a
+    2-vCPU Xeon (Python 3.11.7, numpy 2.4.6) K = 200 takes 0.02 s under u1,
+    0.08-0.10 s under u2 and 0.14-0.19 s under the u1/u2 mixture; under u1,
+    K = 500 takes 0.10 s (0.70 s scoring every tail) and K = 2000 about 1.5 s.
     """
     logs = ranked.sorted_logs
     S = suffix_esp_levels(logs, spec.max_degree)
     T = suffix_logsums(logs)
-    out = np.full((ranked.k, ranked.k + 1), np.nan)
-    for r in range(1, ranked.k + 1):
-        out[r - 1, : r + 1] = _row_cells(logs, S, T, r, spec)
+    k = ranked.k
+    out = np.full((k, k + 1), np.nan)
+    block = max(1, TRACK_BLOCK_CELLS // (k + 1))
+    for r0 in range(1, k + 1, block):
+        r1 = min(r0 + block - 1, k)
+        out[r0 - 1 : r1, : r1 + 1] = _rows(logs, S, T, r0, r1, spec)
     out /= LN10
     return DiscoveryMatrix(out)
 

@@ -168,6 +168,8 @@ def parse_matrix_csv(text: str) -> DiscoveryMatrix:
         js.append(j)
         values.append(value)
         buckets.append(_BUCKET_INDEX.get(bucket, -1))  # an int per line, not the name
+    if not rs:
+        raise DomainError("matrix CSV has no cells")
 
     def line_at(i: int) -> tuple[int, str]:  # recovered only on error
         return next(itertools.islice(_data_lines(text, MATRIX_HEADER, "matrix"), i, None))
@@ -178,7 +180,7 @@ def parse_matrix_csv(text: str) -> DiscoveryMatrix:
     if wrong.size:
         n, line = line_at(int(wrong[0]))
         raise DomainError(f"line {n}: bucket of {line!r} must be {_BUCKET_NAMES[want[wrong[0]]]}")
-    k = max(rs, default=0)
+    k = max(rs)
     if len(rs) < k * (k + 3) // 2:  # found without allocating a (k, k+1) array
         present = set(zip(rs, js))
         r, j = next((r, j) for r in range(1, k + 1) for j in range(r + 1) if (r, j) not in present)
@@ -215,6 +217,8 @@ def parse_values_csv(text: str) -> list[LogValue]:
         if i in by_index:
             raise DomainError(f"line {n}: repeated hypothesis {i}")
         by_index[i] = value
+    if not by_index:
+        raise DomainError("values CSV has no values")
     if sorted(by_index) != list(range(1, len(by_index) + 1)):
         raise DomainError("values CSV must number hypotheses 1..K")
     return [by_index[i] for i in range(1, len(by_index) + 1)]

@@ -23,27 +23,22 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import discovery
-from .discovery import DiagonalSeries, DiscoveryMatrix, RowTracker, regularize
+from .discovery import TRACK_BLOCK_CELLS, DiagonalSeries, DiscoveryMatrix, RowTracker, regularize
 from .errors import DomainError
 from .logvalue import LN10, LogValue
 from .martingales import MartingaleTable, RankedValues, _frozen, gaussian_log_density
 from .merging import MergeSpec, U1, U2
 
 # Size limits, checked before a run allocates anything.  A tracked run sorts
-# a block of B x K logs per B steps, and each checkpoint runs the O(K^3)
-# discovery kernel (about 1 s at K = 500).
+# a block of B x K logs per B steps, and each checkpoint builds a discovery
+# matrix: about 0.1 s at K = 500 and 1.5 s at K = 2000 under u1 (the threshold
+# walk), about 1.2 s at K = 500 under u2 (the O(K^3) kernel).
 MAX_K = 10_000
 # draw_streams holds about ten float64 arrays of `steps` values (80 MB here).
 MAX_STEPS = 1_000_000
 # Doubles a run keeps for its outputs: two per tracked row per step and two
 # K x (K+1) matrices per checkpoint; 0.8 GB at this limit.
 MAX_RUN_VALUES = 100_000_000
-# Cells per tracked block: B = max(1, TRACK_BLOCK_CELLS // (K + 1)) steps are
-# scored per RowTracker.step call, 40 at K = 200.  That already amortises the
-# per-call numpy overhead: on a 2-vCPU Xeon (Python 3.11.7, numpy 2.4.6)
-# 256-step blocks tracked the paper study no faster and raised a 2,000-step
-# run's Python-heap peak from 1.25 MB to 6.6 MB.
-TRACK_BLOCK_CELLS = 2 ** 13
 
 
 @dataclass(frozen=True)

@@ -258,12 +258,14 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         "1,0,0.0,green\n1,0,0.0,green\n",  # repeated cell standing in for a missing one
         "1,0,25.0,green\n1,1,0.5,green\n",  # 1e25 is black, not green
         "1,0,25.0,black\n1,1,0.5,not-a-colour\n",  # unknown bucket
+        "",  # header only
     ):
         matrix.write_text("r,j,log10_value,bucket\n" + body)
         code, out, err = run_cli(capsys, "region", "--matrix", str(matrix), "--row", "1",
                                  "--alpha", "10")
         assert (code, out) == (1, ""), body
-        assert err.startswith("error:") and err.count("\n") == 1 and "line " in err, body
+        assert err.startswith("error:") and err.count("\n") == 1, body
+        assert ("line " in err) if body else ("no cells" in err), body
     values = tmp_path / "bad_values.csv"
     for body in (
         "1,2,3\n",  # three fields
@@ -276,6 +278,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         code, out, err = run_cli(capsys, "diagonal", "--values", str(values))
         assert (code, out) == (1, ""), body
         assert err.startswith("error:") and err.count("\n") == 1 and "line " in err, body
+    values.write_text("k,log10_value\n")  # header only
+    for argv in (("matrix",), ("diagonal",), ("merge", "--merge", "u1")):
+        code, out, err = run_cli(capsys, *argv, "--values", str(values))
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:") and err.count("\n") == 1 and "no values" in err, argv
     base = json.loads(formats.config_to_json(write_config(tmp_path)[0]))
     for field, value, named in (
         ("k", "abc", "k must be an integer"),

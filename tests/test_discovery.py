@@ -1,5 +1,8 @@
 import math
+import tracemalloc
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,7 @@ from evalanche import (
     CONSTRAINT_INTERSECTS_TOP_R,
     ColorBucket,
     LogValue,
+    MergeSpec,
     RankedValues,
     U1,
     U1_U2_HALF,
@@ -22,6 +26,7 @@ from evalanche import (
     regularize,
     subdiagonal_row,
 )
+from evalanche import discovery
 from evalanche.discovery import DiscoveryMatrix, RowTracker, bucket_indexes
 from evalanche.errors import DomainError
 from oracles import subset_min_oracle
@@ -257,6 +262,152 @@ def test_infinite_values_rank_first_and_propagate():
         m = discovery_matrix(two, spec)
         assert [m.entry(2, j).value for j in range(3)] == [math.inf, math.inf, 1.0]
         assert [m.entry(3, j).value for j in range(4)] == [math.inf, math.inf, 2.0, 1.0]
+
+
+# ---------------------------------------------------------------------------
+# the threshold walk against the full kernel
+
+
+def _full_kernel(rk, spec):
+    """Natural-log raw cells of every row, each cell scored over all its tails."""
+    logs = rk.sorted_logs
+    S = discovery.suffix_esp_levels(logs, spec.max_degree)
+    T = discovery.suffix_logsums(logs)
+    out = np.full((rk.k, rk.k + 1), np.nan)
+    for r in range(1, rk.k + 1):
+        out[r - 1, : r + 1] = discovery._row_cells(logs, S, T, r, spec)
+    return out
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@st.composite
+def _walk_logs(draw):
+    """Descending logs built to stress the walk: ties, all-equal values, logs
+    near +-700, spreads below 1e-12, leading +inf and trailing -inf values."""
+    k = draw(st.integers(1, 80), label="k")
+    kind = draw(st.sampled_from(["ties", "equal", "wide", "narrow", "normal"]), label="kind")
+    center = draw(st.floats(-700.0, 700.0), label="center")
+    if kind == "equal":
+        logs = [center] * k
+    else:
+        value = {
+            "ties": st.sampled_from([-math.inf, -2.0, 0.0, -0.0, 1.5, 3.0]),
+            "wide": st.one_of(st.floats(-700.0, 700.0), st.floats(690.0, 700.0),
+                              st.floats(-700.0, -690.0)),
+            "narrow": st.floats(center, center + 1e-12),
+            "normal": st.floats(-5.0, 5.0),
+        }[kind]
+        logs = draw(st.lists(value, min_size=k, max_size=k), label="logs")
+    logs = np.sort(np.array(logs, dtype=float))[::-1]
+    logs[: draw(st.integers(0, k), label="n_inf") if draw(st.booleans()) else 0] = math.inf
+    return logs
+
+
+def _tail_calls(calls):
+    """Cells handed to the full-scan fallback: tail_merges calls with a
+    contiguous tail start, one per base."""
+    return sum(np.size(c.args[5]) for c in calls if np.ndim(c.args[2]) == 0)
+
+
+def test_u1_walk_matches_full_kernel():
+    """The walk's matrix and row bounds carry the full kernel's bits, and both
+    the certified windows and the full-scan fallback are exercised."""
+    seen = {"certified": 0, "fallback": 0}
+
+    @given(_walk_logs(), st.sampled_from([U1, MergeSpec.mixture((0.25, 0.75))]),
+           st.data())
+    @settings(max_examples=120, deadline=None)
+    def check(logs, spec, data):
+        rk = RankedValues.from_logs(logs)
+        want = _full_kernel(rk, spec)
+        with mock.patch.object(discovery, "tail_merges", wraps=discovery.tail_merges) as spy:
+            got = discovery_matrix(rk, spec)
+        assert _same_bits(got.log10, want / math.log(10.0))
+        n_inf = int(np.isposinf(logs).sum())
+        cells = sum(r + 1 - min(n_inf, r) for r in range(1, rk.k + 1))
+        fallback = _tail_calls(spy.call_args_list)
+        seen["fallback"] += fallback
+        seen["certified"] += cells - fallback
+        reg = np.minimum.accumulate(want, axis=1)
+        for r in {1, rk.k, data.draw(st.integers(1, rk.k), label="row")}:
+            assert _same_bits(diagonal_row(rk, r, spec).log_e, reg[r - 1, r - 1])
+            assert _same_bits(subdiagonal_row(rk, r, spec).log_e, reg[r - 1, max(r - 2, 0)])
+
+    check()
+    assert seen["certified"] > 0 and seen["fallback"] > 0, seen
+
+
+def _check_margin(logs, rows):
+    """Every cell scored for the given rows lies within delta/4 of its exact
+    log-mean, computed with mpmath."""
+    k = logs.size
+    delta = discovery._walk_margin(logs, U1)
+    x = [mpmath.exp(mpmath.mpf(float(v))) for v in logs]
+    tail = [mpmath.mpf(0)] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        tail[i] = tail[i + 1] + x[i]
+    worst, scored = 0.0, 0
+    for r in rows:
+        base = [mpmath.mpf(0)] * (r + 1)
+        for j in range(r - 1, -1, -1):
+            base[j] = base[j + 1] + x[j]
+        results = []
+        real = discovery.tail_merges
+
+        def spy(S, T, tails, P, Psum, arity, spec):
+            out = real(S, T, tails, P, Psum, arity, spec)
+            i = tails + np.arange(out.shape[-1]) if np.ndim(tails) == 0 else tails
+            results.append(np.broadcast_arrays(r - arity, i, out))
+            return out
+
+        with mock.patch.object(discovery, "tail_merges", spy):
+            diagonal_row(RankedValues.from_logs(logs), r, U1)
+        for js, iss, cs in results:
+            for j, i, c in {(int(j), int(i), float(c)) for j, i, c in
+                            zip(js.ravel(), iss.ravel(), cs.ravel())}:
+                m = (r - j) + (k - i)
+                exact = mpmath.log((base[j] + tail[i]) / m) if m else mpmath.mpf(0)
+                worst = max(worst, abs(float(c - exact)))
+                scored += 1
+    assert scored > 0
+    assert worst <= delta / 4, (worst, delta)
+
+
+def test_walk_margin_is_sound():
+    """delta bounds the kernel's rounding error with a factor 4 to spare."""
+    rng = np.random.default_rng(8)
+    with mpmath.workprec(96):
+        for k, logs in (
+            (40, rng.uniform(-700.0, 700.0, 40)),
+            (120, rng.normal(0.0, 5.0, 120)),
+            (200, 699.0 + rng.uniform(0.0, 1.0, 200)),
+            (300, -699.0 - rng.uniform(0.0, 1.0, 300)),
+            (300, np.round(rng.normal(0.0, 3.0, 300))),
+        ):
+            logs = np.sort(logs)[::-1]
+            _check_margin(logs, sorted({1, k, *rng.integers(1, k + 1, size=3).tolist()}))
+        _check_margin(np.sort(rng.uniform(-700.0, 700.0, 2000))[::-1], [1000])
+
+
+def test_walk_peak_memory():
+    """The walk's Python-heap peak at K = 500 stays within 1 MB of the full
+    kernel's, so the matrix_scan benchmark's peak RSS does not grow."""
+    rk = RankedValues.from_logs(np.random.default_rng(42).normal(0.0, 5.0, 500))
+    discovery_matrix(rk, U1)  # first-call caches stay out of the peak
+    peaks = []
+    for build in (lambda: discovery_matrix(rk, U1), lambda: _full_kernel(rk, U1)):
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    walk, full = peaks
+    assert walk <= full + 1_000_000, peaks
 
 
 # ---------------------------------------------------------------------------
