@@ -40,7 +40,7 @@ from .merging import (
 from .oracles import CONSTRAINT_EXACTLY_J_MISSING, CONSTRAINT_GE2_IN_TOP_R, CONSTRAINT_INTERSECTS_TOP_R
 from .oracles import brute_force_bound, nesp_bell, nesp_enumerate, nesp_powersum
 from .polynomials import decompose_symmetric, validate_merging_polynomial
-from .simulate import run_experiment
+from .simulate import MAX_K, run_experiment
 
 
 class _UsageError(Exception):
@@ -72,14 +72,22 @@ def _read(path: str, what: str, parse):
 
 
 def _load_values(text: str) -> list[LogValue]:
-    """Either a values CSV path or an inline comma list of linear values."""
-    if Path(text).is_file():
-        return _read(text, "values", formats.parse_values_csv)
+    """Either a values CSV path or an inline comma list of linear values; at
+    most ``MAX_K`` of them, checked before any table is built."""
     try:
-        nums = [float(t) for t in text.split(",")]
-    except ValueError as exc:
-        raise _UsageError(f"--values must be a file or comma-separated numbers, got {text!r}") from exc
-    return [LogValue.of(x) for x in nums]
+        is_file = Path(text).is_file()
+    except OSError:  # too long for a path name: a long inline list
+        is_file = False
+    if is_file:
+        values = _read(text, "values", formats.parse_values_csv)
+    else:
+        try:
+            values = [float(t) for t in text.split(",")]
+        except ValueError as exc:
+            raise _UsageError(f"--values must be a file or comma-separated numbers, got {text!r}") from exc
+    if len(values) > MAX_K:
+        raise _UsageError(f"--values holds {len(values)} values, more than the limit of {MAX_K}")
+    return values if is_file else [LogValue.of(x) for x in values]
 
 
 def _parse_merge(text: str) -> MergeSpec:

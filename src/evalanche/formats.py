@@ -322,12 +322,20 @@ def _json_float(value, name: str) -> float:
         raise DomainError(f"{name} is too large for a double, got {value!r}") from None
 
 
+def _reject_unknown_fields(obj: dict, known, name: str) -> None:
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise DomainError(f"{name} has unknown field {', '.join(map(repr, unknown))}")
+
+
 def merge_spec_from_obj(obj, name: str = "merge spec") -> MergeSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError(f"{name} must be an object with a kind, got {obj!r}")
     if obj["kind"] == "nesp":
+        _reject_unknown_fields(obj, ("kind", "n"), name)
         fields = {"n": _json_int(obj.get("n"), f"{name} n")}
     elif obj["kind"] == "mixture":
+        _reject_unknown_fields(obj, ("kind", "weights"), name)
         weights = obj.get("weights")
         if not isinstance(weights, list):
             raise DomainError(f"{name} weights must be a list of numbers, got {weights!r}")
@@ -400,6 +408,7 @@ def config_from_obj(obj) -> ExperimentConfig:
     """Unset optional fields take the ExperimentConfig defaults (seed 0)."""
     if not isinstance(obj, dict):
         raise DomainError("config must be a JSON object")
+    _reject_unknown_fields(obj, _CONFIG_FIELDS, "config")
     for name in list(_CONFIG_FIELDS)[:6]:
         if name not in obj:
             raise DomainError(f"config is missing field {name!r}")

@@ -5,15 +5,16 @@ polynomials (NESPs)
 
     U_n(s_1, ..., s_K) = elementary_symmetric_n(s) / binomial(K, n)
 
-and their convex mixtures (with U_0 understood to be the constant 1).  The
-production path, ``mixture_from_logs`` (behind ``nesp_log`` and
-``mixture_merge``), runs the forward DP recurrence
+and their convex mixtures (with U_0 understood to be the constant 1).  One
+log-domain recurrence, ``suffix_esp_levels``, computes every elementary
+symmetric level, for a batch of rows at once:
 
-    e_j <- e_j + s_i * e_{j-1}
+    e_b(suffix_i) = e_b(suffix_{i+1}) + s_i * e_{b-1}(suffix_{i+1})
 
-entirely in the log domain; every term is nonnegative, so there is no
-cancellation and values from 1e-300 to 1e+300 and beyond are handled without
-loss of structure.  The linear-scale power-sum and Bell paths and the
+Every term is nonnegative, so there is no cancellation at any input scale.
+``mixture_from_logs`` (behind ``nesp_log`` and ``mixture_merge``) reads a
+whole set's levels from column 0 of its reversed row, which adds the values
+in their given order.  The linear-scale power-sum and Bell paths and the
 subset enumeration that certify it live in ``oracles``.
 
 Arity rule: a merge of degree n applied to m < n arguments evaluates
@@ -124,24 +125,6 @@ def log_comb(m: int, n: int) -> float:
     return math.log(math.comb(m, n))
 
 
-def esp_log_levels(logs: np.ndarray, n_max: int) -> np.ndarray:
-    """Logs of elementary symmetric polynomials e_0..e_n_max of the inputs.
-
-    Inputs with log +inf are handled by the canonical extension: every level
-    >= 1 is +inf.  All other terms are nonnegative, so the DP never cancels.
-    """
-    levels = np.full(n_max + 1, -np.inf)
-    levels[0] = 0.0
-    if n_max == 0:
-        return levels
-    if np.isposinf(logs).any():
-        levels[1:] = np.inf
-        return levels
-    for s in logs:
-        levels[1:] = np.logaddexp(levels[1:], s + levels[:-1])
-    return levels
-
-
 def suffix_esp_levels(logs: np.ndarray, n_max: int) -> np.ndarray:
     """Per-suffix elementary symmetric levels, one reverse pass per degree.
 
@@ -180,21 +163,22 @@ def mixture_merge(spec: MergeSpec, values: Sequence[LogValue]) -> LogValue:
     return LogValue(mixture_from_logs(spec, as_log_array(values)))
 
 
-def mixture_from_logs(spec: MergeSpec, logs: np.ndarray) -> float:
-    """log of the merge of ``logs``; a NESP is the mixture with one unit weight."""
-    m = len(logs)
-    if (logs == np.inf).any():
-        return np.inf if spec.has_positive_degree else 0.0
+def mixture_from_logs(spec: MergeSpec, logs: np.ndarray) -> float | np.ndarray:
+    """log of the merge of each row of ``logs`` (shape (..., m)), a float for
+    one 1-D row; a NESP is the mixture with one unit weight."""
+    logs = np.asarray(logs, dtype=np.float64)
+    m = logs.shape[-1]
+    inf = np.isposinf(logs).any(axis=-1)
     weights = spec.weight_vector()
-    top = min(len(weights) - 1, m)
-    levels = esp_log_levels(logs, top)
-    acc = -np.inf
+    finite = np.where(inf[..., None], 0.0, logs)
+    levels = suffix_esp_levels(finite[..., ::-1], min(len(weights) - 1, m))[..., 0]
+    acc = np.full(logs.shape[:-1], -np.inf)
     for deg, w in enumerate(weights):
-        if w <= 0.0:
-            continue
-        d = min(deg, m)
-        acc = log_add(acc, math.log(w) + float(levels[d]) - log_comb(m, d))
-    return acc
+        if w > 0.0:
+            d = min(deg, m)
+            acc = np.logaddexp(acc, math.log(w) + levels[..., d] - log_comb(m, d))
+    acc = np.where(inf, np.inf if spec.has_positive_degree else 0.0, acc)
+    return float(acc) if acc.ndim == 0 else acc
 
 
 def ie_example_f(e1: LogValue, e2: LogValue) -> LogValue:

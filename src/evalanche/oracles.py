@@ -150,16 +150,18 @@ def _subset_table(logs: tuple[float, ...], spec: MergeSpec) -> np.ndarray:
 
     Bit i set means rank i+1 belongs to the subset.  The empty set gets the
     conventional value 1.  Each subset is evaluated through the public
-    mixture semantics, keeping this path independent of the suffix scans it
-    certifies.
+    mixture semantics, keeping this path independent of the tail merges it
+    certifies; the subsets of one size are merged as one batch of rows.
     """
     k = len(logs)
-    arr = np.asarray(logs)
+    masks = np.arange(1 << k)
+    bits = (masks[:, None] >> np.arange(k)) & 1
     out = np.empty(1 << k)
     out[0] = 0.0
-    for mask in range(1, 1 << k):
-        idx = [i for i in range(k) if mask >> i & 1]
-        out[mask] = mixture_from_logs(spec, arr[idx])
+    for size in range(1, k + 1):
+        rows = masks[np.bitwise_count(masks) == size]
+        members = np.nonzero(bits[rows])[1].reshape(len(rows), size)
+        out[rows] = mixture_from_logs(spec, np.asarray(logs)[members])
     out.setflags(write=False)
     return out
 

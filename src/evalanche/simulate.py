@@ -219,6 +219,12 @@ class SeedSummary:
     log10_values: np.ndarray
 
     def _pct(self, q: float) -> LogValue:
+        x = np.sort(self.log10_values)
+        h = (len(x) - 1) * (q / 100.0)  # np.percentile's "linear" index
+        lo, hi = float(x[math.floor(h)]), float(x[math.ceil(h)])
+        if math.isinf(lo) or math.isinf(hi):
+            # the interpolation's limit: an infinite bracket with positive weight wins
+            return LogValue.from_log10(hi if hi == math.inf else lo)
         return LogValue.from_log10(float(np.percentile(self.log10_values, q)))
 
     @property

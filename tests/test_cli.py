@@ -283,6 +283,14 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv, "--values", str(values))
         assert (code, out) == (1, ""), argv
         assert err.startswith("error:") and err.count("\n") == 1 and "no values" in err, argv
+    values.write_text("k,log10_value\n" + "".join(f"{i},0.5\n" for i in range(1, MAX_K + 2)))
+    inline = ",".join(["2"] * (MAX_K + 1))
+    for argv in (("merge", "--merge", "u1"), ("diagonal",), ("subdiag",), ("matrix",)):
+        for source in (inline, str(values)):
+            code, out, err = run_cli(capsys, *argv, "--values", source)
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("error:") and err.count("\n") == 1 and f"{MAX_K:d}" in err, argv
+    assert run_cli(capsys, "merge", "--values", ",".join(["2"] * MAX_K), "--merge", "u2")[0] == 0
     base = json.loads(formats.config_to_json(write_config(tmp_path)[0]))
     for field, value, named in (
         ("k", "abc", "k must be an integer"),
@@ -295,6 +303,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ("merge_diagonal", {"kind": "nesp", "n": MAX_DEGREE + 1}, "merge_diagonal: nesp degree"),
         ("merge_matrix", {"kind": "mixture", "weights": [0.0] * (MAX_DEGREE + 1) + [1.0]},
          "merge_matrix: mixture degree"),
+        ("tracked_row", [1], "unknown field 'tracked_row'"),  # misspelled optional fields
+        ("checkpoint", [25], "unknown field 'checkpoint'"),
+        ("sed", 4, "unknown field 'sed'"),
+        ("merge_matrix", {"kind": "nesp", "n": 1, "weights": [1.0]}, "merge_matrix has unknown field 'weights'"),
+        ("merge_diagonal", {"kind": "mixture", "weights": [1.0], "n": 0}, "merge_diagonal has unknown field 'n'"),
     ):
         bad_cfg.write_text(json.dumps({**base, field: value}))
         code, out, err = run_cli(capsys, "simulate", "--config", str(bad_cfg), "--out", str(tmp_path))

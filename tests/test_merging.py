@@ -19,7 +19,8 @@ from evalanche import (
     nesp_powersum,
 )
 from evalanche.errors import DomainError, NumericalError
-from evalanche.merging import MAX_DEGREE
+from evalanche.merging import MAX_DEGREE, mixture_from_logs
+from evalanche.oracles import _subset_table
 from oracles import nesp_log_oracle
 
 
@@ -166,6 +167,48 @@ def test_merge_spec_validation():
         MergeSpec.nesp(MAX_DEGREE + 1)
     with pytest.raises(DomainError, match="degree"):
         MergeSpec.mixture([0.0] * (MAX_DEGREE + 1) + [1.0])
+
+
+# ---------------------------------------------------------------------------
+# batched rows
+
+
+_BATCH_SPECS = (U1, U2, MergeSpec.nesp(9), U1_U2_HALF, MergeSpec.mixture([1.0]),
+                MergeSpec.mixture([0.25, 0.0, 0.0, 0.0, 0.0, 0.75]))
+# finite logs, exact zeros and +inf, drawn from a few values so rows hold ties
+_batch_logs = st.sampled_from([-700.0, -3.5, -1.0, 0.0, 0.0, 2.25, 2.25, 699.0, -math.inf, math.inf])
+
+
+@given(
+    st.integers(min_value=1, max_value=7).flatmap(
+        lambda m: st.lists(st.lists(_batch_logs, min_size=m, max_size=m), min_size=1, max_size=12)
+    ),
+    st.sampled_from(_BATCH_SPECS),
+)
+@settings(max_examples=150, deadline=None)
+def test_batched_rows_equal_single_row_calls(rows, spec):
+    """An (N, m) batch merges each row exactly as a 1-D call does; m runs
+    below the top degree of u9 and of the degree-5 mixture."""
+    logs = np.array(rows)
+    got = mixture_from_logs(spec, logs)
+    assert got.shape == (len(rows),)
+    assert np.array_equal(got, [mixture_from_logs(spec, row) for row in logs])
+    assert np.array_equal(mixture_from_logs(spec, logs[None]), got[None])
+
+
+@pytest.mark.parametrize("spec", (U1, U2, U1_U2_HALF, MergeSpec.mixture([0.1, 0.2, 0.3, 0.4])))
+def test_subset_table_matches_per_subset_merges(spec):
+    rng = np.random.default_rng(31)
+    for k in range(1, 9):
+        logs = np.sort(rng.uniform(-9.0, 9.0, size=k))[::-1]
+        if k >= 4:
+            logs[1], logs[-1] = logs[2], -math.inf  # a tie and a zero
+        table = _subset_table(tuple(float(x) for x in logs), spec)
+        want = [0.0] + [
+            mixture_from_logs(spec, logs[[i for i in range(k) if mask >> i & 1]])
+            for mask in range(1, 1 << k)
+        ]
+        assert np.array_equal(table, want), k
 
 
 # ---------------------------------------------------------------------------

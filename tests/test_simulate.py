@@ -8,6 +8,7 @@ import pytest
 
 from evalanche import (
     ExperimentConfig,
+    LogValue,
     U1,
     U2,
     diagonal_row,
@@ -29,6 +30,7 @@ from evalanche.simulate import (
     MAX_RUN_VALUES,
     MAX_STEPS,
     TRACK_BLOCK_CELLS,
+    SeedSummary,
     draw_streams,
 )
 
@@ -326,6 +328,31 @@ def test_seed_summary_order_statistics():
     assert stat.minimum.log10 <= stat.q1.log10 <= stat.median.log10
     assert stat.median.log10 <= stat.q3.log10 <= stat.maximum.log10
 
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_seed_summary_percentiles_take_infinite_limits():
+    """Infinite per-seed values give the limit of the log-scale interpolation,
+    never NaN; finite brackets keep np.percentile's bits."""
+    cfg = small_config(k=5, n_false=2, null_dist=(0.0, 1e-160), tracked_rows=(1,), checkpoints=())
+    stat = replicate(cfg, [1, 2, 3])["diagonal_r1"]
+    assert np.isposinf(stat.log10_values).all()
+    assert stat.q1.is_infinite and stat.median.is_infinite and stat.q3.is_infinite
+    inf = math.inf
+    for values, want in (
+        ([1.0, inf, inf], (inf, inf, inf)),
+        ([-inf, -inf, 1.0, 2.0], (-inf, -inf, 1.25)),
+        ([-inf, 1.0], (-inf, -inf, -inf)),
+        ([2.0, inf], (inf, inf, inf)),
+    ):
+        stat = SeedSummary(np.array(values))
+        assert (stat.q1.log10, stat.median.log10, stat.q3.log10) == want, values
+    stat = SeedSummary(np.array([-inf, inf]))
+    assert all(math.isinf(v.log_e) for v in (stat.q1, stat.median, stat.q3))
+    finite = np.random.default_rng(5).normal(0.0, 50.0, size=7)
+    stat = SeedSummary(finite)
+    for q, got in ((25.0, stat.q1), (50.0, stat.median), (75.0, stat.q3)):
+        assert got.log10 == LogValue.from_log10(float(np.percentile(finite, q))).log10
 
 def test_paper_config_shape():
     cfg = paper_experiment_config(seed=3)
