@@ -42,9 +42,10 @@ Per block of rows a vectorised binary search places each cell's valley at
 the first k with S^k (a + D_k) <= the base's sum, where a is the base's size
 and D_k the sum of 1 - S^t / S^k over the tail {k..K}.  The walk scores the
 tails within 2 of it, and the two product-term columns (tail sizes 1 and 0),
-through ``tail_merges``.  A cell whose window fails the check is scored over
-all its tails: flat stretches such as ties, all-equal values or spreads near
-delta.  The search only places the window; correctness rests on the check.
+through ``tail_merges``.  A cell whose window fails the check (flat stretches
+such as ties, all-equal values or spreads near delta) goes to ``_row_cells``,
+which scores every tail.  The search only places the window; correctness
+rests on the check.
 
 Rounding margin.  Let u = 2^-53, M = max |finite log| + log(K+1), which
 bounds every partial log-sum, and W = max |log w| over the spec's weights.
@@ -261,20 +262,16 @@ def tail_merges(S, T, tails, P, Psum, arity, spec: MergeSpec) -> np.ndarray:
     return out
 
 
-def _row_cells(
-    logs: np.ndarray, S: np.ndarray, T: np.ndarray, r: int, spec: MergeSpec
-) -> np.ndarray:
-    """Raw matrix cells (r, 0..r) in natural log: base {j+1..r}, minimized over its tails."""
-    n_inf = int(np.count_nonzero(np.isposinf(logs)))  # +inf values lead
-    lo = min(n_inf, r)  # bases of the columns j < lo hold a +inf value
+def _row_cells(logs: np.ndarray, S: np.ndarray, T: np.ndarray, r: int, cols: np.ndarray,
+               spec: MergeSpec) -> np.ndarray:
+    """Raw cells (r, j) of the columns j in ``cols`` in natural log, each over
+    all tails of its base {j+1..r}, which must hold no +inf value: one kernel
+    call on the row's prefix tables."""
     prefix = logs[:r]
-    levels = suffix_esp_levels(prefix, spec.max_degree)[:, lo:, None]
-    sums = suffix_logsums(prefix)[lo:, None]
-    arity = np.arange(r - lo, -1, -1)[:, None]
-    merged = tail_merges(S, T, max(r, n_inf), levels, sums, arity, spec)
-    cells = np.full(r + 1, math.inf if spec.has_positive_degree else 0.0)
-    cells[lo:] = merged.min(axis=1)
-    return cells
+    levels = suffix_esp_levels(prefix, spec.max_degree)[:, cols, None]
+    sums = suffix_logsums(prefix)[cols, None]
+    i0 = max(r, int(np.count_nonzero(np.isposinf(logs))))  # tails hold no +inf value
+    return tail_merges(S, T, i0, levels, sums, (r - cols)[:, None], spec).min(axis=1)
 
 
 def _walk_margin(logs: np.ndarray, spec: MergeSpec) -> float:
@@ -286,17 +283,14 @@ def _walk_margin(logs: np.ndarray, spec: MergeSpec) -> float:
     return 2.0 ** -50 * (k + 8) * (scale + 4.0)
 
 
-def _walk_rows(logs: np.ndarray, S: np.ndarray, T: np.ndarray, r0: int, r1: int,
-               spec: MergeSpec) -> np.ndarray:
-    """Raw cells of rows r0..r1 under a spec of top degree 1, by the threshold
-    walk (see the module docstring): shape (r1-r0+1, r1+1), NaN above the
-    diagonal, each cell the bits of ``_row_cells``."""
+def _walk(logs: np.ndarray, S: np.ndarray, T: np.ndarray, r: np.ndarray, n_inf: int,
+          spec: MergeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The threshold walk (module docstring) over the rows r, a column, under a
+    spec of top degree 1: the cells of columns 0..max(r) and the mask of those
+    it certified, each of which carries the bits of ``_row_cells``."""
     k = logs.size
-    n_inf = int(np.count_nonzero(np.isposinf(logs)))
-    r = np.arange(r0, r1 + 1)[:, None]
-    j = np.arange(r1 + 1)
-    lo = np.minimum(n_inf, r)  # bases of the columns j < lo hold a +inf value
-    jc = np.clip(j, lo, r)  # out-of-row cells score a copy of a row cell
+    r1 = int(r[-1, 0])
+    jc = np.clip(np.arange(r1 + 1), np.minimum(n_inf, r), r)  # outside lo..r: a row cell's copy
     # each row's bases {j+1..r} from its own padded prefix: -inf and -0.0 are
     # exact identities of the suffix logaddexp and cumsum, so every base
     # carries the bits of the row's unpadded suffix tables (whose empty base
@@ -337,27 +331,30 @@ def _walk_rows(logs: np.ndarray, S: np.ndarray, T: np.ndarray, r0: int, r1: int,
     certified |= low == -math.inf  # a set of zeros: nothing computes lower
     # the two product-term columns, tail sizes 1 and 0
     cells = np.minimum(low, np.minimum(score(np.maximum(k - 1, i0)), score(np.full_like(i0, k))))
-    rescan = (j >= lo) & (j <= r) & ~certified  # flat stretches: score every tail
-    for n in np.flatnonzero(rescan.any(axis=1)):
-        cols = rescan[n]
-        cells[n, cols] = tail_merges(S, T, int(i0[n, 0]), (0.0, base_sum[n, cols, None]),
-                                     Psum[n, cols, None], arity[n, cols, None], spec).min(axis=-1)
-    cells[j < lo] = math.inf
-    cells[j > r] = math.nan
-    return cells
+    return cells, certified
 
 
 def _rows(logs: np.ndarray, S: np.ndarray, T: np.ndarray, r0: int, r1: int,
           spec: MergeSpec) -> np.ndarray:
-    """Raw cells of rows r0..r1 in natural log, shape (r1-r0+1, r1+1), NaN
-    above the diagonal: the threshold walk for a spec of top degree 1, every
-    tail of every cell otherwise (no unimodality is claimed there)."""
+    """Raw cells of rows r0..r1 in natural log, shape (r1-r0+1, r1+1), NaN above
+    the diagonal: the cells the threshold walk certifies under a spec of top
+    degree 1, and every other cell over all its tails."""
+    n_inf = int(np.count_nonzero(np.isposinf(logs)))
+    r = np.arange(r0, r1 + 1)[:, None]
+    j = np.arange(r1 + 1)
+    lo = np.minimum(n_inf, r)  # bases of the columns j < lo hold a +inf value
+    todo = (j >= lo) & (j <= r)  # in-row cells whose bases hold no +inf value
     if spec.max_degree == 1:
-        return _walk_rows(logs, S, T, r0, r1, spec)
-    out = np.full((r1 - r0 + 1, r1 + 1), np.nan)
-    for r in range(r0, r1 + 1):
-        out[r - r0, : r + 1] = _row_cells(logs, S, T, r, spec)
-    return out
+        cells, certified = _walk(logs, S, T, r, n_inf, spec)
+        todo &= ~certified
+    else:
+        cells = np.empty(todo.shape)
+    for n in np.flatnonzero(todo.any(axis=1)):
+        cols = np.flatnonzero(todo[n])
+        cells[n, cols] = _row_cells(logs, S, T, r0 + n, cols, spec)
+    cells[j < lo] = math.inf if spec.has_positive_degree else 0.0
+    cells[j > r] = math.nan
+    return cells
 
 
 class RowTracker:
@@ -395,11 +392,9 @@ class RowTracker:
         R rows after each of B steps, given a (B, K) block of descending values."""
         out = np.empty((2, len(block), self.rows.size))
         inf_rows = block[:, 0] == math.inf
-        for b in np.flatnonzero(inf_rows):  # kept out of the kernel: score raw matrix rows
-            logs = block[b]
-            S, T = suffix_esp_levels(logs, self._top), suffix_logsums(logs)
-            out[:, b] = [[_row_cells(logs, S, T, r, spec)[: max(r + 1 - width, 1)].min()
-                          for r in self.rows] for spec, width, *_ in self._specs]
+        for b in np.flatnonzero(inf_rows):  # kept out of the kernel: the row bounds themselves
+            out[:, b] = [[_bound(block[b], r, max(r - width, 0), spec) for r in self.rows]
+                         for spec, width, *_ in self._specs]
         block = block[~inf_rows]
         S, T = suffix_esp_levels(block, self._top), suffix_logsums(block)
         last, prev = block[:, self._last], block[:, self._prev]
@@ -420,13 +415,8 @@ class RowTracker:
         return out
 
 
-def _check_rank(ranked: RankedValues, r: int) -> None:
-    if not 1 <= r <= ranked.k:
-        raise DomainError(f"row {r} outside 1..{ranked.k}")
-
-
-def _bound(ranked: RankedValues, r: int, j_hi: int, spec: MergeSpec) -> LogValue:
-    """min over columns 0..j_hi of the raw matrix cells of row r.
+def _bound(logs: np.ndarray, r: int, j_hi: int, spec: MergeSpec) -> float:
+    """min over columns 0..j_hi of the natural-log raw cells of row r of the logs.
 
     This running-minimum reading makes the bound the true minimum of F over
     every qualifying index set, not just the narrower family the plain scan
@@ -435,11 +425,10 @@ def _bound(ranked: RankedValues, r: int, j_hi: int, spec: MergeSpec) -> LogValue
     families are covered by the row's cells.  It also makes the value agree
     bit for bit with the regularized matrix cell (r, j_hi).
     """
-    _check_rank(ranked, r)
-    logs = ranked.sorted_logs
+    if not 1 <= r <= logs.size:
+        raise DomainError(f"row {r} outside 1..{logs.size}")
     S = suffix_esp_levels(logs, spec.max_degree)
-    cells = _rows(logs, S, suffix_logsums(logs), r, r, spec)[0]
-    return LogValue(float(cells[: j_hi + 1].min()))
+    return float(_rows(logs, S, suffix_logsums(logs), r, r, spec)[0, : j_hi + 1].min())
 
 
 def diagonal_row(ranked: RankedValues, r: int, spec: MergeSpec) -> LogValue:
@@ -448,7 +437,7 @@ def diagonal_row(ranked: RankedValues, r: int, spec: MergeSpec) -> LogValue:
     The minimum of F over all index sets meeting the top-r set, equal to the
     regularized matrix entry at (r, r-1).
     """
-    return _bound(ranked, r, r - 1, spec)
+    return LogValue(_bound(ranked.sorted_logs, r, r - 1, spec))
 
 
 def subdiagonal_row(ranked: RankedValues, r: int, spec: MergeSpec) -> LogValue:
@@ -458,7 +447,7 @@ def subdiagonal_row(ranked: RankedValues, r: int, spec: MergeSpec) -> LogValue:
     (at least one when r = 1), equal to the regularized matrix entry at
     (r, r-2); degree-2 merges fall back to the mean on singleton sets.
     """
-    return _bound(ranked, r, max(r - 2, 0), spec)
+    return LogValue(_bound(ranked.sorted_logs, r, max(r - 2, 0), spec))
 
 
 def discovery_matrix(ranked: RankedValues, spec: MergeSpec) -> DiscoveryMatrix:
@@ -469,9 +458,10 @@ def discovery_matrix(ranked: RankedValues, spec: MergeSpec) -> DiscoveryMatrix:
     threshold walk scores seven kernel cells per matrix cell after an
     O(log K) search, O(K^2 log K) work in all; every other spec scores each
     cell over all its tails, one kernel call per row and O(K^3) work.  On a
-    2-vCPU Xeon (Python 3.11.7, numpy 2.4.6) K = 200 takes 0.02 s under u1,
-    0.08-0.10 s under u2 and 0.14-0.19 s under the u1/u2 mixture; under u1,
-    K = 500 takes 0.10 s (0.70 s scoring every tail) and K = 2000 about 1.5 s.
+    2-vCPU Xeon (Python 3.11.7, numpy 2.4.6; medians of three runs) K = 200
+    takes 0.02 s under u1, 0.11-0.13 s under u2 and 0.18-0.19 s under the
+    u1/u2 mixture; K = 500 takes 0.10 s under u1 (0.66-0.90 s scoring every
+    tail) and 1.3-1.4 s under u2; K = 2000 takes 1.4-1.8 s under u1.
     """
     logs = ranked.sorted_logs
     S = suffix_esp_levels(logs, spec.max_degree)

@@ -70,8 +70,12 @@ class MergeSpec:
                 raise DomainError(f"mixture degree must be at most {MAX_DEGREE}, got {len(w) - 1}")
             if any(math.isnan(x) or x < 0.0 for x in w):
                 raise DomainError(f"mixture weights must be nonnegative, got {w}")
-            if abs(math.fsum(w) - 1.0) > WEIGHT_TOL:
-                raise DomainError(f"mixture weights must sum to 1, got {math.fsum(w)!r}")
+            try:
+                total = math.fsum(w)
+            except OverflowError:  # nonnegative weights summing past the largest double
+                total = math.inf
+            if abs(total - 1.0) > WEIGHT_TOL:
+                raise DomainError(f"mixture weights must sum to 1, got {w} summing to {total!r}")
         else:
             raise DomainError(f"unknown merge kind {self.kind!r}")
 

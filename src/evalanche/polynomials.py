@@ -107,7 +107,10 @@ def validate_merging_polynomial(p: MultiaffinePoly) -> PolyVerdict:
         if c <= 0.0:
             subset = set(_mask_to_subset(mask)) or "{}"
             violations.append(f"nonpositive coefficient {c!r} at {subset}")
-    total = math.fsum(p.coeffs.values())
+    try:
+        total = math.fsum(p.coeffs.values())
+    except OverflowError:  # a partial sum passed the largest double: the plain sum is +-inf
+        total = sum(p.coeffs.values())
     if abs(total - 1.0) > COEFF_TOL:
         violations.append(f"not normalized: coefficients sum to {total!r}")
     return PolyVerdict(ok=not violations, violations=tuple(violations))

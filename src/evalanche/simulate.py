@@ -31,8 +31,8 @@ from .merging import MergeSpec, U1, U2
 
 # Size limits, checked before a run allocates anything.  A tracked run sorts
 # a block of B x K logs per B steps, and each checkpoint builds a discovery
-# matrix: about 0.1 s at K = 500 and 1.5 s at K = 2000 under u1 (the threshold
-# walk), about 1.2 s at K = 500 under u2 (the O(K^3) kernel).
+# matrix: about 0.1 s at K = 500 and 1.4-1.8 s at K = 2000 under u1 (the
+# threshold walk), 1.3-1.4 s at K = 500 under u2 (the O(K^3) kernel).
 MAX_K = 10_000
 # draw_streams holds about ten float64 arrays of `steps` values (80 MB here).
 MAX_STEPS = 1_000_000

@@ -187,6 +187,12 @@ def test_validate_poly(tmp_path, capsys):
     assert out.splitlines()[0] == "invalid"
     assert "not normalized" in out
 
+    bad.write_text('{"k": 2, "coeffs": {"": 1e308, "1": 1e308}}')  # the sum overflows a double
+    code, out, _ = run_cli(capsys, "validate-poly", "--poly", str(bad))
+    assert code == 0
+    assert out.splitlines()[0] == "invalid"
+    assert "not normalized" in out
+
     asym = tmp_path / "asym.json"
     asym.write_text('{"k": 2, "coeffs": {"": 0.2, "1": 0.5, "2": 0.3}}')
     code, out, _ = run_cli(capsys, "validate-poly", "--poly", str(asym))
@@ -308,6 +314,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ("sed", 4, "unknown field 'sed'"),
         ("merge_matrix", {"kind": "nesp", "n": 1, "weights": [1.0]}, "merge_matrix has unknown field 'weights'"),
         ("merge_diagonal", {"kind": "mixture", "weights": [1.0], "n": 0}, "merge_diagonal has unknown field 'n'"),
+        ("merge_subdiagonal", {"kind": "mixture", "weights": [1e308, 1e308]}, "(1e+308, 1e+308)"),
     ):
         bad_cfg.write_text(json.dumps({**base, field: value}))
         code, out, err = run_cli(capsys, "simulate", "--config", str(bad_cfg), "--out", str(tmp_path))
@@ -323,6 +330,10 @@ def test_usage_errors_exit_1(tmp_path, capsys):
             code, out, err = run_cli(capsys, command, "--values", "1,2", "--merge", flag)
             assert (code, out) == (1, ""), (command, flag[:20])
             assert err.startswith("error:") and err.count("\n") == 1 and "degree" in err, flag[:20]
+        # weights whose sum overflows a double
+        code, out, err = run_cli(capsys, command, "--values", "1,2", "--merge", "mix:1e308,1e308")
+        assert (code, out) == (1, ""), command
+        assert err.startswith("error:") and err.count("\n") == 1 and "(1e+308, 1e+308)" in err, command
     assert run_cli(capsys, "merge", "--values", "1,2", "--merge", f"u{MAX_DEGREE}")[0] == 0
     poly = tmp_path / "bad_poly.json"
     for coeffs, named in (({"1,a": 1.0}, "'1,a'"), ([1], "coeffs")):
@@ -388,7 +399,8 @@ _MATRIX_LINES = st.lists(_LOG10, min_size=9, max_size=9).map(
     lambda xs: [f"{r},{j},{x!r},{colorize(LogValue.from_log10(x)).value}"
                 for (r, j), x in zip(_TRIANGLE, xs)])
 _JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 12) | st.floats(-10, 10) | st.text(max_size=3),
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats(-10, 10)
+    | st.sampled_from([1e308, -1e308]) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=5,
 )

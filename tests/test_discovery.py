@@ -273,9 +273,12 @@ def _full_kernel(rk, spec):
     logs = rk.sorted_logs
     S = discovery.suffix_esp_levels(logs, spec.max_degree)
     T = discovery.suffix_logsums(logs)
+    n_inf = int(np.isposinf(logs).sum())
     out = np.full((rk.k, rk.k + 1), np.nan)
     for r in range(1, rk.k + 1):
-        out[r - 1, : r + 1] = discovery._row_cells(logs, S, T, r, spec)
+        lo = min(n_inf, r)  # bases of the columns j < lo hold a +inf value
+        out[r - 1, :lo] = math.inf
+        out[r - 1, lo : r + 1] = discovery._row_cells(logs, S, T, r, np.arange(lo, r + 1), spec)
     return out
 
 
@@ -408,6 +411,22 @@ def test_walk_peak_memory():
             tracemalloc.stop()
     walk, full = peaks
     assert walk <= full + 1_000_000, peaks
+
+
+def test_full_tail_peak_memory():
+    """Scoring every tail under u10 at K = 200 peaks within 1 MB of the
+    0.32 MB (K, K+1) output: the per-row prefix tables keep the peak from
+    growing with the degree."""
+    rk = RankedValues.from_logs(np.random.default_rng(42).normal(0.0, 5.0, 200))
+    u10 = MergeSpec.nesp(10)
+    discovery_matrix(rk, u10)  # first-call caches stay out of the peak
+    tracemalloc.start()
+    try:
+        nbytes = discovery_matrix(rk, u10).log10.nbytes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= nbytes + 1_000_000, (peak, nbytes)
 
 
 # ---------------------------------------------------------------------------
