@@ -167,7 +167,7 @@ def _cmd_validate_poly(args) -> int:
     lines += [f"violation: {v}" for v in verdict.violations]
     try:
         weights = decompose_symmetric(poly)
-        lines.append("weights: " + ",".join(formats.fmt_float(w) for w in weights))
+        lines.append("weights: " + ",".join(map(repr, weights)))
     except DomainError as exc:
         lines.append(f"not symmetric: {exc}")
     _emit("\n".join(lines) + "\n", args.out)

@@ -493,7 +493,7 @@ def confidence_region(m: DiscoveryMatrix, r: int, alpha: float) -> ConfidenceReg
     row = m.log10[r - 1, : r + 1]
     members = frozenset(int(j) for j in np.flatnonzero(row < alpha_log10))
     lower = min(members) if members else None
-    return ConfidenceRegion(r=r, alpha=alpha, members=members, lower_bound=lower)
+    return ConfidenceRegion(r=r, alpha=float(alpha), members=members, lower_bound=lower)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Deterministic file formats: CSV series/matrices, JSON configs and
 reports, SVG heatmaps and line charts, and the CLI reports.
 
-Floats are written with Python's shortest round-trip repr, so
-serialize -> parse -> serialize is byte-identical.  Every JSON text has one
-layout (``json_text``).  The linear ``value`` is derived from
-``log10_value`` by one rule (``linear_value``): a CSV cell is empty, and a
-JSON value null, whenever the represented value falls outside the linear
-double range (it is always recoverable from ``log10_value``).
+Each output decision has one rule.  Float text is ``f"{x!r}"``, the
+shortest round-trip repr, so serialize -> parse -> serialize is
+byte-identical; columns come from ``.tolist()``, ``LogValue`` or
+``float()``, so they are Python floats and no numpy scalar reaches the text.
+The linear ``value`` is ``linear_value`` of ``log10_value``: a blank CSV
+cell, and a null JSON value, whenever it falls outside the double range (it
+is always recoverable from ``log10_value``).  A cell's color bucket is
+``_buckets`` of its log10 value.  JSON is strict RFC 8259 (``json_text``),
+so +-inf is written as the string ``"inf"`` / ``"-inf"``, the CSV text
+(``_json_float_out``).  Every SVG has one frame (``_svg``).
 """
 
 from __future__ import annotations
@@ -40,10 +44,6 @@ MATRIX_HEADER = "r,j,log10_value,bucket"
 VALUES_HEADER = "k,log10_value"
 
 
-def fmt_float(x: float) -> str:
-    return repr(float(x))
-
-
 def linear_value(log10_value: float) -> float | None:
     """Linear value, or None when outside the double range."""
     v = LogValue.from_log10(log10_value)
@@ -56,22 +56,29 @@ def linear_value(log10_value: float) -> float | None:
 def linear_cell(log10_value: float) -> str:
     """CSV text of ``linear_value``: empty when it is None."""
     x = linear_value(log10_value)
-    return "" if x is None else fmt_float(x)
+    return "" if x is None else f"{x!r}"
 
 
-def _value_csv(log10_value: float) -> str:
-    """``log10_value,value`` fields of a CSV line."""
-    return f"{fmt_float(log10_value)},{linear_cell(log10_value)}"
+def _json_float_out(x: float) -> float | str:
+    """``x`` as strict JSON holds it: +-inf as the CSV text ``"inf"`` / ``"-inf"``."""
+    return repr(x) if math.isinf(x) else x
 
 
 def _value_obj(log10_value: float) -> dict:
     """``log10_value`` and ``value`` of a JSON report: null where the CSV cell is blank."""
-    return {"log10_value": log10_value, "value": linear_value(log10_value)}
+    return {"log10_value": _json_float_out(log10_value), "value": linear_value(log10_value)}
 
 
 def json_text(obj) -> str:
-    """The one JSON layout of every report and file."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The one JSON layout of every report and file; NaN and +-inf raise."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _read_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
+        raise DomainError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _data_lines(text: str, header: str, what: str):
@@ -109,9 +116,9 @@ def series_records(run: RunResult) -> list[tuple[int, int, str, float]]:
 
 def series_csv(records: Sequence[tuple[int, int, str, float]]) -> str:
     """The ``value`` column is derived here, by ``linear_cell``."""
-    lines = [SERIES_HEADER]
-    lines += [f"{step},{row},{kind},{_value_csv(l10)}" for step, row, kind, l10 in records]
-    return "\n".join(lines) + "\n"
+    lines = [f"{SERIES_HEADER}\n"]  # newline-ended lines and one join: the text is copied once
+    lines += [f"{step},{row},{kind},{l10!r},{linear_cell(l10)}\n" for step, row, kind, l10 in records]
+    return "".join(lines)
 
 
 def parse_series_csv(text: str) -> list[tuple[int, int, str, float]]:
@@ -137,16 +144,20 @@ def parse_series_csv(text: str) -> list[tuple[int, int, str, float]]:
 # matrices and value lists
 
 
+def _buckets(log10: np.ndarray) -> np.ndarray:
+    """Bucket indexes of log10 cells.  ``* LN10`` is the multiply
+    ``LogValue.from_log10`` does, so cells bucket as ``colorize`` buckets them."""
+    return bucket_indexes(log10 * LN10)
+
+
 def matrix_csv(m: DiscoveryMatrix) -> str:
-    lines = [MATRIX_HEADER]
-    for r, row in enumerate(m.rows, start=1):
-        # row * LN10 is the multiply LogValue.from_log10 does: cells bucket as colorize
-        buckets = bucket_indexes(row * LN10).tolist()
+    lines = [f"{MATRIX_HEADER}\n"]  # as series_csv
+    for r, row in enumerate(m.rows, start=1):  # a row at a time: no K^2 list of floats
         lines += [
-            f"{r},{j},{fmt_float(l10)},{_BUCKET_NAMES[b]}"
-            for j, (l10, b) in enumerate(zip(row.tolist(), buckets))
+            f"{r},{j},{l10!r},{_BUCKET_NAMES[b]}\n"
+            for j, (l10, b) in enumerate(zip(row.tolist(), _buckets(row).tolist()))
         ]
-    return "\n".join(lines) + "\n"
+    return "".join(lines)
 
 
 def parse_matrix_csv(text: str) -> DiscoveryMatrix:
@@ -175,7 +186,7 @@ def parse_matrix_csv(text: str) -> DiscoveryMatrix:
         return next(itertools.islice(_data_lines(text, MATRIX_HEADER, "matrix"), i, None))
 
     log10 = np.array(values)
-    want = bucket_indexes(log10 * LN10)  # the multiply matrix_csv buckets
+    want = _buckets(log10)
     wrong = np.flatnonzero(np.array(buckets) != want)
     if wrong.size:
         n, line = line_at(int(wrong[0]))
@@ -200,7 +211,7 @@ def parse_matrix_csv(text: str) -> DiscoveryMatrix:
 def values_csv(values: Sequence[LogValue]) -> str:
     lines = [VALUES_HEADER]
     for i, v in enumerate(values, start=1):
-        lines.append(f"{i},{fmt_float(v.log10)}")
+        lines.append(f"{i},{v.log10!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -228,24 +239,27 @@ def parse_values_csv(text: str) -> list[LogValue]:
 # SVG
 
 
+def _svg(width: int, height: int, body: str) -> str:
+    """A standalone SVG: the header, a white background, then ``body``,
+    lines that each end in a newline."""
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">\n'
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n'
+        f"{body}</svg>\n"
+    )
+
+
 def heatmap_svg(m: DiscoveryMatrix) -> str:
     """One 4-pixel rect per matrix cell, row 1 at the top, colored by bucket."""
     cell = 4
-    width = (m.k + 1) * cell
-    height = m.k * cell
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-    ]
-    for y, row in enumerate(m.rows):
-        parts += [
-            f'<rect x="{j * cell}" y="{y * cell}" width="{cell}" height="{cell}" '
-            f'fill="{_BUCKET_HEXES[b]}"/>'
-            for j, b in enumerate(bucket_indexes(row * LN10).tolist())
-        ]
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    rects = "".join([  # buckets a row at a time, as matrix_csv does
+        f'<rect x="{j * cell}" y="{y * cell}" width="{cell}" height="{cell}" '
+        f'fill="{_BUCKET_HEXES[b]}"/>\n'
+        for y, row in enumerate(m.rows)
+        for j, b in enumerate(_buckets(row).tolist())
+    ])
+    return _svg((m.k + 1) * cell, m.k * cell, rects)
 
 
 _LINE_COLORS = ("#2ca02c", "#ff7f0e", "#1f77b4", "#d62728", "#9467bd", "#8c564b")
@@ -254,41 +268,30 @@ _LINE_COLORS = ("#2ca02c", "#ff7f0e", "#1f77b4", "#d62728", "#9467bd", "#8c564b"
 def series_svg(series: Sequence[DiagonalSeries]) -> str:
     """Log-scale 640 x 400 line chart of tracked bounds over steps."""
     width, height = 640, 400
-    finite: list[float] = []
-    for s in series:
-        vals = s.log10_values[np.isfinite(s.log10_values)]
-        finite.extend(float(v) for v in vals)
-    lo = min(finite, default=-1.0) - 0.5
-    hi = max(finite, default=1.0) + 0.5
+    logs = np.concatenate([np.empty(0), *(s.log10_values for s in series)])
+    finite = logs[np.isfinite(logs)]
+    lo = (float(finite.min()) if finite.size else -1.0) - 0.5
+    hi = (float(finite.max()) if finite.size else 1.0) + 0.5
     span = hi - lo if hi > lo else 1.0
     n = max((len(s) for s in series), default=1)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-    ]
+    lines = []
     if lo < 0.0 < hi:
         y0 = height - (0.0 - lo) / span * height
-        parts.append(
+        lines.append(
             f'<line x1="0" y1="{y0:.2f}" x2="{width}" y2="{y0:.2f}" '
-            f'stroke="#cccccc" stroke-width="1"/>'
+            f'stroke="#cccccc" stroke-width="1"/>\n'
         )
     for idx, s in enumerate(sorted(series, key=lambda s: (s.kind, s.row))):
         color = _LINE_COLORS[idx % len(_LINE_COLORS)]
-        points = []
-        for i in range(len(s)):
-            v = float(s.log10_values[i])
-            if not math.isfinite(v):
-                v = lo if v < 0 else hi
-            x = (i + 1) / n * width
-            y = height - (v - lo) / span * height
-            points.append(f"{x:.2f},{y:.2f}")
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{" ".join(points)}"/>'
+        v = np.nan_to_num(s.log10_values, nan=hi, posinf=hi, neginf=lo)  # pinned to the frame
+        x = np.arange(1, len(s) + 1) / n * width
+        y = height - (v - lo) / span * height
+        xy = np.column_stack((x, y)).ravel().tolist()
+        points = " ".join(["%.2f,%.2f"] * len(s)) % tuple(xy)  # one format call, no per-point loop
+        lines.append(
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>\n'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(width, height, "".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -417,19 +420,12 @@ def config_from_obj(obj) -> ExperimentConfig:
 
 
 def config_from_json(text: str) -> ExperimentConfig:
-    try:
-        obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
-        raise DomainError(f"config is not valid JSON: {exc}") from exc
-    return config_from_obj(obj)
+    return config_from_obj(_read_json(text, "config"))
 
 
 def poly_from_json(text: str) -> MultiaffinePoly:
     """Polynomial JSON: {"k": 2, "coeffs": {"": 0.2, "1": 0.3, "1,2": 0.5}}."""
-    try:
-        obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
-        raise DomainError(f"polynomial is not valid JSON: {exc}") from exc
+    obj = _read_json(text, "polynomial")
     if not isinstance(obj, dict) or "k" not in obj or not isinstance(obj.get("coeffs"), dict):
         raise DomainError("polynomial JSON needs fields k and coeffs, coeffs an object")
     k = _json_int(obj["k"], "polynomial k")
@@ -449,7 +445,7 @@ def poly_from_json(text: str) -> MultiaffinePoly:
 def region_to_obj(region: ConfidenceRegion) -> dict:
     return {
         "r": region.r,
-        "alpha": region.alpha,
+        "alpha": _json_float_out(region.alpha),
         "members": sorted(region.members),
         "lower_bound": region.lower_bound,
     }
@@ -462,7 +458,7 @@ def region_to_obj(region: ConfidenceRegion) -> dict:
 def merge_report(spec: MergeSpec, v: LogValue, fmt: str) -> str:
     if fmt == "json":
         return json_text({"merge": merge_spec_to_obj(spec), **_value_obj(v.log10)})
-    return f"log10_value,value\n{_value_csv(v.log10)}\n"
+    return f"log10_value,value\n{v.log10!r},{linear_cell(v.log10)}\n"
 
 
 def row_table(kind: str, spec: MergeSpec, rows: Sequence[tuple[int, LogValue]], fmt: str) -> str:
@@ -471,13 +467,13 @@ def row_table(kind: str, spec: MergeSpec, rows: Sequence[tuple[int, LogValue]], 
         table = [{"r": r, **_value_obj(v.log10)} for r, v in rows]
         return json_text({"kind": kind, "merge": merge_spec_to_obj(spec), "rows": table})
     lines = ["r,log10_value,value"]
-    lines += [f"{r},{_value_csv(v.log10)}" for r, v in rows]
+    lines += [f"{r},{v.log10!r},{linear_cell(v.log10)}" for r, v in rows]
     return "\n".join(lines) + "\n"
 
 
 def matrix_report(m: DiscoveryMatrix, fmt: str) -> str:
     if fmt == "json":
-        rows = [row.tolist() for row in m.rows]
+        rows = [[_json_float_out(x) for x in row.tolist()] for row in m.rows]
         return json_text({"k": m.k, "regularized": m.regularized, "rows": rows})
     return matrix_csv(m)
 
@@ -486,7 +482,7 @@ def region_report(region: ConfidenceRegion, fmt: str) -> str:
     if fmt == "json":
         return json_text(region_to_obj(region))
     members = f"{{{region.lower_bound}..{region.r}}}" if region.members else "{}"
-    return (f"r={region.r} alpha={fmt_float(region.alpha)} members={members} "
+    return (f"r={region.r} alpha={region.alpha!r} members={members} "
             f"lower_bound={region.lower_bound}\n")
 
 

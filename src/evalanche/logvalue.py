@@ -42,6 +42,8 @@ class LogValue:
     def __post_init__(self) -> None:
         if math.isnan(self.log_e):
             raise DomainError("LogValue log cannot be NaN")
+        if type(self.log_e) is not float:  # never a numpy scalar: writers print its repr
+            object.__setattr__(self, "log_e", float(self.log_e))
 
     @classmethod
     def of(cls, value: float) -> "LogValue":

@@ -53,12 +53,12 @@ class MartingaleTable:
 
     @property
     def current(self) -> tuple[LogValue, ...]:
-        return tuple(LogValue(float(x)) for x in self.log_values)
+        return tuple(map(LogValue, self.log_values.tolist()))
 
     def value_of(self, k: int) -> LogValue:
         if not 1 <= k <= self.k:
             raise DomainError(f"stream index {k} outside 1..{self.k}")
-        return LogValue(float(self.log_values[k - 1]))
+        return LogValue(self.log_values[k - 1])
 
 
 def gaussian_log_density(x: float | np.ndarray, mean: float, sd: float) -> float | np.ndarray:
@@ -110,12 +110,12 @@ class RankedValues:
 
     @property
     def values(self) -> tuple[LogValue, ...]:
-        return tuple(LogValue(float(x)) for x in self.sorted_logs)
+        return tuple(map(LogValue, self.sorted_logs.tolist()))
 
     def value_at(self, r: int) -> LogValue:
         if not 1 <= r <= self.k:
             raise DomainError(f"rank {r} outside 1..{self.k}")
-        return LogValue(float(self.sorted_logs[r - 1]))
+        return LogValue(self.sorted_logs[r - 1])
 
     def original_index(self, r: int) -> int:
         if not 1 <= r <= self.k:

@@ -206,4 +206,4 @@ def brute_force_bound(
         raise DomainError(f"unknown constraint {constraint!r}")
     if not qualify.any():
         return LogValue(math.inf)
-    return LogValue(float(table[qualify].min()))
+    return LogValue(table[qualify].min())

@@ -139,5 +139,5 @@ def decompose_symmetric(p: MultiaffinePoly) -> tuple[float, ...]:
                 raise AsymmetricPolynomialError(
                     _mask_to_subset(first), _mask_to_subset(mask), c0, c
                 )
-        weights.append(c0 * math.comb(p.k, deg))
+        weights.append(float(c0 * math.comb(p.k, deg)))
     return tuple(weights)

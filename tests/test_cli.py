@@ -67,6 +67,37 @@ def test_merge_json_format(capsys):
     assert json.loads(out) == {"merge": {"kind": "nesp", "n": 2}, "log10_value": -400.0, "value": None}
 
 
+def _strict_json(text: str):
+    def reject(token):
+        raise AssertionError(f"{token} is not RFC 8259 JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("values,inf", [("0,0", "-inf"), ("inf,2", "inf"), ("0,inf", "inf")])
+def test_json_reports_are_strict(tmp_path, capsys, values, inf):
+    """Every --format json report of zero and infinite inputs is strict JSON,
+    with +-inf written as the CSV text "inf" / "-inf"."""
+    for argv in (("merge", "--merge", "u1"), ("merge", "--merge", "u2"), ("diagonal",),
+                 ("subdiag",), ("matrix",), ("matrix", "--regularize")):
+        code, out, _ = run_cli(capsys, *argv, "--values", values, "--format", "json")
+        assert code == 0
+        obj = _strict_json(out)
+        if argv[0] == "merge":
+            assert obj["log10_value"] == inf
+        elif argv[0] == "matrix":
+            assert inf in [x for row in obj["rows"] for x in row]
+        else:
+            assert obj["rows"][0]["log10_value"] == inf
+    matrix = tmp_path / "m.csv"
+    assert run_cli(capsys, "matrix", "--values", values, "--out", str(matrix))[0] == 0
+    for alpha in ("10", "inf"):
+        code, out, _ = run_cli(capsys, "region", "--matrix", str(matrix), "--row", "2",
+                               "--alpha", alpha, "--format", "json")
+        assert code == 0
+        assert _strict_json(out)["alpha"] == (10.0 if alpha == "10" else "inf")
+
+
 def test_diagonal_matches_library(capsys):
     code, out, _ = run_cli(capsys, "diagonal", "--values", "8,4,1", "--merge", "u1")
     assert code == 0

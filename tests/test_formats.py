@@ -14,10 +14,14 @@ from evalanche import (
     colorize,
     confidence_region,
     discovery_matrix,
+    regularize,
     run_experiment,
 )
-from evalanche import formats
+from evalanche import cli, formats
+from evalanche.discovery import DiscoveryMatrix
 from evalanche.errors import DomainError
+from evalanche.logvalue import LN10
+from evalanche.polynomials import MultiaffinePoly
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -31,8 +35,49 @@ def small_run():
 
 
 def test_float_round_trip_formatting():
-    for x in (0.0, 1.0, 13 / 3, -2.5, 1e-300, 1e300, math.inf, -math.inf):
-        assert float(formats.fmt_float(x)) == x
+    """The values, series and matrix writers print each float as its repr,
+    which parses back to the same float."""
+    xs = [0.0, 1.0, 13 / 3, -2.5, 1e-300, 1e300, math.inf, -math.inf, -0.0]
+    values = [LogValue(x * LN10) for x in xs]
+    text = formats.values_csv(values)
+    assert [line.split(",")[1] for line in text.splitlines()[1:]] == [repr(v.log10) for v in values]
+    assert [v.log10 for v in formats.parse_values_csv(text)] == [v.log10 for v in values]
+
+    records = [(1, 1, "diagonal", x) for x in xs]
+    text = formats.series_csv(records)
+    assert [line.split(",")[3] for line in text.splitlines()[1:]] == [repr(x) for x in xs]
+    assert formats.parse_series_csv(text) == records
+
+    log10 = np.full((3, 4), np.nan)
+    log10[np.tril_indices(3, 1, 4)] = xs
+    text = formats.matrix_csv(DiscoveryMatrix(log10))
+    assert [line.split(",")[2] for line in text.splitlines()[1:]] == [repr(x) for x in xs]
+    assert formats.matrix_csv(formats.parse_matrix_csv(text)) == text
+
+
+def test_writers_print_no_numpy_scalars(tmp_path, capsys, monkeypatch):
+    v = LogValue(np.float64(2.0))
+    l10 = repr(2.0 / LN10)
+    cell = f"{l10},{formats.linear_cell(2.0 / LN10)}"
+    assert formats.values_csv([v]) == f"k,log10_value\n1,{l10}\n"
+    assert formats.merge_report(U1, v, "csv") == f"log10_value,value\n{cell}\n"
+    assert formats.row_table("diagonal", U1, [(1, v)], "csv") == f"r,log10_value,value\n1,{cell}\n"
+    m = regularize(discovery_matrix(RankedValues.from_values([LogValue.of(x) for x in (8, 4, 1)]), U1))
+    region = confidence_region(m, 2, np.float64(10))
+    assert formats.region_report(region, "text") == "r=2 alpha=10.0 members={0..2} lower_bound=0\n"
+    texts = [formats.merge_report(U1, v, "json"), formats.row_table("diagonal", U1, [(1, v)], "json"),
+             formats.region_report(region, "json")]
+
+    poly = MultiaffinePoly(k=2, coeffs={0: np.float64(0.2), 1: np.float64(0.15),
+                                        2: np.float64(0.15), 3: np.float64(0.5)})
+    monkeypatch.setattr(formats, "poly_from_json", lambda text: poly)
+    path = tmp_path / "poly.json"
+    path.write_text("{}")
+    assert cli.main(["validate-poly", "--poly", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[1] == "weights: 0.2,0.3,0.5"
+    for text in [*texts, out]:
+        assert "np." not in text and "float64" not in text, text
 
 
 def test_series_csv_round_trip_is_byte_identical():
@@ -180,6 +225,16 @@ def test_series_svg_structure():
     assert svg.startswith("<svg ")
 
 
+def test_series_svg_pins_non_finite_points():
+    """+inf and NaN points sit on the top edge, -inf on the bottom edge."""
+    from evalanche.discovery import DiagonalSeries
+
+    values = np.array([0.0, math.inf, -math.inf, math.nan, 1.0])
+    svg = formats.series_svg([DiagonalSeries(row=1, kind="diagonal", log10_values=values)])
+    assert '<line x1="0" y1="300.00" x2="640" y2="300.00"' in svg
+    assert 'points="128.00,300.00 256.00,0.00 384.00,400.00 512.00,0.00 640.00,100.00"' in svg
+
+
 def test_merge_spec_json_round_trip():
     for spec in (U1, MergeSpec.mixture((0.0, 0.5, 0.5))):
         obj = formats.merge_spec_to_obj(spec)
@@ -268,6 +323,24 @@ def test_write_bundle(tmp_path):
         region = confidence_region(reg, entry["r"], entry["alpha"])
         assert sorted(region.members) == entry["members"]
         assert region.lower_bound == entry["lower_bound"]
+
+
+def test_bundle_matches_golden_bytes(tmp_path):
+    """Every file of the small run's bundle but the manifest, which holds
+    version strings, is pinned byte for byte."""
+    cfg, run = small_run()
+    bundle = formats.write_bundle(cfg, run, tmp_path)
+    golden = GOLDEN / "small_run"
+    assert sorted(p.name for p in golden.iterdir()) == sorted(set(bundle) - {"manifest.json"})
+    for p in golden.iterdir():
+        assert bundle[p.name].read_bytes() == p.read_bytes(), p.name
+
+
+def test_json_text_is_strict():
+    with pytest.raises(ValueError):
+        formats.json_text({"x": math.nan})
+    with pytest.raises(ValueError):
+        formats.json_text({"x": math.inf})
 
 
 def test_bundle_reproducible(tmp_path):
