@@ -161,51 +161,45 @@ def matrix_csv(m: DiscoveryMatrix) -> str:
 
 
 def parse_matrix_csv(text: str) -> DiscoveryMatrix:
-    """Inverse of ``matrix_csv``: each lower-triangle cell exactly once, never
-    NaN (+-inf are legal), in the bucket of its value; a bad line raises
-    DomainError naming it."""
-    rs, js, values, buckets = [], [], [], []
+    """Inverse of ``matrix_csv``: the cells in the order it writes them, rows
+    1..K and columns j = 0..r within row r, never NaN (+-inf are legal), each
+    in the bucket of its value; a bad line raises DomainError naming it.  Each
+    line's ``r`` and ``j`` text must be the writer's ``str`` of the next cell,
+    so a repeated, skipped or reordered cell fails on the line it is read."""
+    index = ["0", "1"]  # str(i) for i = 0..r: one more entry per row
+    r, j = 1, 0  # the next cell
+    values, buckets = [], []
     for n, line in _data_lines(text, MATRIX_HEADER, "matrix"):
         try:
             r_s, j_s, l10, bucket = line.split(",")
-            r, j, value = int(r_s), int(j_s), float(l10)
+            value = float(l10)
         except ValueError:
             raise DomainError(f"line {n}: expected r,j,log10_value,bucket, got {line!r}") from None
-        if r < 1 or not 0 <= j <= r:
-            raise DomainError(f"line {n}: cell ({r},{j}) lies outside the lower triangle")
+        if r_s != index[r] or j_s != index[j]:
+            raise DomainError(f"line {n}: expected cell ({r},{j}), got {line!r}")
         if math.isnan(value):
             raise DomainError(f"line {n}: cell ({r},{j}) is NaN")
-        rs.append(r)
-        js.append(j)
         values.append(value)
         buckets.append(_BUCKET_INDEX.get(bucket, -1))  # an int per line, not the name
-    if not rs:
+        j += 1
+        if j > r:
+            r, j = r + 1, 0
+            index.append(str(r))
+    if not values:
         raise DomainError("matrix CSV has no cells")
-
-    def line_at(i: int) -> tuple[int, str]:  # recovered only on error
-        return next(itertools.islice(_data_lines(text, MATRIX_HEADER, "matrix"), i, None))
-
+    if j:
+        raise DomainError(f"matrix CSV ends at line {n}, inside row {r}: missing cell ({r},{j})")
     log10 = np.array(values)
     want = _buckets(log10)
     wrong = np.flatnonzero(np.array(buckets) != want)
-    if wrong.size:
-        n, line = line_at(int(wrong[0]))
-        raise DomainError(f"line {n}: bucket of {line!r} must be {_BUCKET_NAMES[want[wrong[0]]]}")
-    k = max(rs)
-    if len(rs) < k * (k + 3) // 2:  # found without allocating a (k, k+1) array
-        present = set(zip(rs, js))
-        r, j = next((r, j) for r in range(1, k + 1) for j in range(r + 1) if (r, j) not in present)
-        raise DomainError(f"matrix CSV is missing cell ({r},{j})")
-    flat = (np.array(rs, dtype=np.int64) - 1) * (k + 1) + np.array(js, dtype=np.int64)
-    seen = np.zeros(k * (k + 1), dtype=bool)
-    seen[flat] = True
-    if np.count_nonzero(seen) < len(rs):
-        _, first = np.unique(flat, return_index=True)
-        i = int(np.setdiff1d(np.arange(len(rs)), first)[0])
-        raise DomainError(f"line {line_at(i)[0]}: repeated cell ({rs[i]},{js[i]})")
-    out = np.full(k * (k + 1), np.nan)
-    out[flat] = log10
-    return DiscoveryMatrix(out.reshape(k, k + 1))
+    if wrong.size:  # the line is recovered only on error
+        i = int(wrong[0])
+        n, line = next(itertools.islice(_data_lines(text, MATRIX_HEADER, "matrix"), i, None))
+        raise DomainError(f"line {n}: bucket of {line!r} must be {_BUCKET_NAMES[want[i]]}")
+    k = r - 1
+    out = np.full((k, k + 1), np.nan)
+    out[np.tril_indices(k, 1, k + 1)] = log10
+    return DiscoveryMatrix(out)
 
 
 def values_csv(values: Sequence[LogValue]) -> str:

@@ -296,6 +296,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         "1,0,25.0,green\n1,1,0.5,green\n",  # 1e25 is black, not green
         "1,0,25.0,black\n1,1,0.5,not-a-colour\n",  # unknown bucket
         "",  # header only
+        "1,1,0.0,green\n1,0,0.0,green\n",  # two cells of a row swapped
+        "2,0,0.0,green\n2,1,0.0,green\n2,2,0.0,green\n1,0,0.0,green\n1,1,0.0,green\n",  # rows swapped
+        "1,0,0.0,green\n01,1,0.0,green\n",  # an index written 01
+        "1,0,0.0,green\n1,1,0.0,green\n2,0,0.0,green\n2,1,0.0,green\n",  # ends inside row 2
+        "1,0,0.0,green\n1,1,0.0,green\n2,0,0.0,green\n3,0,0.0,green\n",  # row 2 cut short
     ):
         matrix.write_text("r,j,log10_value,bucket\n" + body)
         code, out, err = run_cli(capsys, "region", "--matrix", str(matrix), "--row", "1",
@@ -428,7 +433,8 @@ _VALUES_LINES = st.lists(_LOG10, min_size=1, max_size=10).map(
 _TRIANGLE = [(r, j) for r in range(1, 4) for j in range(r + 1)]  # the 9 cells of K=3
 _MATRIX_LINES = st.lists(_LOG10, min_size=9, max_size=9).map(
     lambda xs: [f"{r},{j},{x!r},{colorize(LogValue.from_log10(x)).value}"
-                for (r, j), x in zip(_TRIANGLE, xs)])
+                for (r, j), x in zip(_TRIANGLE, xs)]
+).flatmap(lambda lines: st.just(lines) | st.permutations(lines))  # sometimes out of order
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 12) | st.floats(-10, 10)
     | st.sampled_from([1e308, -1e308]) | st.text(max_size=3),

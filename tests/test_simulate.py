@@ -1,7 +1,9 @@
+import ast
 import math
 import os
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from evalanche import (
     subdiagonal_row,
 )
 from evalanche.errors import DomainError
-from evalanche.discovery import RowTracker, discovery_matrix
+from evalanche.discovery import DiagonalSeries, RowTracker, discovery_matrix
 from evalanche.logvalue import LN10
 from evalanche.martingales import RankedValues
 from evalanche.merging import U1_U2_HALF
@@ -360,3 +362,25 @@ def test_paper_config_shape():
     assert cfg.merge_diagonal == U1 and cfg.merge_subdiagonal == U2
     assert cfg.checkpoints == (10_000,)
     assert cfg.tracked_rows == (98, 99, 100, 101)
+
+
+def test_readme_quick_tour():
+    """The README "Library quick tour" block runs as written, and each bare
+    expression in it returns what its comment says."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Library quick tour\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    results = []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            results.append(eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    pairwise, mixture, d2, members, final = results
+    assert pairwise == pytest.approx(44 / 3, rel=1e-12)  # (8*4 + 8*1 + 4*1) / 3
+    assert isinstance(mixture, LogValue) and mixture.value == pytest.approx((44 / 3 + 13 / 3) / 2)
+    assert d2 == pytest.approx(2.5, rel=1e-12)
+    assert members == {1, 2}
+    series = namespace["run"].diagonal_series[100]
+    assert isinstance(series, DiagonalSeries) and len(series) == 10_000
+    assert isinstance(final, LogValue) and final.log10 == float(series.log10_values[-1])
