@@ -203,7 +203,8 @@ def _tables(spec: MergeSpec, k: int) -> tuple:
     for deg, w in enumerate(weights):
         if w > 0.0:
             active.append((deg, math.log(w)))
-            lc[deg, deg + 1:] = [log_comb(m, deg) for m in range(deg + 1, k + 1)]
+            # uncached: this table is the cache, and log_comb's would keep every cell
+            lc[deg, deg + 1:] = [log_comb.__wrapped__(m, deg) for m in range(deg + 1, k + 1)]
     lc.setflags(write=False)
     log_tail.setflags(write=False)
     return tuple(active), lc, log_tail
@@ -383,9 +384,8 @@ class RowTracker:
         self._specs = []
         for spec, width in ((diag_spec, 1), (sub_spec, 2)):
             w = np.minimum(width, r)
-            two = w == 2 if width == 2 else None
             # last empty-base column of each row (-1: none) and the anchored arity
-            self._specs.append((spec, width, two, (r - 1 - w)[:, 0], np.where(anchored, w, 0)))
+            self._specs.append((spec, width, w == 2, (r - 1 - w)[:, 0], np.where(anchored, w, 0)))
 
     def step(self, block: np.ndarray) -> np.ndarray:
         """Natural-log (diagonal, subdiagonal) values, shape (2, B, R), of the
@@ -399,13 +399,11 @@ class RowTracker:
         S, T = suffix_esp_levels(block, self._top), suffix_logsums(block)
         last, prev = block[:, self._last], block[:, self._prev]
         for n, (spec, _, two, cut, arity) in enumerate(self._specs):
-            # levels e_0, e_1, e_2 and log product of each row's base
-            if two is None:
-                levels, prod = (0.0, last), last
-            else:
-                pair = prev + last
-                e1 = np.where(two, np.logaddexp(last, prev), last)
-                levels, prod = (0.0, e1, np.where(two, pair, -np.inf)), np.where(two, pair, last)
+            # levels e_0, e_1, e_2 and log product of each row's base, {r} or
+            # {r-1, r}; a width-1 base's e_2 of -inf is an exact no-op
+            pair = prev + last
+            e1 = np.where(two, np.logaddexp(last, prev), last)
+            levels, prod = (0.0, e1, np.where(two, pair, -np.inf)), np.where(two, pair, last)
             empty = np.minimum.accumulate(tail_merges(S, T, 0, (0.0,), 0.0, 0, spec), axis=-1)
             v = tail_merges(S[:, None], T[:, None], self._lo, levels, prod, arity, spec)
             out[n, ~inf_rows] = np.minimum(

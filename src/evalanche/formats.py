@@ -15,10 +15,12 @@ so +-inf is written as the string ``"inf"`` / ``"-inf"``, the CSV text
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
 import platform
+import typing
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -361,56 +363,50 @@ def parse_merge_flag(text: str) -> MergeSpec:
     raise DomainError(f"bad merge spec {text!r} (expected uN or mix:w0,w1,...)")
 
 
-def config_to_obj(cfg: ExperimentConfig) -> dict:
-    def dist(d):
-        return {"mean": float(d[0]), "sd": float(d[1])}
-
-    return {
-        "k": cfg.k,
-        "n_false": cfg.n_false,
-        "null_dist": dist(cfg.null_dist),
-        "true_dist_false_nulls": dist(cfg.true_dist_false_nulls),
-        "bet_dist": dist(cfg.bet_dist),
-        "steps": cfg.steps,
-        "seed": cfg.seed,
-        "scheduler": cfg.scheduler,
-        "tracked_rows": list(cfg.tracked_rows),
-        "merge_diagonal": merge_spec_to_obj(cfg.merge_diagonal),
-        "merge_subdiagonal": merge_spec_to_obj(cfg.merge_subdiagonal),
-        "merge_matrix": merge_spec_to_obj(cfg.merge_matrix),
-        "checkpoints": list(cfg.checkpoints),
-    }
-
-
-def config_to_json(cfg: ExperimentConfig) -> str:
-    return json_text(config_to_obj(cfg))
-
-
 def _dist_from_obj(obj, name: str) -> tuple[float, float]:
     if not isinstance(obj, dict) or set(obj) != {"mean", "sd"}:
         raise DomainError(f"{name} must be an object with mean and sd, got {obj!r}")
     return (_json_float(obj["mean"], f"{name} mean"), _json_float(obj["sd"], f"{name} sd"))
 
 
-_CONFIG_FIELDS = {  # JSON field -> reader; the first six are required
-    "k": _json_int, "n_false": _json_int, "null_dist": _dist_from_obj,
-    "true_dist_false_nulls": _dist_from_obj, "bet_dist": _dist_from_obj, "steps": _json_int,
-    "seed": _json_int, "scheduler": lambda value, name: value, "tracked_rows": _json_ints,
-    "merge_diagonal": merge_spec_from_obj, "merge_subdiagonal": merge_spec_from_obj,
-    "merge_matrix": merge_spec_from_obj, "checkpoints": _json_ints,
+def _as_is(value, *_):
+    return value
+
+
+# ExperimentConfig field type -> (reader(value, name), writer(value)); the str
+# reader passes any value on, and ExperimentConfig names a scheduler it rejects
+_CONFIG_CODECS = {
+    int: (_json_int, _as_is),
+    str: (_as_is, _as_is),
+    tuple[float, float]: (_dist_from_obj, lambda d: {"mean": float(d[0]), "sd": float(d[1])}),
+    tuple[int, ...]: (_json_ints, list),
+    MergeSpec: (merge_spec_from_obj, merge_spec_to_obj),
 }
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+# (name, required, reader, writer) per field, in dataclass order: a field is
+# required exactly when it has no default
+_CONFIG_SCHEMA = tuple((f.name, f.default is dataclasses.MISSING, *_CONFIG_CODECS[_FIELD_TYPES[f.name]])
+                       for f in dataclasses.fields(ExperimentConfig))
+
+
+def config_to_obj(cfg: ExperimentConfig) -> dict:
+    return {name: write(getattr(cfg, name)) for name, _, _, write in _CONFIG_SCHEMA}
+
+
+def config_to_json(cfg: ExperimentConfig) -> str:
+    return json_text(config_to_obj(cfg))
 
 
 def config_from_obj(obj) -> ExperimentConfig:
-    """Unset optional fields take the ExperimentConfig defaults (seed 0)."""
+    """Unset optional fields take the ExperimentConfig defaults."""
     if not isinstance(obj, dict):
         raise DomainError("config must be a JSON object")
-    _reject_unknown_fields(obj, _CONFIG_FIELDS, "config")
-    for name in list(_CONFIG_FIELDS)[:6]:
-        if name not in obj:
+    _reject_unknown_fields(obj, [name for name, *_ in _CONFIG_SCHEMA], "config")
+    for name, required, *_ in _CONFIG_SCHEMA:
+        if required and name not in obj:
             raise DomainError(f"config is missing field {name!r}")
-    fields = {name: read(obj[name], name) for name, read in _CONFIG_FIELDS.items() if name in obj}
-    return ExperimentConfig(**{"seed": 0, **fields})
+    return ExperimentConfig(**{name: read(obj[name], name)
+                               for name, _, read, _ in _CONFIG_SCHEMA if name in obj})
 
 
 def config_from_json(text: str) -> ExperimentConfig:

@@ -43,7 +43,10 @@ MAX_RUN_VALUES = 100_000_000
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one simulation; (config, seed) fixes every output."""
+    """Full description of one simulation; (config, seed) fixes every output.
+
+    These fields are the config JSON schema: ``formats`` reads and writes each
+    by its type, and a field without a default is required."""
 
     k: int
     n_false: int
@@ -51,7 +54,7 @@ class ExperimentConfig:
     true_dist_false_nulls: tuple[float, float]
     bet_dist: tuple[float, float]
     steps: int
-    seed: int
+    seed: int = 0
     scheduler: str = "uniform"
     tracked_rows: tuple[int, ...] = ()
     merge_diagonal: MergeSpec = U1
@@ -118,9 +121,6 @@ def paper_experiment_config(
         steps=steps,
         seed=seed,
         tracked_rows=tracked_rows,
-        merge_diagonal=U1,
-        merge_subdiagonal=U2,
-        merge_matrix=U1,
         checkpoints=(steps,) if checkpoints is None else checkpoints,
     )
 

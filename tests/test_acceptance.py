@@ -7,6 +7,7 @@ later calibration.
 
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from evalanche import (
     CONSTRAINT_GE2_IN_TOP_R,
     CONSTRAINT_INTERSECTS_TOP_R,
     ColorBucket,
+    ExperimentConfig,
     LogValue,
     MergeSpec,
     ONE,
@@ -42,6 +44,7 @@ from evalanche import (
     validate_merging_polynomial,
 )
 from evalanche.merging import mixture_from_logs
+from evalanche.simulate import draw_streams
 from evalanche.polynomials import MultiaffinePoly, subset_to_mask
 from evalanche import formats
 from oracles import nesp_log_oracle
@@ -262,3 +265,47 @@ def test_criterion_8_golden_formats_and_thresholds():
         assert colorize(LogValue.of(edge * (1 - 1e-9))) is lower
     assert colorize(LogValue.of(1.13e-20)) is ColorBucket.GREEN
     report(8, "golden CSV/SVG byte-stable; all five thresholds bucket upward")
+
+
+def test_criterion_9_anytime_validity():
+    """Ville's inequality on the simulated process: over every step and row,
+    the diagonal reaches 1/alpha while the top r holds a true null, and the
+    subdiagonal while it holds two (one at r = 1), each in at most an alpha
+    share of seeds; ranks follow RankedValues' stable order.  Pathwise, each
+    such bound is at most the merge of the true-null set, one of the index
+    sets it minimises over, whose supremum Ville's inequality bounds."""
+    t0 = time.perf_counter()
+    alpha, n_seeds = 0.1, 150
+    bound = alpha + 3.0 * math.sqrt(alpha * (1.0 - alpha) / n_seeds)
+    level = -math.log10(alpha)
+    cfg = ExperimentConfig(k=20, n_false=10, null_dist=(0.0, 1.0), true_dist_false_nulls=(-1.0, 1.0),
+                           bet_dist=(-0.82, 1.0), steps=400, tracked_rows=tuple(range(1, 21)),
+                           merge_diagonal=U1, merge_subdiagonal=U2)
+    rows = np.arange(1, cfg.k + 1)
+    errors = np.zeros(3)  # diagonal, subdiagonal, and the mean of the top r alone
+    for seed in range(n_seeds):
+        run_cfg = replace(cfg, seed=seed)
+        run = run_experiment(run_cfg)
+        k_idx, _, log_inc = draw_streams(run_cfg)
+        logs = np.zeros((cfg.steps, cfg.k))
+        logs[np.arange(cfg.steps), k_idx] = log_inc
+        logs = np.cumsum(logs, axis=0)
+        order = np.argsort(-logs, axis=1, kind="stable")  # RankedValues' order
+        nulls = np.cumsum(order >= cfg.n_false, axis=1)  # true nulls among the top r, column r-1
+        for n, (table, need, spec) in enumerate(((run.diagonal_series, 1, U1),
+                                                 (run.subdiagonal_series, np.minimum(rows, 2), U2))):
+            log10 = np.column_stack([table[r].log10_values for r in rows])
+            held = nulls >= need
+            null_merge = mixture_from_logs(spec, logs[:, cfg.n_false:])[:, None] / math.log(10.0)
+            over = held & (log10 > null_merge + 1e-9)
+            assert not over.any(), (seed, n, np.argwhere(over)[0])
+            errors[n] += (held & (log10 >= level)).any()
+        top = np.take_along_axis(logs, order, axis=1)
+        top_mean = (np.logaddexp.accumulate(top, axis=1) - np.log(rows)) / math.log(10.0)
+        errors[2] += ((nulls >= 1) & (top_mean >= level)).any()
+    diagonal, subdiagonal, control = errors / n_seeds
+    assert diagonal <= bound and subdiagonal <= bound, (diagonal, subdiagonal, bound)
+    assert control > bound, control  # the gate can fail: an invalid bound does
+    report(9, f"{n_seeds} seeds: error rates diagonal {diagonal:.3f}, subdiagonal "
+              f"{subdiagonal:.3f} <= {bound:.3f}, top-r-only control {control:.3f} "
+              f"({time.perf_counter() - t0:.1f}s)")

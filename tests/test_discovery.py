@@ -26,7 +26,7 @@ from evalanche import (
     regularize,
     subdiagonal_row,
 )
-from evalanche import discovery
+from evalanche import discovery, merging
 from evalanche.discovery import DiscoveryMatrix, RowTracker, bucket_indexes
 from evalanche.errors import DomainError
 from oracles import subset_min_oracle
@@ -427,6 +427,19 @@ def test_full_tail_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= nbytes + 1_000_000, (peak, nbytes)
+
+
+def test_tables_leave_log_comb_cache_alone():
+    """The weight tables are the cache of their log C(m, deg) cells: building
+    them adds no entry to log_comb's unbounded cache (at K = 2000 and 201
+    weights that was 381,900 entries and +75 MB), and each cell is log_comb's."""
+    spec, k = MergeSpec.mixture([1.0 / 31] * 31), 307  # sizes no other test uses
+    before = merging.log_comb.cache_info().currsize
+    _, lc, _ = discovery._tables.__wrapped__(spec, k)
+    assert merging.log_comb.cache_info().currsize == before
+    for deg, m in ((0, 1), (1, 2), (7, 100), (30, 307)):
+        assert lc[deg, m] == math.log(math.comb(m, deg)), (deg, m)
+    assert np.isposinf(lc[30, :31]).all()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import tracemalloc
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +300,36 @@ def test_config_json_errors():
         formats.config_from_json(json.dumps({**obj, "bet_dist": {"mean": 0, "sd": 10 ** 400}}))
     with pytest.raises(DomainError, match="not valid JSON"):
         formats.config_from_json('{"k": 1' + "0" * 5000 + "}")
+
+
+def test_config_schema_covers_every_field():
+    """Every ExperimentConfig field type has a codec; a config that leaves no
+    default in place (the scheduler has one legal value) round-trips byte for
+    byte; a field is required exactly when it has no default."""
+    fields = dataclasses.fields(ExperimentConfig)
+    hints = typing.get_type_hints(ExperimentConfig)
+    assert {hints[f.name] for f in fields} <= set(formats._CONFIG_CODECS)
+    cfg = ExperimentConfig(
+        k=7, n_false=3, null_dist=(0.25, 2.0), true_dist_false_nulls=(-1.5, 0.5),
+        bet_dist=(-0.75, 1.25), steps=40, seed=2 ** 64 - 1, tracked_rows=(5, 2),
+        merge_diagonal=MergeSpec.nesp(3), merge_subdiagonal=MergeSpec.mixture((0.25, 0.25, 0.5)),
+        merge_matrix=MergeSpec.nesp(2), checkpoints=(40, 0),
+    )
+    for f in fields:
+        if f.default is not dataclasses.MISSING and f.name != "scheduler":
+            assert getattr(cfg, f.name) != f.default, f.name
+    text = formats.config_to_json(cfg)
+    assert list(json.loads(text)) == sorted(f.name for f in fields)
+    assert formats.config_from_json(text) == cfg
+    assert formats.config_to_json(formats.config_from_json(text)) == text
+    obj = json.loads(text)
+    for f in fields:
+        rest = {name: value for name, value in obj.items() if name != f.name}
+        if f.default is dataclasses.MISSING:
+            with pytest.raises(DomainError, match=f"config is missing field '{f.name}'"):
+                formats.config_from_obj(rest)
+        else:
+            assert getattr(formats.config_from_obj(rest), f.name) == f.default, f.name
 
 
 def test_poly_json():
