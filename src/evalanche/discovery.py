@@ -75,6 +75,7 @@ A matrix is one (K, K+1) array whose cells above the diagonal are NaN.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -85,7 +86,7 @@ import numpy as np
 from .errors import DomainError
 from .logvalue import LN10, LogValue
 from .martingales import RankedValues
-from .merging import MergeSpec, log_comb, suffix_esp_levels
+from .merging import MergeSpec, suffix_esp_levels
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +204,11 @@ def _tables(spec: MergeSpec, k: int) -> tuple:
     for deg, w in enumerate(weights):
         if w > 0.0:
             active.append((deg, math.log(w)))
-            # uncached: this table is the cache, and log_comb's would keep every cell
-            lc[deg, deg + 1:] = [log_comb.__wrapped__(m, deg) for m in range(deg + 1, k + 1)]
+            # C(m, deg) = C(m-1, deg) * m / (m - deg) from C(deg, deg) = 1: the
+            # exact integers math.comb gives, one multiply and divide per cell
+            combs = itertools.accumulate(range(deg + 1, k + 1), lambda c, m: c * m // (m - deg),
+                                         initial=1)
+            lc[deg, deg + 1:] = list(map(math.log, itertools.islice(combs, 1, None)))
     lc.setflags(write=False)
     log_tail.setflags(write=False)
     return tuple(active), lc, log_tail

@@ -11,6 +11,15 @@ is always recoverable from ``log10_value``).  A cell's color bucket is
 ``_buckets`` of its log10 value.  JSON is strict RFC 8259 (``json_text``),
 so +-inf is written as the string ``"inf"`` / ``"-inf"``, the CSV text
 (``_json_float_out``).  Every SVG has one frame (``_svg``).
+
+Matrix text is made and read a row at a time.  Row r of a matrix CSV is its
+r+1 non-empty lines ``r,j,log10_value,bucket`` for j = 0..r; joined with
+newlines and split on commas they must be exactly the 3r+4 tokens ``r``,
+then per cell ``j`` (the writer's ``str(j)``), a value ``float`` reads as
+non-NaN, and ``bucket\nr`` (a bare ``bucket`` for the last cell), the bucket
+being the name ``_buckets`` gives the value.  A row that fails is read again
+line by line (``_matrix_row_error``) to name its first bad line, so a text
+with one fault gets the message a line-at-a-time reader would give.
 """
 
 from __future__ import annotations
@@ -37,7 +46,6 @@ from .simulate import ExperimentConfig, RunResult
 
 # Indexed in ColorBucket order, as ``bucket_indexes`` returns them.
 _BUCKET_NAMES = [b.value for b in ColorBucket]
-_BUCKET_INDEX = {name: i for i, name in enumerate(_BUCKET_NAMES)}
 _BUCKET_HEXES = ["#2ca02c", "#ffdf00", "#ff7f0e", "#d62728", "#8b0000", "#000000"]
 BUCKET_HEX: Mapping[ColorBucket, str] = dict(zip(ColorBucket, _BUCKET_HEXES))
 
@@ -117,10 +125,13 @@ def series_records(run: RunResult) -> list[tuple[int, int, str, float]]:
 
 
 def series_csv(records: Sequence[tuple[int, int, str, float]]) -> str:
-    """The ``value`` column is derived here, by ``linear_cell``."""
-    lines = [f"{SERIES_HEADER}\n"]  # newline-ended lines and one join: the text is copied once
-    lines += [f"{step},{row},{kind},{l10!r},{linear_cell(l10)}\n" for step, row, kind, l10 in records]
-    return "".join(lines)
+    """The ``value`` column is derived here, by ``linear_cell``.  Lines are
+    joined 4,096 at a time, so no list holds a string per line of the text."""
+    chunks = [f"{SERIES_HEADER}\n"]
+    for i in range(0, len(records), 4096):
+        chunks.append("".join([f"{step},{row},{kind},{l10!r},{linear_cell(l10)}\n"
+                               for step, row, kind, l10 in records[i:i + 4096]]))
+    return "".join(chunks)
 
 
 def parse_series_csv(text: str) -> list[tuple[int, int, str, float]]:
@@ -153,13 +164,85 @@ def _buckets(log10: np.ndarray) -> np.ndarray:
 
 
 def matrix_csv(m: DiscoveryMatrix) -> str:
-    lines = [f"{MATRIX_HEADER}\n"]  # as series_csv
-    for r, row in enumerate(m.rows, start=1):  # a row at a time: no K^2 list of floats
-        lines += [
-            f"{r},{j},{l10!r},{_BUCKET_NAMES[b]}\n"
-            for j, (l10, b) in enumerate(zip(row.tolist(), _buckets(row).tolist()))
-        ]
-    return "".join(lines)
+    """One string per row, joined from shared ``j,`` prefixes and ``,bucket``
+    tails around each cell's repr: no per-cell f-string, no K^2 list."""
+    j_prefixes = [f"{j}," for j in range(m.k + 1)]
+    name_tails = [f",{name}\n" for name in _BUCKET_NAMES]
+    rows = [f"{MATRIX_HEADER}\n"]
+    for r, row in enumerate(m.rows, start=1):
+        cells = zip(itertools.repeat(f"{r},"), j_prefixes, map(repr, row.tolist()),
+                    map(name_tails.__getitem__, _buckets(row).tolist()))
+        rows.append("".join(itertools.chain.from_iterable(cells)))
+    return "".join(rows)
+
+
+def _matrix_row(tokens: list[str], index: list[str]) -> np.ndarray | None:
+    """The values of row r = len(index) - 1 when ``tokens`` are the writer's
+    tokens of that row (module docstring), else None; ``index`` holds str(j)
+    for j = 0..r."""
+    r = len(index) - 1
+    if len(tokens) != 3 * r + 4 or tokens[0] != index[r] or tokens[1::3] != index:
+        return None
+    try:
+        row = np.fromiter(map(float, tokens[2::3]), float, r + 1)
+    except ValueError:
+        return None
+    if np.isnan(row).any():
+        return None
+    buckets = _buckets(row).tolist()
+    tails = [f"{name}\n{r}" for name in _BUCKET_NAMES]
+    want = list(map(tails.__getitem__, buckets))
+    want[-1] = _BUCKET_NAMES[buckets[-1]]
+    return row if tokens[3::3] == want else None
+
+
+def _matrix_row_error(text: str, r: int) -> DomainError:
+    """The error of row r, which ``_matrix_row`` rejected: its lines are checked
+    one by one (fields, cell index, NaN), then the end of the text, then their
+    buckets, and the first fault is named with its line."""
+    start = (r - 1) * (r + 2) // 2  # the cells of rows 1..r-1
+    lines = _data_lines(text, MATRIX_HEADER, "matrix")
+    numbered = list(itertools.islice(lines, start, start + r + 1))
+    values, names = [], []
+    for j, (n, line) in enumerate(numbered):
+        try:
+            r_s, j_s, l10, bucket = line.split(",")
+            value = float(l10)
+        except ValueError:
+            return DomainError(f"line {n}: expected r,j,log10_value,bucket, got {line!r}")
+        if r_s != str(r) or j_s != str(j):
+            return DomainError(f"line {n}: expected cell ({r},{j}), got {line!r}")
+        if math.isnan(value):
+            return DomainError(f"line {n}: cell ({r},{j}) is NaN")
+        values.append(value)
+        names.append(bucket)
+    if len(numbered) <= r:
+        j = len(numbered)
+        return DomainError(f"matrix CSV ends at line {n}, inside row {r}: missing cell ({r},{j})")
+    want = [_BUCKET_NAMES[b] for b in _buckets(np.array(values)).tolist()]
+    # every other check passed, so the row was rejected for a bucket
+    j = next(j for j, (got, name) in enumerate(zip(names, want)) if got != name)
+    n, line = numbered[j]
+    return DomainError(f"line {n}: bucket of {line!r} must be {want[j]}")
+
+
+def _matrix_rows(text: str) -> list[np.ndarray]:
+    """The rows of a matrix CSV, row r from its r+1 non-empty lines."""
+    lines = text.splitlines()
+    if not lines or lines[0] != MATRIX_HEADER:
+        raise DomainError(f"matrix CSV must start with {MATRIX_HEADER!r}")
+    cells = filter(None, itertools.islice(lines, 1, None))
+    index = ["0"]
+    rows = []
+    for r in itertools.count(1):
+        row_lines = list(itertools.islice(cells, r + 1))
+        if not row_lines:
+            return rows
+        index.append(str(r))
+        row = _matrix_row("\n".join(row_lines).split(","), index)
+        if row is None:
+            raise _matrix_row_error(text, r)
+        rows.append(row)
 
 
 def parse_matrix_csv(text: str) -> DiscoveryMatrix:
@@ -168,39 +251,13 @@ def parse_matrix_csv(text: str) -> DiscoveryMatrix:
     in the bucket of its value; a bad line raises DomainError naming it.  Each
     line's ``r`` and ``j`` text must be the writer's ``str`` of the next cell,
     so a repeated, skipped or reordered cell fails on the line it is read."""
-    index = ["0", "1"]  # str(i) for i = 0..r: one more entry per row
-    r, j = 1, 0  # the next cell
-    values, buckets = [], []
-    for n, line in _data_lines(text, MATRIX_HEADER, "matrix"):
-        try:
-            r_s, j_s, l10, bucket = line.split(",")
-            value = float(l10)
-        except ValueError:
-            raise DomainError(f"line {n}: expected r,j,log10_value,bucket, got {line!r}") from None
-        if r_s != index[r] or j_s != index[j]:
-            raise DomainError(f"line {n}: expected cell ({r},{j}), got {line!r}")
-        if math.isnan(value):
-            raise DomainError(f"line {n}: cell ({r},{j}) is NaN")
-        values.append(value)
-        buckets.append(_BUCKET_INDEX.get(bucket, -1))  # an int per line, not the name
-        j += 1
-        if j > r:
-            r, j = r + 1, 0
-            index.append(str(r))
-    if not values:
+    rows = _matrix_rows(text)  # the line list is freed before the matrix is made
+    if not rows:
         raise DomainError("matrix CSV has no cells")
-    if j:
-        raise DomainError(f"matrix CSV ends at line {n}, inside row {r}: missing cell ({r},{j})")
-    log10 = np.array(values)
-    want = _buckets(log10)
-    wrong = np.flatnonzero(np.array(buckets) != want)
-    if wrong.size:  # the line is recovered only on error
-        i = int(wrong[0])
-        n, line = next(itertools.islice(_data_lines(text, MATRIX_HEADER, "matrix"), i, None))
-        raise DomainError(f"line {n}: bucket of {line!r} must be {_BUCKET_NAMES[want[i]]}")
-    k = r - 1
+    k = len(rows)
     out = np.full((k, k + 1), np.nan)
-    out[np.tril_indices(k, 1, k + 1)] = log10
+    for i, row in enumerate(rows):
+        out[i, : i + 2] = row
     return DiscoveryMatrix(out)
 
 
@@ -235,27 +292,30 @@ def parse_values_csv(text: str) -> list[LogValue]:
 # SVG
 
 
-def _svg(width: int, height: int, body: str) -> str:
-    """A standalone SVG: the header, a white background, then ``body``,
-    lines that each end in a newline."""
-    return (
+def _svg(width: int, height: int, body: Sequence[str]) -> str:
+    """A standalone SVG: the header, a white background, then the ``body``
+    strings, each made of newline-ended lines, joined once."""
+    return "".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">\n'
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n'
-        f"{body}</svg>\n"
-    )
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n',
+        *body, "</svg>\n",
+    ])
 
 
 def heatmap_svg(m: DiscoveryMatrix) -> str:
-    """One 4-pixel rect per matrix cell, row 1 at the top, colored by bucket."""
+    """One 4-pixel rect per matrix cell, row 1 at the top, colored by bucket;
+    each row is joined from shared x prefixes and fill tails, as matrix_csv."""
     cell = 4
-    rects = "".join([  # buckets a row at a time, as matrix_csv does
-        f'<rect x="{j * cell}" y="{y * cell}" width="{cell}" height="{cell}" '
-        f'fill="{_BUCKET_HEXES[b]}"/>\n'
-        for y, row in enumerate(m.rows)
-        for j, b in enumerate(_buckets(row).tolist())
-    ])
-    return _svg((m.k + 1) * cell, m.k * cell, rects)
+    x_prefixes = [f'<rect x="{j * cell}" y="' for j in range(m.k + 1)]
+    fill_tails = [f'{hexcode}"/>\n' for hexcode in _BUCKET_HEXES]
+    rows = []
+    for y, row in enumerate(m.rows):
+        middle = f'{y * cell}" width="{cell}" height="{cell}" fill="'
+        rects = zip(x_prefixes, itertools.repeat(middle),
+                    map(fill_tails.__getitem__, _buckets(row).tolist()))
+        rows.append("".join(itertools.chain.from_iterable(rects)))
+    return _svg((m.k + 1) * cell, m.k * cell, rows)
 
 
 _LINE_COLORS = ("#2ca02c", "#ff7f0e", "#1f77b4", "#d62728", "#9467bd", "#8c564b")
@@ -287,7 +347,7 @@ def series_svg(series: Sequence[DiagonalSeries]) -> str:
         lines.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>\n'
         )
-    return _svg(width, height, "".join(lines))
+    return _svg(width, height, lines)
 
 
 # ---------------------------------------------------------------------------

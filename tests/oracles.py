@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the library's own kernels: subset sums
 are enumerated with itertools and reduced with scipy's logsumexp, so a bug
-in the production DP or suffix scans cannot hide in its own oracle.
+in the production DP or suffix scans cannot hide in its own oracle.  The
+matrix CSV oracle reads a line at a time, where the library reads a row at
+a time; it shares only the header split and the bucket rule.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ import numpy as np
 from scipy.special import logsumexp
 
 from evalanche import LogValue, MergeSpec
+from evalanche.discovery import DiscoveryMatrix
+from evalanche.errors import DomainError
+from evalanche.formats import _BUCKET_NAMES, MATRIX_HEADER, _buckets, _data_lines
 
 
 def nesp_log_oracle(values: list[LogValue], n: int) -> float:
@@ -57,3 +62,43 @@ def subset_min_oracle(
             else:
                 best = min(best, mixture_log_oracle(spec, [values[i] for i in combo]))
     return best
+
+
+def parse_matrix_csv_oracle(text: str) -> DiscoveryMatrix:
+    """``formats.parse_matrix_csv`` a line at a time: every line's fields,
+    index and NaN checks in file order, then the end-of-text check, then the
+    first wrong bucket."""
+    index = ["0", "1"]  # str(i) for i = 0..r: one more entry per row
+    r, j = 1, 0  # the next cell
+    values, buckets = [], []
+    for n, line in _data_lines(text, MATRIX_HEADER, "matrix"):
+        try:
+            r_s, j_s, l10, bucket = line.split(",")
+            value = float(l10)
+        except ValueError:
+            raise DomainError(f"line {n}: expected r,j,log10_value,bucket, got {line!r}") from None
+        if r_s != index[r] or j_s != index[j]:
+            raise DomainError(f"line {n}: expected cell ({r},{j}), got {line!r}")
+        if math.isnan(value):
+            raise DomainError(f"line {n}: cell ({r},{j}) is NaN")
+        values.append(value)
+        buckets.append(_BUCKET_NAMES.index(bucket) if bucket in _BUCKET_NAMES else -1)
+        j += 1
+        if j > r:
+            r, j = r + 1, 0
+            index.append(str(r))
+    if not values:
+        raise DomainError("matrix CSV has no cells")
+    if j:
+        raise DomainError(f"matrix CSV ends at line {n}, inside row {r}: missing cell ({r},{j})")
+    log10 = np.array(values)
+    want = _buckets(log10)
+    wrong = np.flatnonzero(np.array(buckets) != want)
+    if wrong.size:
+        i = int(wrong[0])
+        n, line = next(itertools.islice(_data_lines(text, MATRIX_HEADER, "matrix"), i, None))
+        raise DomainError(f"line {n}: bucket of {line!r} must be {_BUCKET_NAMES[want[i]]}")
+    k = r - 1
+    out = np.full((k, k + 1), np.nan)
+    out[np.tril_indices(k, 1, k + 1)] = log10
+    return DiscoveryMatrix(out)

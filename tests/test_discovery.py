@@ -442,6 +442,22 @@ def test_tables_leave_log_comb_cache_alone():
     assert np.isposinf(lc[30, :31]).all()
 
 
+@pytest.mark.parametrize("spec, k", [
+    (U1, 40), (U2, 40), (MergeSpec.nesp(7), 40),
+    (MergeSpec.mixture((0.5, 0.0, 0.25, 0.25)), 40),  # a degree-0 weight and a zero weight
+    (MergeSpec.nesp(11), 12), (MergeSpec.nesp(12), 12), (MergeSpec.nesp(13), 12),  # degrees near K
+])
+def test_tables_are_the_math_comb_table(spec, k):
+    """Each positive-weight row of ``lc`` is log math.comb(m, deg) for m > deg
+    and +inf elsewhere, bit for bit: the recurrence builds the same integers."""
+    _, lc, _ = discovery._tables.__wrapped__(spec, k)
+    want = np.full((len(spec.weight_vector()), k + 1), np.inf)
+    for deg, w in enumerate(spec.weight_vector()):
+        if w > 0.0:
+            want[deg, deg + 1:] = [math.log(math.comb(m, deg)) for m in range(deg + 1, k + 1)]
+    assert lc.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # regularization and confidence regions
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from evalanche import (
     ExperimentConfig,
@@ -25,6 +26,7 @@ from evalanche.discovery import DiscoveryMatrix
 from evalanche.errors import DomainError
 from evalanche.logvalue import LN10
 from evalanche.polynomials import MultiaffinePoly
+from oracles import parse_matrix_csv_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -173,22 +175,130 @@ def test_matrix_csv_rejects_gaps():
         formats.parse_matrix_csv("nope\n")
 
 
-def test_parse_matrix_csv_peak_memory():
-    """Parsing a K = 500 u1 matrix (4.2 MB of text) peaks below 4.5 bytes of
-    heap per byte of text (18.8 MB).  Measured on Python 3.11.7, numpy 2.4.6:
-    16.3 MB, most of it the ``splitlines`` list; the earlier parser, which
-    also kept per-line r and j lists and a flat cell index to find repeated
-    and missing cells, peaked at 21.7 MB."""
+# Text mutations of a matrix CSV's data lines; the benign ones change no cell.
+_BENIGN = ("blank", "crlf", "spaces")
+_MUTATIONS = (*_BENIGN, "swap", "drop", "repeat", "add_comma", "remove_comma", "index",
+              "value", "bucket")
+
+
+@st.composite
+def _mutated_matrix_csv(draw):
+    """(text, mutations): a matrix CSV of K <= 6 after 1-3 mutations."""
+    k = draw(st.integers(1, 6))
+    edges = st.sampled_from([math.inf, -math.inf, 0.0, 1.0, 8.0, 20.0])
+    cells = st.one_of(st.floats(-3.0, 25.0), edges)
+    log10 = np.full((k, k + 1), np.nan)
+    log10[np.tril_indices(k, 1, k + 1)] = draw(st.lists(cells, min_size=k * (k + 3) // 2,
+                                                        max_size=k * (k + 3) // 2))
+    header, *lines = formats.matrix_csv(DiscoveryMatrix(log10)).splitlines()
+    newline = "\n"
+    mutations = draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=3))
+    for kind in mutations:
+        if not lines:
+            break
+        i, at = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines)))
+        fields = lines[i].split(",")
+        if kind == "blank":
+            lines.insert(at, "")
+        elif kind == "crlf":
+            newline = "\r\n"
+        elif kind == "swap":
+            lines[i], lines[at - 1] = lines[at - 1], lines[i]
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(at, lines[i])
+        elif kind == "add_comma":
+            c = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:c] + "," + lines[i][c:]
+        elif kind == "remove_comma":
+            c = draw(st.sampled_from([c for c, ch in enumerate(lines[i]) if ch == ","] or [None]))
+            lines[i] = lines[i] if c is None else lines[i][:c] + lines[i][c + 1:]
+        elif len(fields) == 4:  # the field mutations need the writer's four fields
+            if kind == "spaces":
+                fields[2] = f" {fields[2]} "
+            elif kind == "index":
+                f = draw(st.integers(0, 1))
+                fields[f] = draw(st.sampled_from(["0", "+"])) + fields[f]
+            elif kind == "value":
+                fields[2] = draw(st.sampled_from(["nan", "inf", "-inf", "1_0"]))
+            else:
+                fields[3] = draw(st.sampled_from([*formats._BUCKET_NAMES, "purple"]))
+            lines[i] = ",".join(fields)
+    return newline.join([header, *lines, ""]), mutations
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_matrix_csv())
+@example(("r,j,log10_value,bucket\n1,0,nan,black\n1,1,0.0,green\n", ["value"]))  # NaN buckets black
+@example(("r,j,log10_value,bucket\n1,0,0.0,green\n1,1,0.0,green\n02,0,0.0,green\n2,1,0.0,green\n"
+          "2,2,0.0,green\n", ["index"]))  # a row's first index
+def test_parse_matrix_csv_matches_line_oracle(case):
+    """The row-at-a-time parser accepts exactly the texts the line-at-a-time
+    oracle accepts, with bit-identical cells; on a text with at most one
+    mutation that is not benign both name the same fault."""
+    text, mutations = case
+    try:
+        want = parse_matrix_csv_oracle(text).log10
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            formats.parse_matrix_csv(text)
+        if len([m for m in mutations if m not in _BENIGN]) <= 1:
+            assert str(got.value) == str(exc)
+    else:
+        assert formats.parse_matrix_csv(text).log10.tobytes() == want.tobytes()
+
+
+def _k500_u1_matrix() -> DiscoveryMatrix:
     rk = RankedValues.from_logs(np.random.default_rng(42).normal(0.0, 5.0, 500))
-    text = formats.matrix_csv(discovery_matrix(rk, U1))
-    formats.parse_matrix_csv(text)  # first-call caches stay out of the peak
+    return discovery_matrix(rk, U1)
+
+
+def _peak(fn, arg):
+    """(tracemalloc peak of ``fn(arg)``, its result), after one call that
+    fills first-call caches."""
+    out = fn(arg)
     tracemalloc.start()
     try:
-        formats.parse_matrix_csv(text)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(arg)
+        return tracemalloc.get_traced_memory()[1], out
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * len(text), (peak, len(text))
+
+
+def test_parse_matrix_csv_peak_memory():
+    """Parsing a K = 500 u1 matrix (4.2 MB of text) peaks below 3.25 bytes of
+    heap per byte of text (13.6 MB).  Measured on Python 3.11.7, numpy 2.4.6:
+    12.4 MB, most of it the ``splitlines`` list; the line-at-a-time parser,
+    which kept a Python float and a bucket index per line, peaked at 16.3 MB,
+    and an earlier one, which also kept per-line r and j lists and a flat
+    cell index to find repeated and missing cells, at 21.7 MB."""
+    text = formats.matrix_csv(_k500_u1_matrix())
+    peak, _ = _peak(formats.parse_matrix_csv, text)
+    assert peak <= 3.25 * len(text), (peak, len(text))
+
+
+@pytest.mark.parametrize("writer", [formats.matrix_csv, formats.heatmap_svg])
+def test_matrix_writers_peak_memory(writer):
+    """Writing a K = 500 u1 matrix (4.2 MB of CSV, 7.7 MB of SVG) peaks below
+    2.25 bytes of heap per byte of text: the row strings plus the joined text.
+    Measured on Python 3.11.7, numpy 2.4.6: 8.4 and 15.4 MB; writers that kept
+    a string per cell peaked at 15.6 MB (CSV) and 22.5 MB (SVG)."""
+    peak, text = _peak(writer, _k500_u1_matrix())
+    assert peak <= 2.25 * len(text), (peak, len(text))
+
+
+def test_series_csv_peak_memory():
+    """An 80,000-line series (the paper study's 4 rows, 2 kinds and 10,000
+    steps; 4.5 MB of text) peaks below 2.25 bytes of heap per byte of text.
+    Measured on Python 3.11.7, numpy 2.4.6: 9.1 MB; one string per line
+    joined once peaked at 13.6 MB."""
+    l10 = np.random.default_rng(1).normal(3.0, 5.0, 80_000).tolist()
+    keys = [(step, row, kind) for step in range(1, 10_001) for row in (98, 99, 100, 101)
+            for kind in ("diagonal", "subdiagonal")]
+    records = [(*key, x) for key, x in zip(keys, l10)]
+    peak, text = _peak(formats.series_csv, records)
+    assert peak <= 2.25 * len(text), (peak, len(text))
 
 
 def test_matrix_csv_keeps_infinite_cells():
