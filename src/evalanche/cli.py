@@ -5,7 +5,7 @@ validate-poly, oracle-check.  This module parses flags, reads inputs and
 dispatches; every ``--format`` output is rendered by ``formats``.  Data goes
 to stdout or files; diagnostics go to stderr.  Exit codes: 0 success, 1
 usage error (bad flags, unreadable or malformed input file, unwritable
-output), 2 numerical or domain error.
+output), 2 numerical or domain error or a failed ``oracle-check`` row.
 """
 
 from __future__ import annotations
@@ -16,29 +16,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import formats
-from .discovery import (
-    confidence_region,
-    diagonal_row,
-    discovery_matrix,
-    regularize,
-    subdiagonal_row,
-)
+from .discovery import confidence_region, diagonal_row, discovery_matrix, regularize, subdiagonal_row
 from .errors import DomainError, EvalancheError
-from .logvalue import LN10, LogValue
+from .logvalue import LogValue
 from .martingales import RankedValues
-from .merging import (
-    MergeSpec,
-    U1,
-    U2,
-    U1_U2_HALF,
-    mixture_merge,
-    nesp_log,
-)
-from .oracles import CONSTRAINT_EXACTLY_J_MISSING, CONSTRAINT_GE2_IN_TOP_R, CONSTRAINT_INTERSECTS_TOP_R
-from .oracles import brute_force_bound, nesp_bell, nesp_enumerate, nesp_powersum
+from .merging import MergeSpec, mixture_merge
+from .oracles import certify
 from .polynomials import decompose_symmetric, validate_merging_polynomial
 from .simulate import MAX_K, run_experiment
 
@@ -179,59 +163,11 @@ def _cmd_oracle_check(args) -> int:
         raise _UsageError(f"--instances must be at least 1, got {args.instances}")
     if args.seed < 0:
         raise _UsageError(f"--seed must be non-negative, got {args.seed}")
-    rng = np.random.default_rng(args.seed)
-    failures: list[str] = []
-
-    def report(name: str, worst: float, tol: float, count: int) -> None:
-        status = "ok" if worst <= tol else "FAIL"
-        sys.stdout.write(f"{status} {name}: worst {worst:.3e} (tol {tol:.0e}, {count} instances)\n")
-        if worst > tol:
-            failures.append(name)
-
-    worst = 0.0
-    for _ in range(args.instances):
-        k = int(rng.integers(1, 11))
-        n = int(rng.integers(1, k + 1))
-        values = [LogValue.of(v) for v in 10.0 ** rng.uniform(-6, 6, size=k)]
-        a = nesp_log(values, n)
-        b = nesp_enumerate(values, n)
-        worst = max(worst, abs(a.log_e - b.log_e))
-    report("nesp_log vs subset enumeration", worst, 1e-9, args.instances)
-
-    worst = 0.0
-    for _ in range(args.instances):
-        k = int(rng.integers(2, 31))
-        values = [LogValue.of(v) for v in rng.uniform(0.1, 10.0, size=k)]
-        for n in range(1, 5):
-            a = nesp_log(values, n)
-            worst = max(worst, abs(nesp_powersum(values, n).log_e - a.log_e) / max(1.0, abs(a.log_e)))
-        for n in range(1, 7):
-            a = nesp_log(values, n)
-            worst = max(worst, abs(nesp_bell(values, n).log_e - a.log_e) / max(1.0, abs(a.log_e)))
-    report("power-sum and Bell paths vs nesp_log", worst, 1e-8, args.instances)
-
-    worst = 0.0
-    specs = (U1, U2, U1_U2_HALF)
-    for _ in range(args.instances):
-        k = int(rng.integers(2, 9))
-        values = [LogValue.of(v) for v in 10.0 ** rng.uniform(-4, 4, size=k)]
-        ranked = RankedValues.from_values(values)
-        for spec in specs:
-            m = discovery_matrix(ranked, spec)
-            for r in range(1, k + 1):
-                d = diagonal_row(ranked, r, spec)
-                o = brute_force_bound(values, CONSTRAINT_INTERSECTS_TOP_R, r, spec)
-                worst = max(worst, abs(d.log_e - o.log_e))
-                ds = subdiagonal_row(ranked, r, spec)
-                constraint = CONSTRAINT_GE2_IN_TOP_R if r >= 2 else CONSTRAINT_INTERSECTS_TOP_R
-                os_ = brute_force_bound(values, constraint, r, spec)
-                worst = max(worst, abs(ds.log_e - os_.log_e))
-                for j in range(r + 1):
-                    o = brute_force_bound(values, CONSTRAINT_EXACTLY_J_MISSING, r, spec, j=j)
-                    worst = max(worst, abs(m.log10_entry(r, j) * LN10 - o.log_e))
-    report("scans vs brute-force subset minima", worst, 1e-9, args.instances)
-
-    return 0 if not failures else 2
+    rows = certify(args.instances, args.seed)
+    for name, worst, tol in rows:
+        sys.stdout.write(f"{'ok' if worst <= tol else 'FAIL'} {name}: worst {worst:.3e} "
+                         f"(tol {tol:.0e}, {args.instances} instances)\n")
+    return 0 if all(worst <= tol for _, worst, tol in rows) else 2
 
 
 def build_parser() -> _Parser:

@@ -1,8 +1,11 @@
-"""Reference paths that certify the production kernels, called only by
-``evalanche oracle-check`` and the tests: ``nesp_powersum`` and ``nesp_bell``
-are linear-scale, accurate only on well-conditioned inputs (one dominating
-input cancels catastrophically in p_1^2 - p_2); ``nesp_enumerate`` and
-``brute_force_bound`` enumerate subsets."""
+"""Reference paths that certify the production kernels: ``nesp_powersum``
+and ``nesp_bell`` are linear-scale, accurate only on well-conditioned inputs
+(one dominating input cancels catastrophically in p_1^2 - p_2);
+``nesp_enumerate`` and ``brute_force_bound`` enumerate subsets.  ``certify``
+is the one battery that runs them, for ``evalanche oracle-check`` and the
+acceptance suite.  It scores a check by its worst absolute log error, where
+equal values (equal infinities included) score 0 and a NaN scores +inf, so
+no check passes with a NaN in it."""
 
 from __future__ import annotations
 
@@ -13,9 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .discovery import diagonal_row, discovery_matrix, subdiagonal_row
 from .errors import DomainError, NumericalError
-from .logvalue import INFINITE, LogValue, ZERO, log_add
-from .merging import MergeSpec, as_log_array, log_comb, mixture_from_logs
+from .logvalue import INFINITE, LN10, LogValue, ZERO, log_add
+from .martingales import RankedValues
+from .merging import U1, U1_U2_HALF, U2, MergeSpec, as_log_array, log_comb, mixture_from_logs, nesp_log
 
 BRUTE_FORCE_MAX = 16
 
@@ -207,3 +212,61 @@ def brute_force_bound(
     if not qualify.any():
         return LogValue(math.inf)
     return LogValue(table[qualify].min())
+
+
+def _enumeration_pairs(rng: np.random.Generator):
+    k = int(rng.integers(1, 13))
+    n = int(rng.integers(1, k + 1))
+    values = [LogValue.of(v) for v in 10.0 ** rng.uniform(-6, 6, size=k)]
+    yield nesp_log(values, n).log_e, nesp_enumerate(values, n).log_e
+
+
+def _linear_path_pairs(rng: np.random.Generator):
+    values = [LogValue.of(v) for v in rng.uniform(0.1, 10.0, size=int(rng.integers(1, 51)))]
+    for n in range(1, 7):
+        ref = nesp_log(values, n).log_e
+        if n <= 4:
+            yield nesp_powersum(values, n).log_e, ref
+        yield nesp_bell(values, n).log_e, ref
+
+
+def _scan_pairs(rng: np.random.Generator):
+    k = int(rng.integers(1, 11))
+    values = [LogValue.of(v) for v in 10.0 ** rng.uniform(-4, 4, size=k)]
+    ranked = RankedValues.from_values(values)
+    for spec in (U1, U2, U1_U2_HALF):
+        m = discovery_matrix(ranked, spec)
+        for r in range(1, k + 1):
+            sub = CONSTRAINT_GE2_IN_TOP_R if r >= 2 else CONSTRAINT_INTERSECTS_TOP_R
+            yield (diagonal_row(ranked, r, spec).log_e,
+                   brute_force_bound(values, CONSTRAINT_INTERSECTS_TOP_R, r, spec).log_e)
+            yield subdiagonal_row(ranked, r, spec).log_e, brute_force_bound(values, sub, r, spec).log_e
+            for j in range(r + 1):
+                o = brute_force_bound(values, CONSTRAINT_EXACTLY_J_MISSING, r, spec, j=j)
+                yield m.log10_entry(r, j) * LN10, o.log_e
+
+
+_CHECKS = (
+    ("nesp_log vs subset enumeration", 1e-9, _enumeration_pairs),
+    ("power-sum and Bell paths vs nesp_log", 1e-8, _linear_path_pairs),
+    ("scans vs brute-force subset minima", 1e-9, _scan_pairs),
+)
+
+
+def _worst_error(pairs) -> float:
+    """Largest |got - want| over one instance's ``(got, want)`` pairs of log
+    values: equal values (equal infinities included) score 0 and a NaN scores
+    +inf, so the result is never NaN and ``max`` over instances keeps it."""
+    got, want = np.array(list(pairs), dtype=float).reshape(-1, 2).T
+    with np.errstate(invalid="ignore"):
+        err = np.where(got == want, 0.0, np.abs(got - want))
+    return float(np.where(np.isnan(err), np.inf, err).max(initial=0.0))
+
+
+def certify(instances: int, seed: int) -> list[tuple[str, float, float]]:
+    """One ``(name, worst, tol)`` row per check in ``_CHECKS``, each over
+    ``instances`` draws from one generator seeded with ``seed``; a check
+    passes when ``worst <= tol`` (absolute, natural log)."""
+    rng = np.random.default_rng(seed)
+    return [(name, max(_worst_error(pairs(rng)) for _ in range(instances)), tol)
+            for name, tol, pairs in _CHECKS]

@@ -14,9 +14,6 @@ import numpy as np
 import pytest
 
 from evalanche import (
-    CONSTRAINT_EXACTLY_J_MISSING,
-    CONSTRAINT_GE2_IN_TOP_R,
-    CONSTRAINT_INTERSECTS_TOP_R,
     ColorBucket,
     ExperimentConfig,
     LogValue,
@@ -26,16 +23,13 @@ from evalanche import (
     U1,
     U1_U2_HALF,
     U2,
-    brute_force_bound,
     colorize,
     decompose_symmetric,
     diagonal_row,
     discovery_matrix,
     ie_example_f,
     merging_polynomial,
-    nesp_bell,
     nesp_log,
-    nesp_powersum,
     paper_experiment_config,
     rank,
     regularize,
@@ -44,6 +38,7 @@ from evalanche import (
     validate_merging_polynomial,
 )
 from evalanche.merging import mixture_from_logs
+from evalanche.oracles import certify
 from evalanche.simulate import draw_streams
 from evalanche.polynomials import MultiaffinePoly, subset_to_mask
 from evalanche import formats
@@ -51,7 +46,6 @@ from oracles import nesp_log_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
 SEEDS = tuple(range(1, 21))
-SPECS = (U1, U2, U1_U2_HALF)
 
 
 def report(n, text):
@@ -77,6 +71,19 @@ def paper_sweep():
     return {"runs": runs, "elapsed": elapsed}
 
 
+# ---------------------------------------------------------------------------
+# the oracle battery of `evalanche oracle-check` (criteria 2 and 3)
+
+
+@pytest.fixture(scope="module")
+def battery():
+    """Worst error per ``certify`` row over 200 instances, plus the battery's
+    wall time.  Criterion 1 keeps its own oracle, independent of the library."""
+    t0 = time.perf_counter()
+    worst = {name: w for name, w, _ in certify(200, 303)}
+    return {**worst, "elapsed": time.perf_counter() - t0}
+
+
 def test_criterion_1_nesp_oracle_suite():
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
@@ -85,64 +92,26 @@ def test_criterion_1_nesp_oracle_suite():
         k = int(rng.integers(1, 13))
         n = int(rng.integers(1, k + 1))
         values = [LogValue.of(v) for v in 10.0 ** rng.uniform(-6.0, 6.0, size=k)]
-        got = nesp_log(values, n).log_e
-        want = nesp_log_oracle(values, n)
-        worst = max(worst, abs(got - want))
+        err = abs(nesp_log(values, n).log_e - nesp_log_oracle(values, n))
+        worst = max(worst, math.inf if math.isnan(err) else err)  # max() drops a NaN
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-9, f"worst |dlog| {worst:.3e}"
     assert elapsed < 10.0, f"took {elapsed:.1f} s"
     report(1, f"200 enumeration-oracle instances, worst |dlog| {worst:.2e}, {elapsed:.1f} s")
 
 
-def test_criterion_2_power_sum_and_bell_cross_paths():
-    rng = np.random.default_rng(202)
-    worst = 0.0
-    for _ in range(200):
-        k = int(rng.integers(1, 51))
-        values = [LogValue.of(v) for v in rng.uniform(0.1, 10.0, size=k)]
-        for n in range(1, 5):
-            ref = nesp_log(values, n).log_e
-            worst = max(worst, abs(nesp_powersum(values, n).log_e - ref))
-        for n in range(1, 7):
-            ref = nesp_log(values, n).log_e
-            worst = max(worst, abs(nesp_bell(values, n).log_e - ref))
-    assert worst <= 1e-8, f"worst relative error {worst:.3e}"
-    report(2, f"200 cross-path instances (power sums n<=4, Bell n<=6), worst {worst:.2e}")
+def test_criterion_2_power_sum_and_bell_cross_paths(battery):
+    worst = battery["power-sum and Bell paths vs nesp_log"]
+    assert worst <= 1e-8, f"worst |dlog| {worst:.3e}"
+    report(2, f"200 cross-path instances (power sums n<=4, Bell n<=6), worst |dlog| {worst:.2e}")
 
 
-def test_criterion_3_scans_vs_brute_force():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(303)
-    worst = 0.0
-    checked = 0
-    for _ in range(100):
-        k = int(rng.integers(1, 11))
-        values = [LogValue.of(v) for v in 10.0 ** rng.uniform(-4.0, 4.0, size=k)]
-        ranked = RankedValues.from_values(values)
-        for spec in SPECS:
-            matrix = discovery_matrix(ranked, spec)
-            for r in range(1, k + 1):
-                d = diagonal_row(ranked, r, spec).log_e
-                o = brute_force_bound(values, CONSTRAINT_INTERSECTS_TOP_R, r, spec).log_e
-                worst = max(worst, abs(d - o))
-                ds = subdiagonal_row(ranked, r, spec).log_e
-                constraint = CONSTRAINT_GE2_IN_TOP_R if r >= 2 else CONSTRAINT_INTERSECTS_TOP_R
-                os_ = brute_force_bound(values, constraint, r, spec).log_e
-                if math.isinf(ds) and math.isinf(os_):
-                    pass
-                else:
-                    worst = max(worst, abs(ds - os_))
-                for j in range(r + 1):
-                    cell = matrix.log10_entry(r, j) * math.log(10.0)
-                    o = brute_force_bound(
-                        values, CONSTRAINT_EXACTLY_J_MISSING, r, spec, j=j
-                    ).log_e
-                    worst = max(worst, abs(cell - o))
-                    checked += 1
-    elapsed = time.perf_counter() - t0
+def test_criterion_3_scans_vs_brute_force(battery):
+    worst = battery["scans vs brute-force subset minima"]
     assert worst <= 1e-9, f"worst |dlog| {worst:.3e}"
-    assert elapsed < 60.0, f"took {elapsed:.1f} s"
-    report(3, f"100 instances x 3 specs ({checked} matrix cells), worst |dlog| {worst:.2e}, {elapsed:.1f} s")
+    assert battery["elapsed"] < 60.0, f"took {battery['elapsed']:.1f} s"
+    report(3, f"200 instances x 3 specs, every matrix cell, worst |dlog| {worst:.2e}, "
+              f"battery {battery['elapsed']:.1f} s")
 
 
 def test_criterion_4_paper_experiment_bands(paper_sweep):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,9 @@ from evalanche import (
     discovery_matrix,
     regularize,
 )
-from evalanche import formats
+from evalanche import formats, oracles
 from evalanche.cli import main
+from evalanche.discovery import DiscoveryMatrix
 from evalanche.merging import MAX_DEGREE
 from evalanche.simulate import MAX_K, MAX_STEPS
 
@@ -400,6 +402,35 @@ def test_oracle_check_passes(capsys):
     code, out, _ = run_cli(capsys, "oracle-check", "--instances", "3", "--seed", "5")
     assert code == 0
     assert out.count("ok ") == 3
+
+
+def test_oracle_check_fails_on_a_nan_cell(capsys, monkeypatch):
+    """One NaN cell in every matrix the battery builds fails the scans row."""
+    real = oracles.discovery_matrix
+
+    def nan_cell(ranked, spec):
+        log10 = real(ranked, spec).log10.copy()
+        log10[-1, 0] = math.nan  # row K, column 0: always inside the triangle
+        return DiscoveryMatrix(log10)
+
+    monkeypatch.setattr(oracles, "discovery_matrix", nan_cell)
+    code, out, _ = run_cli(capsys, "oracle-check", "--instances", "3")
+    assert code == 2
+    lines = out.splitlines()
+    assert [line.startswith("ok ") for line in lines] == [True, True, False]
+    assert lines[2] == "FAIL scans vs brute-force subset minima: worst inf (tol 1e-09, 3 instances)"
+
+
+def test_oracle_fold_keeps_nan_and_scores_equal_infinities_zero(monkeypatch):
+    nan, inf = math.nan, math.inf
+    draws = iter([[(nan, 0.0)]] + [[(1.0, 1.0 + 1e-12)]] * 4)  # NaN on the first instance only
+    monkeypatch.setattr(oracles, "_CHECKS", (("first NaN", 1e-9, lambda rng: next(draws)),))
+    assert oracles.certify(5, 0) == [("first NaN", inf, 1e-9)]
+    assert oracles._worst_error([(nan, 0.0)] + [(1.0, 1.0 + 1e-12)] * 5) == inf
+    assert oracles._worst_error([(2.0, 2.0), (0.0, nan), (3.0, 3.0)]) == inf
+    assert oracles._worst_error([(inf, inf), (-inf, -inf), (1.0, 1.5)]) == 0.5
+    assert oracles._worst_error([(inf, -inf)]) == inf
+    assert oracles._worst_error([]) == 0.0
 
 
 def test_entry_point_help(capsys):

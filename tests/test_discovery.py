@@ -107,30 +107,7 @@ def test_brute_force_guards():
 
 
 # ---------------------------------------------------------------------------
-# oracle certification (the acceptance suite runs the full battery)
-
-
-def test_scans_match_brute_force_random():
-    rng = np.random.default_rng(404)
-    for _ in range(40):
-        k = int(rng.integers(1, 9))
-        vals = [LogValue.of(v) for v in 10.0 ** rng.uniform(-4, 4, size=k)]
-        rk = RankedValues.from_values(vals)
-        for spec in SPECS:
-            m = discovery_matrix(rk, spec)
-            for row in range(1, k + 1):
-                d = diagonal_row(rk, row, spec).log_e
-                o = brute_force_bound(vals, CONSTRAINT_INTERSECTS_TOP_R, row, spec).log_e
-                assert abs(d - o) <= 1e-9
-                ds = subdiagonal_row(rk, row, spec).log_e
-                constraint = CONSTRAINT_GE2_IN_TOP_R if row >= 2 else CONSTRAINT_INTERSECTS_TOP_R
-                assert abs(ds - brute_force_bound(vals, constraint, row, spec).log_e) <= 1e-9
-                for col in range(row + 1):
-                    cell = m.log10_entry(row, col) * math.log(10.0)
-                    o = brute_force_bound(
-                        vals, CONSTRAINT_EXACTLY_J_MISSING, row, spec, j=col
-                    ).log_e
-                    assert abs(cell - o) <= 1e-9
+# oracle self-check (the acceptance suite runs the full battery, oracles.certify)
 
 
 def test_brute_force_itself_matches_independent_enumeration():
@@ -374,7 +351,8 @@ def _check_margin(logs, rows):
                             zip(js.ravel(), iss.ravel(), cs.ravel())}:
                 m = (r - j) + (k - i)
                 exact = mpmath.log((base[j] + tail[i]) / m) if m else mpmath.mpf(0)
-                worst = max(worst, abs(float(c - exact)))
+                err = float(abs(c - exact))
+                worst = max(worst, math.inf if math.isnan(err) else err)  # max() drops a NaN
                 scored += 1
     assert scored > 0
     assert worst <= delta / 4, (worst, delta)
