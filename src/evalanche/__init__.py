@@ -42,11 +42,9 @@ from .martingales import (
     step,
 )
 from .discovery import (
-    ColorBucket,
     ConfidenceRegion,
     DiagonalSeries,
     DiscoveryMatrix,
-    colorize,
     confidence_region,
     diagonal_row,
     discovery_matrix,
@@ -63,6 +61,7 @@ from .simulate import (
     replicate,
     run_experiment,
 )
+from .formats import ColorBucket, colorize
 
 __all__ = [
     "AsymmetricPolynomialError",

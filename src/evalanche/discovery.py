@@ -74,7 +74,6 @@ A matrix is one (K, K+1) array whose cells above the diagonal are NaN.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass
@@ -460,10 +459,12 @@ def discovery_matrix(ranked: RankedValues, spec: MergeSpec) -> DiscoveryMatrix:
     threshold walk scores seven kernel cells per matrix cell after an
     O(log K) search, O(K^2 log K) work in all; every other spec scores each
     cell over all its tails, one kernel call per row and O(K^3) work.  On a
-    2-vCPU Xeon (Python 3.11.7, numpy 2.4.6; medians of three runs) K = 200
-    takes 0.02 s under u1, 0.11-0.13 s under u2 and 0.18-0.19 s under the
-    u1/u2 mixture; K = 500 takes 0.10 s under u1 (0.66-0.90 s scoring every
-    tail) and 1.3-1.4 s under u2; K = 2000 takes 1.4-1.8 s under u1.
+    2-vCPU Xeon (Python 3.11.7, numpy 2.4.6; medians of three calls, on the
+    seed-42 final values of the untracked paper study scaled to K, with K/2
+    false nulls and 50 K steps) K = 200 takes 0.02 s under u1, 0.09-0.10 s
+    under u2 and 0.15-0.16 s under the u1/u2 mixture; K = 500 takes
+    0.07-0.09 s under u1 (0.65-0.86 s scoring every tail) and 0.8-1.1 s
+    under u2; K = 2000 takes 1.1-1.5 s under u1.
     """
     logs = ranked.sorted_logs
     S = suffix_esp_levels(logs, spec.max_degree)
@@ -497,33 +498,3 @@ def confidence_region(m: DiscoveryMatrix, r: int, alpha: float) -> ConfidenceReg
     lower = min(members) if members else None
     return ConfidenceRegion(r=r, alpha=float(alpha), members=members, lower_bound=lower)
 
-
-# ---------------------------------------------------------------------------
-# color buckets
-
-
-class ColorBucket(enum.Enum):
-    GREEN = "green"
-    YELLOW = "yellow"
-    ORANGE = "orange"
-    RED = "red"
-    DARKRED = "darkred"
-    BLACK = "black"
-
-
-_BUCKETS = tuple(ColorBucket)
-
-# Ascending natural-log lower edges of the buckets above green.  Half-open
-# buckets: each edge belongs to the bucket above it.
-_BUCKET_EDGES = np.array([math.log(x) for x in (10.0, 100.0, 1e8, 1e14, 1e20)])
-
-
-def bucket_indexes(log_e: np.ndarray) -> np.ndarray:
-    """Indexes into ``ColorBucket`` order of natural-log values (see ``colorize``)."""
-    return np.searchsorted(_BUCKET_EDGES, log_e, side="right")
-
-
-def colorize(v: LogValue) -> ColorBucket:
-    """Evidence bucket of a merged value: [0,10) green, [10,100) yellow,
-    [100,1e8) orange, [1e8,1e14) red, [1e14,1e20) dark red, [1e20,inf] black."""
-    return _BUCKETS[int(bucket_indexes(v.log_e))]

@@ -8,9 +8,10 @@ byte-identical; columns come from ``.tolist()``, ``LogValue`` or
 The linear ``value`` is ``linear_value`` of ``log10_value``: a blank CSV
 cell, and a null JSON value, whenever it falls outside the double range (it
 is always recoverable from ``log10_value``).  A cell's color bucket is
-``_buckets`` of its log10 value.  JSON is strict RFC 8259 (``json_text``),
-so +-inf is written as the string ``"inf"`` / ``"-inf"``, the CSV text
-(``_json_float_out``).  Every SVG has one frame (``_svg``).
+``_buckets`` of its log10 value, the rule ``colorize`` applies to a value;
+its edges, names and colors are all here.  JSON is strict RFC 8259
+(``json_text``), so +-inf is written as the string ``"inf"`` / ``"-inf"``,
+the CSV text (``_json_float_out``).  Every SVG has one frame (``_svg``).
 
 Matrix text is made and read a row at a time.  Row r of a matrix CSV is its
 r+1 non-empty lines ``r,j,log10_value,bucket`` for j = 0..r; joined with
@@ -25,6 +26,7 @@ with one fault gets the message a line-at-a-time reader would give.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import itertools
 import json
 import math
@@ -36,18 +38,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .discovery import ColorBucket, ConfidenceRegion, DiagonalSeries, DiscoveryMatrix
-from .discovery import bucket_indexes, confidence_region
+from .discovery import ConfidenceRegion, DiagonalSeries, DiscoveryMatrix, confidence_region, regularize
 from .errors import DomainError
 from .logvalue import LN10, LogValue
 from .merging import MergeSpec
 from .polynomials import MultiaffinePoly, subset_to_mask
 from .simulate import ExperimentConfig, RunResult
-
-# Indexed in ColorBucket order, as ``bucket_indexes`` returns them.
-_BUCKET_NAMES = [b.value for b in ColorBucket]
-_BUCKET_HEXES = ["#2ca02c", "#ffdf00", "#ff7f0e", "#d62728", "#8b0000", "#000000"]
-BUCKET_HEX: Mapping[ColorBucket, str] = dict(zip(ColorBucket, _BUCKET_HEXES))
 
 SERIES_HEADER = "step,row,kind,log10_value,value"
 MATRIX_HEADER = "r,j,log10_value,bucket"
@@ -97,6 +93,45 @@ def _data_lines(text: str, header: str, what: str):
     if not lines or lines[0] != header:
         raise DomainError(f"{what} CSV must start with {header!r}")
     return ((n, line) for n, line in enumerate(lines[1:], start=2) if line)
+
+
+# ---------------------------------------------------------------------------
+# color buckets
+
+
+class ColorBucket(enum.Enum):
+    GREEN = "green"
+    YELLOW = "yellow"
+    ORANGE = "orange"
+    RED = "red"
+    DARKRED = "darkred"
+    BLACK = "black"
+
+
+# Ascending natural-log lower edges of the buckets above green.  Half-open
+# buckets: each edge belongs to the bucket above it.
+_BUCKET_EDGES = np.array([math.log(x) for x in (10.0, 100.0, 1e8, 1e14, 1e20)])
+# Indexed in ColorBucket order, as ``bucket_indexes`` returns them.
+_BUCKET_NAMES = [b.value for b in ColorBucket]
+_BUCKET_HEXES = ["#2ca02c", "#ffdf00", "#ff7f0e", "#d62728", "#8b0000", "#000000"]
+BUCKET_HEX: Mapping[ColorBucket, str] = dict(zip(ColorBucket, _BUCKET_HEXES))
+
+
+def bucket_indexes(log_e: np.ndarray) -> np.ndarray:
+    """Indexes into ``ColorBucket`` order of natural-log values (see ``colorize``)."""
+    return np.searchsorted(_BUCKET_EDGES, log_e, side="right")
+
+
+def colorize(v: LogValue) -> ColorBucket:
+    """Evidence bucket of a merged value: [0,10) green, [10,100) yellow,
+    [100,1e8) orange, [1e8,1e14) red, [1e14,1e20) dark red, [1e20,inf] black."""
+    return ColorBucket(_BUCKET_NAMES[int(bucket_indexes(v.log_e))])
+
+
+def _buckets(log10: np.ndarray) -> np.ndarray:
+    """Bucket indexes of log10 cells.  ``* LN10`` is the multiply
+    ``LogValue.from_log10`` does, so cells bucket as ``colorize`` buckets them."""
+    return bucket_indexes(log10 * LN10)
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +190,6 @@ def parse_series_csv(text: str) -> list[tuple[int, int, str, float]]:
 
 # ---------------------------------------------------------------------------
 # matrices and value lists
-
-
-def _buckets(log10: np.ndarray) -> np.ndarray:
-    """Bucket indexes of log10 cells.  ``* LN10`` is the multiply
-    ``LogValue.from_log10`` does, so cells bucket as ``colorize`` buckets them."""
-    return bucket_indexes(log10 * LN10)
 
 
 def matrix_csv(m: DiscoveryMatrix) -> str:
@@ -572,8 +601,8 @@ def write_bundle(cfg: ExperimentConfig, run: RunResult, out_dir: str | Path) -> 
     if rows:
         write("series.csv", series_csv(series_records(run)))
         write("series.svg", series_svg([*run.diagonal_series.values(), *run.subdiagonal_series.values()]))
-    for step in sorted(run.matrices):
-        raw, reg = run.matrices[step]
+    for step, raw in sorted(run.matrices.items()):
+        reg = regularize(raw)  # the one regularized copy, dropped once written
         write(f"matrix_{step}.csv", matrix_csv(raw))
         write(f"matrix_{step}_regularized.csv", matrix_csv(reg))
         write(f"heatmap_{step}.svg", heatmap_svg(raw))

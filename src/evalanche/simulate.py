@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import discovery
-from .discovery import TRACK_BLOCK_CELLS, DiagonalSeries, DiscoveryMatrix, RowTracker, regularize
+from .discovery import TRACK_BLOCK_CELLS, DiagonalSeries, DiscoveryMatrix, RowTracker
 from .errors import DomainError
 from .logvalue import LN10, LogValue
 from .martingales import MartingaleTable, RankedValues, _frozen, gaussian_log_density
@@ -31,13 +31,14 @@ from .merging import MergeSpec, U1, U2
 
 # Size limits, checked before a run allocates anything.  A tracked run sorts
 # a block of B x K logs per B steps, and each checkpoint builds a discovery
-# matrix: about 0.1 s at K = 500 and 1.4-1.8 s at K = 2000 under u1 (the
-# threshold walk), 1.3-1.4 s at K = 500 under u2 (the O(K^3) kernel).
+# matrix: 0.07-0.09 s at K = 500 and 1.1-1.5 s at K = 2000 under u1, 0.8-1.1 s
+# at K = 500 under u2 (inputs and machine as in discovery_matrix's docstring).
 MAX_K = 10_000
 # draw_streams holds about ten float64 arrays of `steps` values (80 MB here).
 MAX_STEPS = 1_000_000
 # Doubles a run keeps for its outputs: two per tracked row per step and two
-# K x (K+1) matrices per checkpoint; 0.8 GB at this limit.
+# K x (K+1) matrices per checkpoint, room for its stored matrix and the one
+# regularized copy write_bundle holds at a time; 0.8 GB at this limit.
 MAX_RUN_VALUES = 100_000_000
 
 
@@ -130,7 +131,7 @@ class RunResult:
     final_table: MartingaleTable
     diagonal_series: Mapping[int, DiagonalSeries]
     subdiagonal_series: Mapping[int, DiagonalSeries]
-    matrices: Mapping[int, tuple[DiscoveryMatrix, DiscoveryMatrix]]  # step -> (raw, regularized)
+    matrices: Mapping[int, DiscoveryMatrix]  # step -> unregularized matrix
     ground_truth: frozenset[int]
 
 
@@ -180,7 +181,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         stops.update(range(0, cfg.steps, max(1, TRACK_BLOCK_CELLS // (cfg.k + 1))))
     checkpoints = set(cfg.checkpoints)
     store = np.empty((2, cfg.steps, len(tracked)))  # diagonal, subdiagonal
-    matrices: dict[int, tuple[DiscoveryMatrix, DiscoveryMatrix]] = {}
+    matrices: dict[int, DiscoveryMatrix] = {}
     start = 0
     for stop in sorted(stops):
         if tracked:
@@ -194,8 +195,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             np.add.at(logs, k_idx[start:stop], log_inc[start:stop])
         start = stop
         if stop in checkpoints:
-            raw = discovery.discovery_matrix(RankedValues.from_logs(logs.copy()), cfg.merge_matrix)
-            matrices[stop] = (raw, regularize(raw))
+            matrices[stop] = discovery.discovery_matrix(RankedValues.from_logs(logs), cfg.merge_matrix)
 
     diagonal_series, subdiagonal_series = (
         {r: DiagonalSeries(row=r, kind=kind, log10_values=_frozen(col / LN10))
@@ -271,7 +271,7 @@ def replicate(cfg: ExperimentConfig, seeds: Sequence[int]) -> dict[str, SeedSumm
         for r, series in run.subdiagonal_series.items():
             if len(series):
                 put(f"subdiagonal_r{r}", float(series.log10_values[-1]))
-        for step, (raw, _) in run.matrices.items():
+        for step, raw in run.matrices.items():
             for r in rows:
                 for j in (r - 1, r - 2, r):
                     if 0 <= j <= r:

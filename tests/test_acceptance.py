@@ -65,8 +65,7 @@ def paper_sweep():
         cfg = paper_experiment_config(seed=seed, tracked_rows=(), checkpoints=(10_000,))
         result = run_experiment(cfg)
         ranked = rank(result.final_table)
-        raw_u1, _ = result.matrices[10_000]
-        runs.append({"seed": seed, "ranked": ranked, "matrix_u1": raw_u1})
+        runs.append({"seed": seed, "ranked": ranked, "matrix_u1": result.matrices[10_000]})
     elapsed = time.perf_counter() - t0
     return {"runs": runs, "elapsed": elapsed}
 

@@ -266,6 +266,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run_cli(capsys, "merge", "--values", "8,4")[0] == 1  # --merge required
     assert run_cli(capsys, "merge", "--values", "8,4", "--merge", "nope")[0] == 1
     assert run_cli(capsys, "merge", "--values", "a,b", "--merge", "u1")[0] == 1
+    code, out, err = run_cli(capsys, "diagonal", "--values", "8,4,1", "--rows", "1,x")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --rows must be comma-separated integers") and err.count("\n") == 1
     for text in ("", str(tmp_path)):  # neither a file nor numbers: '' names the current directory
         code, out, err = run_cli(capsys, "merge", "--values", text, "--merge", "u1")
         assert (code, out) == (1, ""), text
@@ -292,6 +295,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         "a,0,0.0,green\n1,1,0.0,green\n",  # non-integer r
         "1,0.5,0.0,green\n1,1,0.0,green\n",  # non-integer j
         "1,0,nan,green\n1,1,0.0,green\n",  # NaN cell
+        "1,0,abc,green\n1,1,0.0,green\n",  # a value that is not a number
         "1,0,0.0,green\n1,1,0.0,green\n1,7,3.0,orange\n",  # outside the triangle
         "1,0,0.0,green\n1,0,0.0,green\n1,1,0.0,green\n",  # repeated cell
         "1,0,0.0,green\n1,0,0.0,green\n",  # repeated cell standing in for a missing one
@@ -322,6 +326,10 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         code, out, err = run_cli(capsys, "diagonal", "--values", str(values))
         assert (code, out) == (1, ""), body
         assert err.startswith("error:") and err.count("\n") == 1 and "line " in err, body
+    values.write_text("k,value\n1,0.5\n")  # another header
+    code, out, err = run_cli(capsys, "diagonal", "--values", str(values))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "must start with" in err
     values.write_text("k,log10_value\n")  # header only
     for argv in (("matrix",), ("diagonal",), ("merge", "--merge", "u1")):
         code, out, err = run_cli(capsys, *argv, "--values", str(values))
@@ -340,6 +348,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ("k", "abc", "k must be an integer"),
         ("tracked_rows", 5, "tracked_rows"),
         ("null_dist", {"mean": "x", "sd": 1}, "null_dist mean"),
+        ("null_dist", {"mean": math.nan, "sd": 1}, "null_dist must be a finite"),
         ("merge_matrix", {"kind": "mixture", "weights": 3}, "merge_matrix weights"),
         ("k", MAX_K + 1, "k must lie"),
         ("k", 10 ** 18, "k must lie"),
@@ -374,7 +383,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1 and "(1e+308, 1e+308)" in err, command
     assert run_cli(capsys, "merge", "--values", "1,2", "--merge", f"u{MAX_DEGREE}")[0] == 0
     poly = tmp_path / "bad_poly.json"
-    for coeffs, named in (({"1,a": 1.0}, "'1,a'"), ([1], "coeffs")):
+    for coeffs, named in (({"1,a": 1.0}, "'1,a'"), ([1], "coeffs"), ({"3": 1.0}, "index 3 outside 1..2")):
         poly.write_text(json.dumps({"k": 2, "coeffs": coeffs}))
         code, out, err = run_cli(capsys, "validate-poly", "--poly", str(poly))
         assert (code, out) == (1, ""), coeffs
@@ -388,6 +397,10 @@ def test_domain_errors_exit_2(tmp_path, capsys):
     assert "error" in err
     code, _, err = run_cli(capsys, "merge", "--values=-3,4", "--merge", "u1")
     assert code == 2
+    # a row outside 1..K is a domain error, as --alpha 0 is
+    code, out, err = run_cli(capsys, "diagonal", "--values", "8,4,1", "--rows", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: row 5 outside 1..3\n"
     # zero density under both bet and null leaves no likelihood ratio
     cfg, path = write_config(tmp_path)
     tiny = {"mean": 0.0, "sd": 5e-324}

@@ -27,8 +27,9 @@ from evalanche import (
     subdiagonal_row,
 )
 from evalanche import discovery, merging
-from evalanche.discovery import DiscoveryMatrix, RowTracker, bucket_indexes
+from evalanche.discovery import DiagonalSeries, DiscoveryMatrix, RowTracker
 from evalanche.errors import DomainError
+from evalanche.formats import bucket_indexes
 from oracles import subset_min_oracle
 
 
@@ -496,6 +497,12 @@ def test_confidence_region_guards():
         confidence_region(reg, 2, -1.0)
     with pytest.raises(DomainError):
         confidence_region(reg, 9, 1.0)
+    with pytest.raises(DomainError, match="column 3 outside 0..2"):
+        reg.log10_entry(2, 3)
+    with pytest.raises(DomainError, match="shape"):
+        DiscoveryMatrix(np.zeros((3, 3)))
+    with pytest.raises(DomainError, match="empty series"):
+        DiagonalSeries(row=1, kind="diagonal", log10_values=np.empty(0)).final()
 
 
 def test_confidence_regions_nest_in_alpha():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from evalanche import LogValue, MartingaleTable, lr_increment, rank, step
+from evalanche import LogValue, MartingaleTable, RankedValues, lr_increment, rank, step
 from evalanche.errors import DomainError
 
 
@@ -20,6 +20,10 @@ def test_fresh_table_starts_at_one():
     assert t.step == 0
     with pytest.raises(DomainError):
         MartingaleTable.fresh(0)
+    with pytest.raises(DomainError, match="at least one stream"):
+        MartingaleTable(log_values=np.empty(0))
+    with pytest.raises(DomainError, match="NaN"):
+        MartingaleTable(log_values=np.array([0.0, math.nan]))
 
 
 def test_lr_increment_worked_values():
@@ -72,6 +76,8 @@ def test_step_index_bounds():
         step(t, 0, LogValue.of(2.0))
     with pytest.raises(DomainError):
         step(t, 3, LogValue.of(2.0))
+    with pytest.raises(DomainError, match="stream index 3"):
+        t.value_of(3)
 
 
 def test_rank_sorts_descending_with_stable_ties():
@@ -85,6 +91,12 @@ def test_rank_sorts_descending_with_stable_ties():
     r = rank(table_of(3.0, 3.0, 3.0, 3.0))
     assert r.perm == (1, 2, 3, 4)
     assert r.original_index(2) == 2
+    with pytest.raises(DomainError, match="rank 5"):
+        r.value_at(5)
+    with pytest.raises(DomainError, match="rank 0"):
+        r.original_index(0)
+    with pytest.raises(DomainError, match="NaN"):
+        RankedValues.from_logs(np.array([1.0, math.nan]))
 
 
 def test_rank_handles_zeros_and_infinities():

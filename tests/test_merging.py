@@ -19,7 +19,7 @@ from evalanche import (
     nesp_powersum,
 )
 from evalanche.errors import DomainError, NumericalError
-from evalanche.merging import MAX_DEGREE, mixture_from_logs
+from evalanche.merging import MAX_DEGREE, mixture_from_logs, suffix_esp_levels
 from evalanche.oracles import _subset_table
 from oracles import nesp_log_oracle
 
@@ -110,6 +110,9 @@ def test_infinity_propagation():
     # a mixture with all weight on the constant never sees its arguments
     only_const = MergeSpec.mixture([1.0])
     assert mixture_merge(only_const, vals).value == 1.0
+    # the suffix levels take +inf values only at the front, as ranking puts them
+    with pytest.raises(DomainError, match="descending"):
+        suffix_esp_levels(np.array([1.0, math.inf]), 1)
 
 
 def test_zeros_are_handled():
@@ -149,6 +152,12 @@ def test_merge_spec_validation():
         MergeSpec.mixture([1.5, -0.5])
     with pytest.raises(DomainError):
         MergeSpec.mixture([])
+    with pytest.raises(DomainError, match="no weights"):
+        MergeSpec(kind="nesp", n=1, weights=(1.0,))
+    with pytest.raises(DomainError, match="no single degree"):
+        MergeSpec(kind="mixture", n=1, weights=(0.0, 1.0))
+    with pytest.raises(DomainError, match="unknown merge kind"):
+        MergeSpec(kind="median")
     assert MergeSpec.mixture([0.25, 0.75]).max_degree == 1
     assert MergeSpec.nesp(MAX_DEGREE).max_degree == MAX_DEGREE
     assert MergeSpec.mixture([0.0] * MAX_DEGREE + [1.0]).max_degree == MAX_DEGREE

@@ -116,6 +116,8 @@ def test_arity_limits():
         MultiaffinePoly(k=2, coeffs={8: 1.0})  # mask needs 4 variables
     with pytest.raises(DomainError):
         MultiaffinePoly(k=2, coeffs={0: math.inf})
+    with pytest.raises(DomainError, match="expected 2 arguments, got 3"):
+        MultiaffinePoly(k=2, coeffs={}).evaluate([1.0, 1.0, 1.0])
 
 
 def test_merging_polynomial_of_u1():

@@ -72,7 +72,9 @@ def small_config(**overrides):
         dict(seed=2 ** 64),
         dict(k=MAX_K + 1),
         dict(steps=MAX_STEPS + 1),
-        dict(k=MAX_K, checkpoints=(0,)),  # two (K, K+1) matrices, over MAX_RUN_VALUES
+        # a checkpoint counts two (K, K+1) matrices, its stored one and the
+        # regularized copy write_bundle makes: over MAX_RUN_VALUES
+        dict(k=MAX_K, checkpoints=(0,)),
     ],
 )
 def test_config_validation(overrides):
@@ -99,7 +101,8 @@ def test_zero_steps_run():
     assert all(v.value == 1.0 for v in run.final_table.current)
     assert all(len(s) == 0 for s in run.diagonal_series.values())
     assert all(len(s) == 0 for s in run.subdiagonal_series.values())
-    raw, reg = run.matrices[0]
+    raw = run.matrices[0]
+    assert not raw.regularized
     for r in range(1, 7):
         for j in range(r + 1):
             assert raw.entry(r, j).value == pytest.approx(1.0, abs=1e-12)
@@ -125,8 +128,7 @@ def test_tracked_and_untracked_paths_agree_bitwise():
     assert np.array_equal(tracked.final_table.log_values, untracked.final_table.log_values)
     assert sorted(tracked.matrices) == sorted(untracked.matrices) == list(checkpoints)
     for c in checkpoints:
-        for a, b in zip(tracked.matrices[c], untracked.matrices[c]):
-            assert np.array_equal(a.log10, b.log10, equal_nan=True)
+        assert np.array_equal(tracked.matrices[c].log10, untracked.matrices[c].log10, equal_nan=True)
     assert untracked.diagonal_series == untracked.subdiagonal_series == {}
 
 
@@ -149,7 +151,7 @@ def test_mid_run_checkpoints_match_replayed_prefix():
     from evalanche.martingales import RankedValues
 
     want = discovery.discovery_matrix(RankedValues.from_logs(logs), cfg.merge_matrix)
-    got, _ = run.matrices[20]
+    got = run.matrices[20]
     for r in range(1, cfg.k + 1):
         assert np.array_equal(want.rows[r - 1], got.rows[r - 1])
 
@@ -177,7 +179,7 @@ def test_tracked_blocks_match_per_step_tracking(null_sd):
         want[:, t] = tracker.step(np.sort(logs)[::-1][None])[:, 0]
         if t + 1 in checkpoints:
             raw = discovery_matrix(RankedValues.from_logs(logs.copy()), cfg.merge_matrix)
-            assert np.array_equal(run.matrices[t + 1][0].log10, raw.log10, equal_nan=True)
+            assert np.array_equal(run.matrices[t + 1].log10, raw.log10, equal_nan=True)
     assert np.array_equal(run.final_table.log_values, logs)
     if null_sd < 1.0:
         assert np.isposinf(logs).any()
@@ -300,7 +302,7 @@ def test_replicate_single_seed_matches_run():
     run = run_experiment(cfg)
     got = summary["diagonal_r2"].median
     assert got.log10 == float(run.diagonal_series[2].log10_values[-1])
-    assert summary["matrix60_r4_j3"].median.log10 == run.matrices[60][0].log10_entry(4, 3)
+    assert summary["matrix60_r4_j3"].median.log10 == run.matrices[60].log10_entry(4, 3)
 
 
 def test_replicate_identical_seeds_have_zero_spread():
