@@ -492,9 +492,8 @@ def confidence_region(m: DiscoveryMatrix, r: int, alpha: float) -> ConfidenceReg
     if math.isnan(alpha) or alpha <= 0.0:
         raise DomainError(f"significance level must be positive, got {alpha!r}")
     m._check(r)
-    alpha_log10 = math.log10(alpha) if alpha != math.inf else math.inf
     row = m.log10[r - 1, : r + 1]
-    members = frozenset(int(j) for j in np.flatnonzero(row < alpha_log10))
+    members = frozenset(int(j) for j in np.flatnonzero(row < math.log10(alpha)))
     lower = min(members) if members else None
     return ConfidenceRegion(r=r, alpha=float(alpha), members=members, lower_bound=lower)
 

@@ -5,11 +5,11 @@ Each output decision has one rule.  Float text is ``f"{x!r}"``, the
 shortest round-trip repr, so serialize -> parse -> serialize is
 byte-identical; columns come from ``.tolist()``, ``LogValue`` or
 ``float()``, so they are Python floats and no numpy scalar reaches the text.
-The linear ``value`` is ``linear_value`` of ``log10_value``: a blank CSV
-cell, and a null JSON value, whenever it falls outside the double range (it
-is always recoverable from ``log10_value``).  A cell's color bucket is
-``_buckets`` of its log10 value, the rule ``colorize`` applies to a value;
-its edges, names and colors are all here.  JSON is strict RFC 8259
+The linear ``value`` is ``linear_value``, ``math.exp(log10_value * LN10)``
+with no ``LogValue`` made: a blank CSV cell, and a null JSON value, outside
+the double range (``log10_value`` still holds it).  A cell's color bucket
+is ``_buckets`` of its log10 value, the rule ``colorize`` applies to a
+value; its edges, names and colors are all here.  JSON is strict RFC 8259
 (``json_text``), so +-inf is written as the string ``"inf"`` / ``"-inf"``,
 the CSV text (``_json_float_out``).  Every SVG has one frame (``_svg``).
 
@@ -51,12 +51,16 @@ VALUES_HEADER = "k,log10_value"
 
 
 def linear_value(log10_value: float) -> float | None:
-    """Linear value, or None when outside the double range."""
-    v = LogValue.from_log10(log10_value)
-    x = v.value
-    if math.isinf(x) or (x == 0.0 and not v.is_zero):  # overflows, or positive but underflows
+    """``exp`` of the natural log ``LogValue.from_log10`` forms, or None outside
+    the double range: when it overflows, or a positive value underflows to 0.0."""
+    if math.isnan(log10_value):
+        raise DomainError("log10 value cannot be NaN")
+    log_e = log10_value * LN10
+    try:
+        x = math.exp(log_e)
+    except OverflowError:
         return None
-    return x
+    return x if 0.0 < x < math.inf or log_e == -math.inf else None
 
 
 def linear_cell(log10_value: float) -> str:
@@ -81,8 +85,16 @@ def json_text(obj) -> str:
 
 
 def _read_json(text: str, what: str):
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise DomainError(f"{what} JSON repeats key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to read
         raise DomainError(f"{what} is not valid JSON: {exc}") from exc
 
@@ -143,20 +155,15 @@ _SERIES_KINDS = ("diagonal", "subdiagonal")
 
 def series_records(run: RunResult) -> list[tuple[int, int, str, float]]:
     """One (step, row, kind, log10_value) per series CSV line, ordered by step, row,
-    then diagonal before subdiagonal; a missing or shorter series adds nothing."""
-    columns = [
-        (row, kind, table[row].log10_values.tolist())
-        for row in sorted(set(run.diagonal_series) | set(run.subdiagonal_series))
-        for kind, table in zip(_SERIES_KINDS, (run.diagonal_series, run.subdiagonal_series))
-        if row in table
-    ]
-    n_steps = max((len(values) for _, _, values in columns), default=0)
-    return [
-        (step, row, kind, values[step - 1])
-        for step in range(1, n_steps + 1)
-        for row, kind, values in columns
-        if step <= len(values)
-    ]
+    then diagonal before subdiagonal.  Every tracked row must have both series,
+    all of one length, as ``run_experiment`` makes them; an untracked run gives []."""
+    rows = sorted(run.diagonal_series)
+    keys = [(row, kind) for row in rows for kind in _SERIES_KINDS]
+    columns = [series[row].log10_values.tolist() for row in rows
+               for series in (run.diagonal_series, run.subdiagonal_series)]
+    return [(step, row, kind, l10)
+            for step, values in enumerate(zip(*columns), start=1)
+            for (row, kind), l10 in zip(keys, values)]
 
 
 def series_csv(records: Sequence[tuple[int, int, str, float]]) -> str:

@@ -53,8 +53,6 @@ class LogValue:
             raise DomainError(f"LogValue requires a value in [0, +inf], got {value!r}")
         if value == 0.0:
             return cls(-math.inf)
-        if value == math.inf:
-            return cls(math.inf)
         return cls(math.log(value))
 
     @classmethod
@@ -65,8 +63,6 @@ class LogValue:
     def value(self) -> float:
         """Linear-scale value; +inf when above the double range, 0.0 when the
         represented value underflows."""
-        if self.log_e == math.inf:
-            return math.inf
         try:
             return math.exp(self.log_e)
         except OverflowError:
@@ -74,8 +70,6 @@ class LogValue:
 
     @property
     def log10(self) -> float:
-        if math.isinf(self.log_e):
-            return self.log_e
         return self.log_e / LN10
 
     @property

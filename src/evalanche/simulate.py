@@ -197,10 +197,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         if stop in checkpoints:
             matrices[stop] = discovery.discovery_matrix(RankedValues.from_logs(logs), cfg.merge_matrix)
 
+    store /= LN10  # to log10 once; each series is a read-only view of this array
     diagonal_series, subdiagonal_series = (
-        {r: DiagonalSeries(row=r, kind=kind, log10_values=_frozen(col / LN10))
-         for r, col in zip(tracked, values.T)}
-        for kind, values in zip(("diagonal", "subdiagonal"), store)
+        {r: DiagonalSeries(row=r, kind=kind, log10_values=col) for r, col in zip(tracked, values.T)}
+        for kind, values in zip(("diagonal", "subdiagonal"), _frozen(store))
     )
     return RunResult(
         final_table=MartingaleTable(log_values=_frozen(logs), step=cfg.steps),
@@ -265,12 +265,9 @@ def replicate(cfg: ExperimentConfig, seeds: Sequence[int]) -> dict[str, SeedSumm
 
     for seed in seeds:
         run = run_experiment(replace(cfg, seed=int(seed)))
-        for r, series in run.diagonal_series.items():
+        for series in [*run.diagonal_series.values(), *run.subdiagonal_series.values()]:
             if len(series):
-                put(f"diagonal_r{r}", float(series.log10_values[-1]))
-        for r, series in run.subdiagonal_series.items():
-            if len(series):
-                put(f"subdiagonal_r{r}", float(series.log10_values[-1]))
+                put(f"{series.kind}_r{series.row}", float(series.log10_values[-1]))
         for step, raw in run.matrices.items():
             for r in rows:
                 for j in (r - 1, r - 2, r):

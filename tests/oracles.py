@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own kernels: subset sums
 are enumerated with itertools and reduced with scipy's logsumexp, so a bug
 in the production DP or suffix scans cannot hide in its own oracle.  The
 matrix CSV oracle reads a line at a time, where the library reads a row at
-a time; it shares only the header split and the bucket rule.
+a time; it shares only the header split and the bucket rule.  The linear
+value oracle goes through ``LogValue``, which ``formats.linear_value`` skips.
 """
 
 from __future__ import annotations
@@ -62,6 +63,17 @@ def subset_min_oracle(
             else:
                 best = min(best, mixture_log_oracle(spec, [values[i] for i in combo]))
     return best
+
+
+def linear_value_oracle(log10_value: float) -> float | None:
+    """The linear value of a series or report cell read off a ``LogValue``:
+    None when it is infinite or a nonzero value reads 0.0.  NaN raises
+    DomainError."""
+    v = LogValue.from_log10(log10_value)
+    x = v.value
+    if math.isinf(x) or (x == 0.0 and not v.is_zero):
+        return None
+    return x
 
 
 def parse_matrix_csv_oracle(text: str) -> DiscoveryMatrix:

@@ -226,6 +226,15 @@ def test_validate_poly(tmp_path, capsys):
     assert out.splitlines()[0] == "invalid"
     assert "not normalized" in out
 
+    # a repeated key or monomial is an input error, not a later value winning
+    for coeffs in ('"": 0.2, "1": 0.9, "1": 0.15, "2": 0.15, "1,2": 0.5',
+                   '"": 0.2, "1": 0.15, "2": 0.15, "1,2": 0.25, "2,1": 0.25'):
+        bad.write_text('{"k": 2, "coeffs": {%s}}' % coeffs)
+        code, out, err = run_cli(capsys, "validate-poly", "--poly", str(bad))
+        assert (code, out) == (1, ""), coeffs
+        assert err.startswith("error:") and err.count("\n") == 1, coeffs
+        assert ("repeats key '1'" if '"1": 0.9' in coeffs else "repeats a monomial") in err, coeffs
+
     asym = tmp_path / "asym.json"
     asym.write_text('{"k": 2, "coeffs": {"": 0.2, "1": 0.5, "2": 0.3}}')
     code, out, _ = run_cli(capsys, "validate-poly", "--poly", str(asym))

@@ -26,7 +26,7 @@ from evalanche.discovery import DiscoveryMatrix
 from evalanche.errors import DomainError
 from evalanche.logvalue import LN10
 from evalanche.polynomials import MultiaffinePoly
-from oracles import parse_matrix_csv_oracle
+from oracles import linear_value_oracle, parse_matrix_csv_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -105,22 +105,32 @@ def test_series_value_column_blank_outside_linear_range():
     def series(row, kind, *values):
         return DiagonalSeries(row=row, kind=kind, log10_values=np.array(values))
 
-    # row 3 is diagonal-only; row 1 has a diagonal shorter than its subdiagonal
+    # rows 1 and 3, each with a diagonal and a subdiagonal of four steps, as
+    # run_experiment makes them; row 3's diagonal crosses the double range
     run = RunResult(
         final_table=MartingaleTable.fresh(3),
         diagonal_series={3: series(3, "diagonal", 0.5, 400.0, -400.0, -math.inf),
-                         1: series(1, "diagonal", 1.0, 2.0)},
-        subdiagonal_series={1: series(1, "subdiagonal", 0.25, 0.75, 1.5)},
+                         1: series(1, "diagonal", 1.0, 2.0, 3.0, 4.0)},
+        subdiagonal_series={1: series(1, "subdiagonal", 0.25, 0.75, 1.5, 2.5),
+                            3: series(3, "subdiagonal", -1.0, 350.0, -350.0, 0.0)},
         matrices={},
         ground_truth=frozenset(),
     )
     records = formats.series_records(run)
     assert records == [
-        (1, 1, "diagonal", 1.0), (1, 1, "subdiagonal", 0.25), (1, 3, "diagonal", 0.5),
-        (2, 1, "diagonal", 2.0), (2, 1, "subdiagonal", 0.75), (2, 3, "diagonal", 400.0),
-        (3, 1, "subdiagonal", 1.5), (3, 3, "diagonal", -400.0),
-        (4, 3, "diagonal", -math.inf),
+        (1, 1, "diagonal", 1.0), (1, 1, "subdiagonal", 0.25),
+        (1, 3, "diagonal", 0.5), (1, 3, "subdiagonal", -1.0),
+        (2, 1, "diagonal", 2.0), (2, 1, "subdiagonal", 0.75),
+        (2, 3, "diagonal", 400.0), (2, 3, "subdiagonal", 350.0),
+        (3, 1, "diagonal", 3.0), (3, 1, "subdiagonal", 1.5),
+        (3, 3, "diagonal", -400.0), (3, 3, "subdiagonal", -350.0),
+        (4, 1, "diagonal", 4.0), (4, 1, "subdiagonal", 2.5),
+        (4, 3, "diagonal", -math.inf), (4, 3, "subdiagonal", 0.0),
     ]
+    assert all(type(l10) is float for *_, l10 in records)
+    untracked = RunResult(final_table=MartingaleTable.fresh(3), diagonal_series={},
+                          subdiagonal_series={}, matrices={}, ground_truth=frozenset())
+    assert formats.series_records(untracked) == []
     text = formats.series_csv(records)
     lines = [line for line in text.splitlines()[1:] if ",3,diagonal," in line]
     cells = [line.split(",")[4] for line in lines]
@@ -131,6 +141,44 @@ def test_series_value_column_blank_outside_linear_range():
     assert cells[3] == "0.0"  # exact zero is representable
     assert logs[3] == "-inf"  # the log column is always present
     assert formats.series_csv(formats.parse_series_csv(text)) == text
+
+
+# the largest log10 values whose linear value is a finite double / rounds to
+# the smallest subnormal, 5e-324 (log10 -323.306), rather than to 0.0
+_OVERFLOW_LOG10 = 308.2547155599167
+_UNDERFLOW_LOG10 = -323.6072453387797
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.floats(-400.0, 400.0),
+    st.sampled_from([math.inf, -math.inf, 0.0, -0.0, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.sampled_from([math.nextafter(_OVERFLOW_LOG10, -math.inf), _OVERFLOW_LOG10,
+                     math.nextafter(_OVERFLOW_LOG10, math.inf)]),
+    st.sampled_from([math.nextafter(_UNDERFLOW_LOG10, -math.inf), _UNDERFLOW_LOG10,
+                     math.nextafter(_UNDERFLOW_LOG10, math.inf)]),
+    st.floats(-323.7, -323.2),  # the smallest subnormal and where it rounds to 0.0
+    st.floats(allow_nan=False),
+))
+def test_linear_value_matches_logvalue_rule(log10_value):
+    """linear_value computes the LogValue rule without making a LogValue:
+    the same float, bit for bit, or None."""
+    got, want = formats.linear_value(log10_value), linear_value_oracle(log10_value)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.hex() == want.hex()
+
+
+def test_linear_value_edges():
+    assert formats.linear_value(_OVERFLOW_LOG10) is not None
+    assert formats.linear_value(math.nextafter(_OVERFLOW_LOG10, math.inf)) is None
+    assert formats.linear_value(-323.306) == 5e-324
+    assert formats.linear_value(_UNDERFLOW_LOG10) == 5e-324
+    assert formats.linear_value(math.nextafter(_UNDERFLOW_LOG10, -math.inf)) is None
+    assert formats.linear_value(-math.inf) == 0.0 and formats.linear_value(math.inf) is None
+    for rule in (formats.linear_value, linear_value_oracle):
+        with pytest.raises(DomainError):
+            rule(math.nan)
 
 
 @pytest.mark.parametrize(
@@ -397,6 +445,11 @@ def test_config_json_errors():
         formats.config_from_json(json.dumps({**obj, "bet_dist": {"mean": 0, "sd": 10 ** 400}}))
     with pytest.raises(DomainError, match="not valid JSON"):
         formats.config_from_json('{"k": 1' + "0" * 5000 + "}")
+    # a repeated key, at the top or inside a field, is rejected, not read as its last value
+    with pytest.raises(DomainError, match="config JSON repeats key 'k'"):
+        formats.config_from_json('{"k": 5000, ' + json.dumps({**obj, "k": 200})[1:])
+    with pytest.raises(DomainError, match="config JSON repeats key 'sd'"):
+        formats.config_from_json(json.dumps(obj).replace('"sd": ', '"sd": 2, "sd": ', 1))
 
 
 def test_config_schema_covers_every_field():
@@ -440,6 +493,10 @@ def test_poly_json():
         formats.poly_from_json('{"k": 2}')
     with pytest.raises(DomainError, match="repeats a monomial"):
         formats.poly_from_json('{"k": 2, "coeffs": {"1,2": 0.5, "2,1": 0.5}}')
+    with pytest.raises(DomainError, match="polynomial JSON repeats key '1'"):
+        formats.poly_from_json('{"k": 2, "coeffs": {"": 0.2, "1": 0.9, "1": 0.15, "2": 0.15, "1,2": 0.5}}')
+    with pytest.raises(DomainError, match="polynomial JSON repeats key 'k'"):
+        formats.poly_from_json('{"k": 3, "k": 2, "coeffs": {"": 1.0}}')
     with pytest.raises(DomainError, match="not valid JSON"):
         formats.poly_from_json('{"k": 1' + "0" * 5000 + ', "coeffs": {}}')
 

@@ -59,3 +59,4 @@ def test_log10_and_value_extremes():
     assert LogValue.from_log10(-500.0).value == 0.0
     assert ZERO.log10 == -math.inf
     assert INFINITE.log10 == math.inf
+    assert LogValue(math.inf).value == math.inf
