@@ -5,16 +5,19 @@ validate-poly, oracle-check.  This module parses flags, reads inputs and
 dispatches; every ``--format`` output is rendered by ``formats``.  Data goes
 to stdout or files; diagnostics go to stderr.  Exit codes: 0 success, 1
 usage error (bad flags, unreadable or malformed input file, unwritable
-output), 2 numerical or domain error or a failed ``oracle-check`` row.
+output), 2 numerical or domain error or a failed ``oracle-check`` row.  A
+stdout closed early by its reader ends the output, with exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterable
 
 from . import formats
 from .discovery import confidence_region, diagonal_row, discovery_matrix, regularize, subdiagonal_row
@@ -88,11 +91,18 @@ def _parse_rows(text: str | None, k: int) -> list[int]:
         raise _UsageError(f"--rows must be comma-separated integers, got {text!r}") from exc
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write ``chunks`` to the file ``out``, or to stdout.  A reader that closes
+    stdout early ends the output: stdout is pointed at the null device, so the
+    flush at exit is silent, and the command still succeeds."""
+    try:
+        formats.write_chunks(chunks, out)
+    except BrokenPipeError:
+        if out is not None:
+            raise
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
 
 
 def _cmd_simulate(args) -> int:
@@ -102,7 +112,7 @@ def _cmd_simulate(args) -> int:
             cfg = replace(cfg, seed=args.seed)
     run = run_experiment(cfg)
     bundle = formats.write_bundle(cfg, run, args.out)
-    sys.stdout.write(f"{bundle['manifest.json']}\n")
+    _emit([f"{bundle['manifest.json']}\n"], None)
     return 0
 
 
@@ -113,7 +123,7 @@ def _cmd_row_scan(args, kind: str) -> int:
     rows = _parse_rows(args.rows, ranked.k)
     fn = diagonal_row if kind == "diagonal" else subdiagonal_row
     table = [(r, fn(ranked, r, spec)) for r in rows]
-    _emit(formats.row_table(kind, spec, table, args.format), args.out)
+    _emit([formats.row_table(kind, spec, table, args.format)], args.out)
     return 0
 
 
@@ -125,7 +135,7 @@ def _cmd_matrix(args) -> int:
     if args.regularize:
         m = regularize(m)
     if args.heatmap:
-        Path(args.heatmap).write_text(formats.heatmap_svg(m))
+        _emit(formats.heatmap_svg_chunks(m), args.heatmap)
     _emit(formats.matrix_report(m, args.format), args.out)
     return 0
 
@@ -133,14 +143,14 @@ def _cmd_matrix(args) -> int:
 def _cmd_region(args) -> int:
     m = regularize(_read(args.matrix, "matrix", formats.parse_matrix_csv))
     region = confidence_region(m, args.row, args.alpha)
-    _emit(formats.region_report(region, args.format), args.out)
+    _emit([formats.region_report(region, args.format)], args.out)
     return 0
 
 
 def _cmd_merge(args) -> int:
     values = _load_values(args.values)
     spec = _parse_merge(args.merge)
-    _emit(formats.merge_report(spec, mixture_merge(spec, values), args.format), args.out)
+    _emit([formats.merge_report(spec, mixture_merge(spec, values), args.format)], args.out)
     return 0
 
 
@@ -154,7 +164,7 @@ def _cmd_validate_poly(args) -> int:
         lines.append("weights: " + ",".join(map(repr, weights)))
     except DomainError as exc:
         lines.append(f"not symmetric: {exc}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
@@ -164,9 +174,8 @@ def _cmd_oracle_check(args) -> int:
     if args.seed < 0:
         raise _UsageError(f"--seed must be non-negative, got {args.seed}")
     rows = certify(args.instances, args.seed)
-    for name, worst, tol in rows:
-        sys.stdout.write(f"{'ok' if worst <= tol else 'FAIL'} {name}: worst {worst:.3e} "
-                         f"(tol {tol:.0e}, {args.instances} instances)\n")
+    _emit([f"{'ok' if worst <= tol else 'FAIL'} {name}: worst {worst:.3e} "
+           f"(tol {tol:.0e}, {args.instances} instances)\n" for name, worst, tol in rows], None)
     return 0 if all(worst <= tol for _, worst, tol in rows) else 2
 
 

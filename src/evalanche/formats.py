@@ -13,7 +13,10 @@ value; its edges, names and colors are all here.  JSON is strict RFC 8259
 (``json_text``), so +-inf is written as the string ``"inf"`` / ``"-inf"``,
 the CSV text (``_json_float_out``).  Every SVG has one frame (``_svg``).
 
-Matrix text is made and read a row at a time.  Row r of a matrix CSV is its
+Matrix text is made and read a row at a time, in bounded chunks: the
+writers yield a row per chunk to ``write_chunks``, and every CSV parser reads
+lines through ``_lines``.  At K = 500, ``matrix --heatmap --out`` peaks at
+3.7 MB of heap (17.5 MB whole) and the parse at 3.1 MB (12.4 MB).  Row r of a matrix CSV is its
 r+1 non-empty lines ``r,j,log10_value,bucket`` for j = 0..r; joined with
 newlines and split on commas they must be exactly the 3r+4 tokens ``r``,
 then per cell ``j`` (the writer's ``str(j)``), a value ``float`` reads as
@@ -25,15 +28,17 @@ with one fault gets the message a line-at-a-time reader would give.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import itertools
 import json
 import math
 import platform
+import sys
 import typing
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -99,12 +104,31 @@ def _read_json(text: str, what: str):
         raise DomainError(f"{what} is not valid JSON: {exc}") from exc
 
 
+def write_chunks(chunks: Iterable[str], path: str | Path | None) -> None:
+    """Write each chunk as it is made to the file at ``path``, or to stdout
+    (flushed) when it is None, so no whole text is held."""
+    with contextlib.nullcontext(sys.stdout) if path is None else Path(path).open("w") as f:
+        f.writelines(chunks)
+        f.flush()
+
+
+def _lines(text: str, chunk: int = 1 << 16) -> Iterator[str]:
+    r"""``text.splitlines()``, split from cuts about ``chunk`` characters apart.
+    Each cut falls just after a ``"\n"``, so ``"\r\n"`` never straddles one and
+    every break ``splitlines`` honours still ends a line."""
+    a = 0
+    while a < len(text):
+        b = text.find("\n", a + chunk) + 1 or len(text)
+        yield from text[a:b].splitlines()
+        a = b
+
+
 def _data_lines(text: str, header: str, what: str):
     """(line number, line) of each non-empty line after ``header``."""
-    lines = text.splitlines()
-    if not lines or lines[0] != header:
+    lines = _lines(text)
+    if next(lines, None) != header:
         raise DomainError(f"{what} CSV must start with {header!r}")
-    return ((n, line) for n, line in enumerate(lines[1:], start=2) if line)
+    return ((n, line) for n, line in enumerate(lines, start=2) if line)
 
 
 # ---------------------------------------------------------------------------
@@ -151,29 +175,43 @@ def _buckets(log10: np.ndarray) -> np.ndarray:
 
 
 _SERIES_KINDS = ("diagonal", "subdiagonal")
+_CHUNK_LINES = 4096
+
+
+def _series_blocks(run: RunResult) -> Iterator[list[tuple[int, int, str, float]]]:
+    """``series_records(run)`` about 4,096 records at a time, each block made
+    from a slice of steps of the tracked series."""
+    rows = sorted(run.diagonal_series)
+    keys = [(row, kind) for row in rows for kind in _SERIES_KINDS]
+    columns = [series[row].log10_values for row in rows
+               for series in (run.diagonal_series, run.subdiagonal_series)]
+    steps = max(1, _CHUNK_LINES // max(1, len(keys)))
+    for a in range(0, len(columns[0]) if columns else 0, steps):
+        yield [(step, row, kind, l10)
+               for step, values in enumerate(zip(*[c[a:a + steps].tolist() for c in columns]),
+                                             start=a + 1)
+               for (row, kind), l10 in zip(keys, values)]
 
 
 def series_records(run: RunResult) -> list[tuple[int, int, str, float]]:
     """One (step, row, kind, log10_value) per series CSV line, ordered by step, row,
     then diagonal before subdiagonal.  Every tracked row must have both series,
     all of one length, as ``run_experiment`` makes them; an untracked run gives []."""
-    rows = sorted(run.diagonal_series)
-    keys = [(row, kind) for row in rows for kind in _SERIES_KINDS]
-    columns = [series[row].log10_values.tolist() for row in rows
-               for series in (run.diagonal_series, run.subdiagonal_series)]
-    return [(step, row, kind, l10)
-            for step, values in enumerate(zip(*columns), start=1)
-            for (row, kind), l10 in zip(keys, values)]
+    return list(itertools.chain.from_iterable(_series_blocks(run)))
+
+
+def series_csv_chunks(records: Iterable[tuple[int, int, str, float]]) -> Iterator[str]:
+    """The header, then the lines 4,096 at a time.  The ``value`` column is
+    derived here, by ``linear_cell``."""
+    yield f"{SERIES_HEADER}\n"
+    records = iter(records)
+    while chunk := "".join([f"{step},{row},{kind},{l10!r},{linear_cell(l10)}\n"
+                            for step, row, kind, l10 in itertools.islice(records, _CHUNK_LINES)]):
+        yield chunk
 
 
 def series_csv(records: Sequence[tuple[int, int, str, float]]) -> str:
-    """The ``value`` column is derived here, by ``linear_cell``.  Lines are
-    joined 4,096 at a time, so no list holds a string per line of the text."""
-    chunks = [f"{SERIES_HEADER}\n"]
-    for i in range(0, len(records), 4096):
-        chunks.append("".join([f"{step},{row},{kind},{l10!r},{linear_cell(l10)}\n"
-                               for step, row, kind, l10 in records[i:i + 4096]]))
-    return "".join(chunks)
+    return "".join(series_csv_chunks(records))
 
 
 def parse_series_csv(text: str) -> list[tuple[int, int, str, float]]:
@@ -199,17 +237,20 @@ def parse_series_csv(text: str) -> list[tuple[int, int, str, float]]:
 # matrices and value lists
 
 
-def matrix_csv(m: DiscoveryMatrix) -> str:
-    """One string per row, joined from shared ``j,`` prefixes and ``,bucket``
-    tails around each cell's repr: no per-cell f-string, no K^2 list."""
+def matrix_csv_chunks(m: DiscoveryMatrix) -> Iterator[str]:
+    """The header, then one string per row, joined from shared ``j,`` prefixes
+    and ``,bucket`` tails around each cell's repr: no per-cell f-string, no K^2 list."""
     j_prefixes = [f"{j}," for j in range(m.k + 1)]
     name_tails = [f",{name}\n" for name in _BUCKET_NAMES]
-    rows = [f"{MATRIX_HEADER}\n"]
+    yield f"{MATRIX_HEADER}\n"
     for r, row in enumerate(m.rows, start=1):
         cells = zip(itertools.repeat(f"{r},"), j_prefixes, map(repr, row.tolist()),
                     map(name_tails.__getitem__, _buckets(row).tolist()))
-        rows.append("".join(itertools.chain.from_iterable(cells)))
-    return "".join(rows)
+        yield "".join(itertools.chain.from_iterable(cells))
+
+
+def matrix_csv(m: DiscoveryMatrix) -> str:
+    return "".join(matrix_csv_chunks(m))
 
 
 def _matrix_row(tokens: list[str], index: list[str]) -> np.ndarray | None:
@@ -264,10 +305,10 @@ def _matrix_row_error(text: str, r: int) -> DomainError:
 
 def _matrix_rows(text: str) -> list[np.ndarray]:
     """The rows of a matrix CSV, row r from its r+1 non-empty lines."""
-    lines = text.splitlines()
-    if not lines or lines[0] != MATRIX_HEADER:
+    lines = _lines(text)
+    if next(lines, None) != MATRIX_HEADER:
         raise DomainError(f"matrix CSV must start with {MATRIX_HEADER!r}")
-    cells = filter(None, itertools.islice(lines, 1, None))
+    cells = filter(None, lines)
     index = ["0"]
     rows = []
     for r in itertools.count(1):
@@ -287,7 +328,7 @@ def parse_matrix_csv(text: str) -> DiscoveryMatrix:
     in the bucket of its value; a bad line raises DomainError naming it.  Each
     line's ``r`` and ``j`` text must be the writer's ``str`` of the next cell,
     so a repeated, skipped or reordered cell fails on the line it is read."""
-    rows = _matrix_rows(text)  # the line list is freed before the matrix is made
+    rows = _matrix_rows(text)
     if not rows:
         raise DomainError("matrix CSV has no cells")
     k = len(rows)
@@ -328,30 +369,35 @@ def parse_values_csv(text: str) -> list[LogValue]:
 # SVG
 
 
-def _svg(width: int, height: int, body: Sequence[str]) -> str:
-    """A standalone SVG: the header, a white background, then the ``body``
-    strings, each made of newline-ended lines, joined once."""
-    return "".join([
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">\n'
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n',
-        *body, "</svg>\n",
-    ])
+def _svg(width: int, height: int, body: Iterable[str]) -> Iterator[str]:
+    """A standalone SVG a chunk at a time: the header and a white background,
+    the ``body`` strings, each made of newline-ended lines, then the footer."""
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+           f'viewBox="0 0 {width} {height}">\n'
+           f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n')
+    yield from body
+    yield "</svg>\n"
 
 
-def heatmap_svg(m: DiscoveryMatrix) -> str:
+def heatmap_svg_chunks(m: DiscoveryMatrix) -> Iterator[str]:
     """One 4-pixel rect per matrix cell, row 1 at the top, colored by bucket;
-    each row is joined from shared x prefixes and fill tails, as matrix_csv."""
+    each row is one chunk, joined from shared x prefixes and fill tails, as
+    in matrix_csv_chunks."""
     cell = 4
     x_prefixes = [f'<rect x="{j * cell}" y="' for j in range(m.k + 1)]
     fill_tails = [f'{hexcode}"/>\n' for hexcode in _BUCKET_HEXES]
-    rows = []
-    for y, row in enumerate(m.rows):
-        middle = f'{y * cell}" width="{cell}" height="{cell}" fill="'
-        rects = zip(x_prefixes, itertools.repeat(middle),
-                    map(fill_tails.__getitem__, _buckets(row).tolist()))
-        rows.append("".join(itertools.chain.from_iterable(rects)))
-    return _svg((m.k + 1) * cell, m.k * cell, rows)
+
+    def rows():
+        for y, row in enumerate(m.rows):
+            middle = f'{y * cell}" width="{cell}" height="{cell}" fill="'
+            rects = zip(x_prefixes, itertools.repeat(middle),
+                        map(fill_tails.__getitem__, _buckets(row).tolist()))
+            yield "".join(itertools.chain.from_iterable(rects))
+    return _svg((m.k + 1) * cell, m.k * cell, rows())
+
+
+def heatmap_svg(m: DiscoveryMatrix) -> str:
+    return "".join(heatmap_svg_chunks(m))
 
 
 _LINE_COLORS = ("#2ca02c", "#ff7f0e", "#1f77b4", "#d62728", "#9467bd", "#8c564b")
@@ -383,7 +429,7 @@ def series_svg(series: Sequence[DiagonalSeries]) -> str:
         lines.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>\n'
         )
-    return _svg(width, height, lines)
+    return "".join(_svg(width, height, lines))
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +603,12 @@ def row_table(kind: str, spec: MergeSpec, rows: Sequence[tuple[int, LogValue]], 
     return "\n".join(lines) + "\n"
 
 
-def matrix_report(m: DiscoveryMatrix, fmt: str) -> str:
+def matrix_report(m: DiscoveryMatrix, fmt: str) -> Iterable[str]:
+    """The report's chunks: the CSV a row at a time, the JSON whole."""
     if fmt == "json":
         rows = [[_json_float_out(x) for x in row.tolist()] for row in m.rows]
-        return json_text({"k": m.k, "regularized": m.regularized, "rows": rows})
-    return matrix_csv(m)
+        return [json_text({"k": m.k, "regularized": m.regularized, "rows": rows})]
+    return matrix_csv_chunks(m)
 
 
 def region_report(region: ConfidenceRegion, fmt: str) -> str:
@@ -594,28 +641,31 @@ REGION_ALPHAS = (10.0, 100.0)
 
 
 def write_bundle(cfg: ExperimentConfig, run: RunResult, out_dir: str | Path) -> dict[str, Path]:
-    """Write every artifact of a run as soon as it is made; the manifest pins
-    (config, seed).  Returns {file name: path}, the manifest's file list."""
+    """Write every artifact of a run, in chunks, as soon as it is made; the manifest
+    pins (config, seed).  Returns {file name: path}, the manifest's file list."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
 
-    def write(name: str, text: str) -> None:
+    def write(name: str, chunks: Iterable[str]) -> None:
         paths[name] = out / name
-        paths[name].write_text(text)
+        write_chunks(chunks, paths[name])
 
     rows = sorted(set(cfg.tracked_rows))
     if rows:
-        write("series.csv", series_csv(series_records(run)))
-        write("series.svg", series_svg([*run.diagonal_series.values(), *run.subdiagonal_series.values()]))
+        series = [*run.diagonal_series.values(), *run.subdiagonal_series.values()]
+        if any(np.isnan(s.log10_values).any() for s in series):  # linear_cell's error, before a file opens
+            raise DomainError("log10 value cannot be NaN")
+        write("series.csv", series_csv_chunks(itertools.chain.from_iterable(_series_blocks(run))))
+        write("series.svg", [series_svg(series)])
     for step, raw in sorted(run.matrices.items()):
         reg = regularize(raw)  # the one regularized copy, dropped once written
-        write(f"matrix_{step}.csv", matrix_csv(raw))
-        write(f"matrix_{step}_regularized.csv", matrix_csv(reg))
-        write(f"heatmap_{step}.svg", heatmap_svg(raw))
+        write(f"matrix_{step}.csv", matrix_csv_chunks(raw))
+        write(f"matrix_{step}_regularized.csv", matrix_csv_chunks(reg))
+        write(f"heatmap_{step}.svg", heatmap_svg_chunks(raw))
         if rows:
             regions = [region_to_obj(confidence_region(reg, r, alpha))
                        for r in rows for alpha in REGION_ALPHAS]
-            write(f"regions_{step}.json", json_text({"step": step, "regions": regions}))
-    write("manifest.json", manifest_json(cfg, [*paths, "manifest.json"]))
+            write(f"regions_{step}.json", [json_text({"step": step, "regions": regions})])
+    write("manifest.json", [manifest_json(cfg, [*paths, "manifest.json"])])
     return paths

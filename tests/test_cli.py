@@ -2,11 +2,15 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import evalanche
 from evalanche import (
     ExperimentConfig,
     LogValue,
@@ -459,6 +463,23 @@ def test_entry_point_help(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv, head", [
+    (["matrix", "--values", ",".join(str(1.0 + i / 64) for i in range(500))], 1),  # 4 MB of CSV
+    (["merge", "--values", "8,4,1", "--merge", "u1"], 0),  # left for the flush at exit
+])
+def test_closed_stdout_ends_output_quietly(argv, head):
+    """A reader that closes stdout early, as ``| head -c 1`` does, ends the
+    output: exit 0 and nothing on stderr, at the flush on exit included."""
+    env = {**os.environ, "PYTHONPATH": str(Path(evalanche.__file__).resolve().parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "evalanche.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(head)) == head
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0, err
+    assert err == b""
 
 
 # --- fuzzing the input parsers through the CLI -------------------------------

@@ -18,6 +18,7 @@ from evalanche import (
     colorize,
     confidence_region,
     discovery_matrix,
+    paper_experiment_config,
     regularize,
     run_experiment,
 )
@@ -314,16 +315,36 @@ def _peak(fn, arg):
         tracemalloc.stop()
 
 
+_LINE_BREAKS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                "\u2029")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.text("ab,\u00e9", max_size=3), st.sampled_from(_LINE_BREAKS)),
+                max_size=12),
+       st.text("ab", max_size=2), st.integers(0, 8))
+@example([("a", "\r\n"), ("b", "\n")], "", 2)  # the search for a cut starts on the "\n" of "\r\n"
+@example([("a", "\r"), ("", "\n"), ("", "\n")], "c", 1)  # "\r" then "\n" from two pieces: one break
+def test_lines_match_splitlines(lines, tail, chunk):
+    r"""The chunked line reader, with cuts a few characters apart, reads every
+    text as ``splitlines`` does: blank lines, every break it honours, a
+    missing final newline and a ``"\r\n"`` at a cut included."""
+    text = "".join(line + brk for line, brk in lines) + tail
+    assert list(formats._lines(text, chunk)) == text.splitlines()
+
+
 def test_parse_matrix_csv_peak_memory():
-    """Parsing a K = 500 u1 matrix (4.2 MB of text) peaks below 3.25 bytes of
-    heap per byte of text (13.6 MB).  Measured on Python 3.11.7, numpy 2.4.6:
-    12.4 MB, most of it the ``splitlines`` list; the line-at-a-time parser,
-    which kept a Python float and a bucket index per line, peaked at 16.3 MB,
-    and an earlier one, which also kept per-line r and j lists and a flat
-    cell index to find repeated and missing cells, at 21.7 MB."""
+    """Parsing a K = 500 u1 matrix (4.2 MB of text) peaks below 1.0 byte of
+    heap per byte of text (4.2 MB).  Measured on Python 3.11.7, numpy 2.4.6:
+    3.1 MB (0.73 bytes per byte), the row arrays and the matrix, with lines
+    read a 64 KiB chunk at a time; one ``splitlines`` list of the whole text
+    peaked at 12.4 MB, the line-at-a-time parser, which kept a Python float
+    and a bucket index per line, at 16.3 MB, and an earlier one, which also
+    kept per-line r and j lists and a flat cell index to find repeated and
+    missing cells, at 21.7 MB."""
     text = formats.matrix_csv(_k500_u1_matrix())
     peak, _ = _peak(formats.parse_matrix_csv, text)
-    assert peak <= 3.25 * len(text), (peak, len(text))
+    assert peak <= 1.0 * len(text), (peak, len(text))
 
 
 @pytest.mark.parametrize("writer", [formats.matrix_csv, formats.heatmap_svg])
@@ -347,6 +368,81 @@ def test_series_csv_peak_memory():
     records = [(*key, x) for key, x in zip(keys, l10)]
     peak, text = _peak(formats.series_csv, records)
     assert peak <= 2.25 * len(text), (peak, len(text))
+
+
+def _k500_values_csv(tmp_path) -> tuple[Path, DiscoveryMatrix]:
+    """A values CSV of 500 values and the u1 matrix the CLI computes from it."""
+    logs = np.random.default_rng(42).normal(0.0, 5.0, 500).tolist()
+    path = tmp_path / "values_k500.csv"
+    path.write_text(formats.values_csv([LogValue(x) for x in logs]))
+    values = formats.parse_values_csv(path.read_text())
+    return path, discovery_matrix(RankedValues.from_values(values), U1)
+
+
+def test_cli_matrix_peak_memory(tmp_path):
+    """``evalanche matrix --heatmap --out`` at K = 500 (4.2 MB of CSV, 7.7 MB
+    of SVG) peaks below 5 MB of heap: the text is written a row at a time.
+    Measured on Python 3.11.7, numpy 2.4.6: 3.7 MB; writing each whole text
+    peaked at 17.5 MB."""
+    values, _ = _k500_values_csv(tmp_path)
+    argv = ["matrix", "--values", str(values), "--heatmap", str(tmp_path / "heatmap.svg"),
+            "--out", str(tmp_path / "matrix.csv")]
+    peak, code = _peak(cli.main, argv)
+    assert code == 0
+    assert peak <= 5e6, peak
+
+
+def test_streamed_matrix_text_equals_string_writers(tmp_path, capsys):
+    """At K = 500 the CLI's stdout, its ``--out`` file and ``matrix_csv`` are
+    one text, and its ``--heatmap`` file is ``heatmap_svg``, byte for byte."""
+    values, m = _k500_values_csv(tmp_path)
+    assert cli.main(["matrix", "--values", str(values)]) == 0
+    stdout = capsys.readouterr().out
+    assert cli.main(["matrix", "--values", str(values), "--heatmap", str(tmp_path / "h.svg"),
+                     "--out", str(tmp_path / "m.csv")]) == 0
+    text = formats.matrix_csv(m)
+    assert stdout == text
+    assert (tmp_path / "m.csv").read_bytes() == text.encode()
+    assert (tmp_path / "h.svg").read_bytes() == formats.heatmap_svg(m).encode()
+
+
+@pytest.fixture(scope="module")
+def paper_run():
+    cfg = paper_experiment_config(seed=42)
+    return cfg, run_experiment(cfg)
+
+
+def test_write_bundle_peak_memory(paper_run, tmp_path):
+    """``write_bundle`` on the paper study (an 80,000-line series.csv, K = 200
+    matrices) peaks below 6 MB of heap: every big artifact is written a chunk
+    at a time.  Measured on Python 3.11.7, numpy 2.4.6: 4.7 MB; writing each
+    whole text peaked at 17.9 MB."""
+    cfg, run = paper_run
+    peak, _ = _peak(lambda out: formats.write_bundle(cfg, run, out), tmp_path)
+    assert peak <= 6e6, peak
+
+
+def test_streamed_bundle_equals_string_writers(paper_run, tmp_path):
+    """Every file ``write_bundle`` streams is its string writer's text."""
+    cfg, run = paper_run
+    bundle = formats.write_bundle(cfg, run, tmp_path)
+    (step, raw), = run.matrices.items()
+    reg = regularize(raw)
+    regions = [formats.region_to_obj(confidence_region(reg, r, alpha))
+               for r in sorted(cfg.tracked_rows) for alpha in formats.REGION_ALPHAS]
+    want = {
+        "series.csv": formats.series_csv(formats.series_records(run)),
+        "series.svg": formats.series_svg([*run.diagonal_series.values(),
+                                          *run.subdiagonal_series.values()]),
+        f"matrix_{step}.csv": formats.matrix_csv(raw),
+        f"matrix_{step}_regularized.csv": formats.matrix_csv(reg),
+        f"heatmap_{step}.svg": formats.heatmap_svg(raw),
+        f"regions_{step}.json": formats.json_text({"step": step, "regions": regions}),
+        "manifest.json": formats.manifest_json(cfg, list(bundle)),
+    }
+    assert sorted(bundle) == sorted(want)
+    for name, text in want.items():
+        assert bundle[name].read_bytes() == text.encode(), name
 
 
 def test_matrix_csv_keeps_infinite_cells():
@@ -528,6 +624,19 @@ def test_write_bundle(tmp_path):
         region = confidence_region(reg, entry["r"], entry["alpha"])
         assert sorted(region.members) == entry["members"]
         assert region.lower_bound == entry["lower_bound"]
+
+
+def test_write_bundle_rejects_nan_series_before_writing(tmp_path):
+    """A NaN series value raises linear_cell's DomainError before series.csv
+    is opened, so no partly streamed file is left behind."""
+    cfg, run = small_run()
+    values = run.diagonal_series[3].log10_values.copy()
+    values[7] = math.nan
+    bad = dataclasses.replace(run, diagonal_series={
+        **run.diagonal_series, 3: dataclasses.replace(run.diagonal_series[3], log10_values=values)})
+    with pytest.raises(DomainError, match="^log10 value cannot be NaN$"):
+        formats.write_bundle(cfg, bad, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bundle_matches_golden_bytes(tmp_path):
