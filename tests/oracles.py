@@ -6,6 +6,10 @@ in the production DP or suffix scans cannot hide in its own oracle.  The
 matrix CSV oracle reads a line at a time, where the library reads a row at
 a time; it shares only the header split and the bucket rule.  The linear
 value oracle goes through ``LogValue``, which ``formats.linear_value`` skips.
+The matrix and series CSV writer oracles format every cell and line afresh,
+where the library reuses the text of a value equal bit for bit to the one
+before it in its column; the matrix JSON oracle dumps the whole report at
+once, where the library streams it a row at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +23,10 @@ from scipy.special import logsumexp
 from evalanche import LogValue, MergeSpec
 from evalanche.discovery import DiscoveryMatrix
 from evalanche.errors import DomainError
-from evalanche.formats import _BUCKET_NAMES, MATRIX_HEADER, _buckets, _data_lines
+from evalanche.formats import (
+    _BUCKET_NAMES, MATRIX_HEADER, SERIES_HEADER, _buckets, _data_lines, _json_float_out,
+    json_text, linear_cell,
+)
 
 
 def nesp_log_oracle(values: list[LogValue], n: int) -> float:
@@ -74,6 +81,29 @@ def linear_value_oracle(log10_value: float) -> float | None:
     if math.isinf(x) or (x == 0.0 and not v.is_zero):
         return None
     return x
+
+
+def matrix_csv_oracle(m: DiscoveryMatrix) -> str:
+    """``formats.matrix_csv`` a cell at a time: every cell's repr and bucket name."""
+    lines = [f"{MATRIX_HEADER}\n"]
+    for r, row in enumerate(m.rows, start=1):
+        for j, (x, b) in enumerate(zip(row.tolist(), _buckets(row).tolist())):
+            lines.append(f"{r},{j},{x!r},{_BUCKET_NAMES[b]}\n")
+    return "".join(lines)
+
+
+def matrix_json_oracle(m: DiscoveryMatrix) -> str:
+    """``matrix --format json`` as one ``json_text`` of the whole report."""
+    rows = [[_json_float_out(x) for x in row.tolist()] for row in m.rows]
+    return json_text({"k": m.k, "regularized": m.regularized, "rows": rows})
+
+
+def series_csv_oracle(records) -> str:
+    """``formats.series_csv`` a line at a time: every value's repr and linear cell."""
+    lines = [f"{SERIES_HEADER}\n"]
+    for step, row, kind, l10 in records:
+        lines.append(f"{step},{row},{kind},{l10!r},{linear_cell(l10)}\n")
+    return "".join(lines)
 
 
 def parse_matrix_csv_oracle(text: str) -> DiscoveryMatrix:

@@ -27,7 +27,10 @@ from evalanche.discovery import DiscoveryMatrix
 from evalanche.errors import DomainError
 from evalanche.logvalue import LN10
 from evalanche.polynomials import MultiaffinePoly
-from oracles import linear_value_oracle, parse_matrix_csv_oracle
+from oracles import (
+    linear_value_oracle, matrix_csv_oracle, matrix_json_oracle, parse_matrix_csv_oracle,
+    series_csv_oracle,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -182,6 +185,53 @@ def test_linear_value_edges():
             rule(math.nan)
 
 
+_SERIES_KEYS = ((1, "diagonal"), (1, "subdiagonal"), (7, "diagonal"))
+_SERIES_EDGES = (0.0, -0.0, math.inf, -math.inf, 1.0, math.nextafter(1.0, math.inf),
+                 *(math.nextafter(edge, toward) for edge in (_OVERFLOW_LOG10, _UNDERFLOW_LOG10)
+                   for toward in (-math.inf, math.inf)), _OVERFLOW_LOG10, _UNDERFLOW_LOG10)
+
+
+@st.composite
+def _series_with_runs(draw):
+    """Records of three interleaved series, whose values often repeat the same
+    series' value before them: runs, +-0.0 runs and the linear-range edges."""
+    last: dict = {}
+    records = []
+    for step in range(1, draw(st.integers(0, 40)) + 1):
+        key = draw(st.sampled_from(_SERIES_KEYS))
+        how = draw(st.sampled_from(["repeat", "repeat", "edge", "any", "negate"]))
+        if how == "edge" or key not in last:
+            l10 = draw(st.sampled_from(_SERIES_EDGES))
+        elif how == "any":
+            l10 = draw(st.floats(allow_nan=False))
+        else:
+            l10 = -last[key] if how == "negate" else last[key]  # -0.0 after 0.0, and back
+        last[key] = l10
+        records.append((step, *key, l10))
+    return records
+
+
+@settings(max_examples=400, deadline=None)
+@given(_series_with_runs())
+def test_series_csv_matches_per_line_writer(records):
+    """The series writer, which reuses the text of a value equal bit for bit
+    to its series' value before it, writes the bytes of the per-line writer."""
+    text = formats.series_csv(records)
+    assert text == series_csv_oracle(records)
+    parsed = formats.parse_series_csv(text)
+    assert [l10.hex() for *_, l10 in parsed] == [l10.hex() for *_, l10 in records]
+
+
+def test_series_csv_nan_after_a_run_raises():
+    """A NaN is never equal to the value before it, so it is never reused: it
+    raises as the per-line writer raises, after a run and after a NaN."""
+    for tail in ([math.nan], [math.nan, math.nan]):
+        records = [(step, 1, "diagonal", l10) for step, l10 in enumerate([2.0, 2.0, *tail], 1)]
+        for writer in (formats.series_csv, series_csv_oracle):
+            with pytest.raises(DomainError):
+                writer(records)
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -225,7 +275,7 @@ def test_matrix_csv_rejects_gaps():
 
 
 # Text mutations of a matrix CSV's data lines; the benign ones change no cell.
-_BENIGN = ("blank", "crlf", "spaces")
+_BENIGN = ("blank", "crlf", "spaces", "reformat")
 _MUTATIONS = (*_BENIGN, "swap", "drop", "repeat", "add_comma", "remove_comma", "index",
               "value", "bucket")
 
@@ -234,11 +284,14 @@ _MUTATIONS = (*_BENIGN, "swap", "drop", "repeat", "add_comma", "remove_comma", "
 def _mutated_matrix_csv(draw):
     """(text, mutations): a matrix CSV of K <= 6 after 1-3 mutations."""
     k = draw(st.integers(1, 6))
-    edges = st.sampled_from([math.inf, -math.inf, 0.0, 1.0, 8.0, 20.0])
+    edges = st.sampled_from([math.inf, -math.inf, 0.0, -0.0, 1.0, 8.0, 20.0])
     cells = st.one_of(st.floats(-3.0, 25.0), edges)
     log10 = np.full((k, k + 1), np.nan)
     log10[np.tril_indices(k, 1, k + 1)] = draw(st.lists(cells, min_size=k * (k + 3) // 2,
                                                         max_size=k * (k + 3) // 2))
+    for i, j in zip(*np.tril_indices(k - 1, 1, k + 1)):  # cells with a cell above them
+        if draw(st.booleans()):
+            log10[i + 1, j] = log10[i, j]
     header, *lines = formats.matrix_csv(DiscoveryMatrix(log10)).splitlines()
     newline = "\n"
     mutations = draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=3))
@@ -271,6 +324,10 @@ def _mutated_matrix_csv(draw):
                 fields[f] = draw(st.sampled_from(["0", "+"])) + fields[f]
             elif kind == "value":
                 fields[2] = draw(st.sampled_from(["nan", "inf", "-inf", "1_0", "abc"]))
+            elif kind == "reformat":  # the same value in other text: 1.0 -> 1.00, 1e-05 -> 1.0e-05
+                mantissa, e, exponent = fields[2].strip().partition("e")
+                if "inf" not in mantissa:
+                    fields[2] = mantissa + ("0" if "." in mantissa else ".0") + e + exponent
             else:
                 fields[3] = draw(st.sampled_from([*formats._BUCKET_NAMES, "purple"]))
             lines[i] = ",".join(fields)
@@ -282,6 +339,8 @@ def _mutated_matrix_csv(draw):
 @example(("r,j,log10_value,bucket\n1,0,nan,black\n1,1,0.0,green\n", ["value"]))  # NaN buckets black
 @example(("r,j,log10_value,bucket\n1,0,0.0,green\n1,1,0.0,green\n02,0,0.0,green\n2,1,0.0,green\n"
           "2,2,0.0,green\n", ["index"]))  # a row's first index
+@example(("r,j,log10_value,bucket\n1,0,1.0,yellow\n1,1,-0.0,green\n2,0,1.00,yellow\n2,1,0.0,green\n"
+          "2,2,0.0,green\n", ["reformat"]))  # a value repeated in other text, and -0.0 above 0.0
 def test_parse_matrix_csv_matches_line_oracle(case):
     """The row-at-a-time parser accepts exactly the texts the line-at-a-time
     oracle accepts, with bit-identical cells; on a text with at most one
@@ -296,6 +355,81 @@ def test_parse_matrix_csv_matches_line_oracle(case):
             assert str(got.value) == str(exc)
     else:
         assert formats.parse_matrix_csv(text).log10.tobytes() == want.tobytes()
+
+
+# log10 cells beyond +-7.8e307 overflow ``_buckets``' multiply by ln 10 (a RuntimeWarning)
+_MATRIX_EDGES = (0.0, -0.0, math.inf, -math.inf, 1.0, 1e307, 5e-324, -5e-324)
+
+
+@st.composite
+def _matrix_with_repeats(draw):
+    """A matrix of K <= 8 whose cells often carry the bits of the cell above
+    them, or a near miss: the negated cell (0.0 above -0.0 and the reverse,
+    +inf above -inf) or a neighbour one ulp away."""
+    k = draw(st.integers(1, 8))
+    log10 = np.full((k, k + 1), np.nan)
+    for i, j in zip(*np.tril_indices(k, 1, k + 1)):
+        how = draw(st.sampled_from(["copy", "copy", "negate", "ulp", "edge", "any"]))
+        above = log10[i - 1, j] if i and j <= i else None
+        if how == "edge" or above is None:
+            log10[i, j] = draw(st.sampled_from(_MATRIX_EDGES))
+        elif how == "any":
+            log10[i, j] = draw(st.floats(-1e307, 1e307))
+        elif how == "ulp" and np.isfinite(above):  # not +-inf: its neighbour is the max double
+            log10[i, j] = np.nextafter(above, draw(st.sampled_from([-np.inf, np.inf])))
+        else:
+            log10[i, j] = -above if how == "negate" else above
+    return DiscoveryMatrix(log10)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_matrix_with_repeats())
+def test_matrix_csv_matches_per_cell_writer(m):
+    """The matrix writer, which reuses the repr of a cell equal bit for bit to
+    the cell above it, writes the bytes of the per-cell writer, and the parser,
+    which reuses the float of a token equal to the token above it, reads every
+    cell back bit for bit, sign of zero included."""
+    text = formats.matrix_csv(m)
+    assert text == matrix_csv_oracle(m)
+    assert formats.parse_matrix_csv(text).log10.tobytes() == m.log10.tobytes()
+
+
+def _bench_like_k500_matrix() -> DiscoveryMatrix:
+    """The u1 matrix of the final values of the untracked paper study scaled to
+    K = 500 (250 false nulls, 25,000 steps, seed 42)."""
+    cfg = dataclasses.replace(paper_experiment_config(seed=42), k=500, n_false=250,
+                              steps=25_000, tracked_rows=(), checkpoints=())
+    return discovery_matrix(RankedValues.from_values(run_experiment(cfg).final_table.current), U1)
+
+
+def test_matrix_csv_formats_each_changed_cell_once(monkeypatch):
+    """On the bench-like K = 500 matrix, where about 64% of cells repeat the
+    bits of the cell above them, the writer calls ``repr`` once per cell whose
+    bits differ from the cell above it, plus once per row for its last cell."""
+    m = _bench_like_k500_matrix()
+    bits = m.log10.view(np.int64)
+    changed = sum(int((bits[i, :i + 1] != bits[i - 1, :i + 1]).sum()) for i in range(1, m.k))
+    calls = []
+    monkeypatch.setattr(formats, "repr", lambda x: calls.append(x) or repr(x), raising=False)
+    text = formats.matrix_csv(m)
+    assert len(calls) == 1 + changed + m.k  # row 1's first cell has no cell above it
+    assert 0.6 < 1 - changed / (m.k * (m.k + 1) / 2 - 1) < 0.7
+    monkeypatch.undo()
+    assert text == matrix_csv_oracle(m)
+
+
+def test_matrix_json_report_streams_json_text():
+    """``matrix --format json`` is written a row at a time, and its chunks
+    join to the ``json_text`` of the whole report: K = 3 with +-inf and -0.0
+    cells, the seed-42 K = 500 values, and a matrix with no rows."""
+    log10 = np.full((3, 4), np.nan)
+    log10[np.tril_indices(3, 1, 4)] = [math.inf, -0.0, 0.0, 1.5, -math.inf, -0.0, 2.0, 1e-300, 8.0]
+    logs = np.random.default_rng(42).normal(0.0, 5.0, 500)
+    for m in (DiscoveryMatrix(log10), regularize(DiscoveryMatrix(log10)),
+              discovery_matrix(RankedValues.from_logs(logs), U1), DiscoveryMatrix(np.empty((0, 1)))):
+        chunks = list(formats.matrix_report(m, "json"))
+        assert len(chunks) == m.k + 2
+        assert "".join(chunks) == matrix_json_oracle(m)
 
 
 def _k500_u1_matrix() -> DiscoveryMatrix:
@@ -390,6 +524,20 @@ def test_cli_matrix_peak_memory(tmp_path):
     peak, code = _peak(cli.main, argv)
     assert code == 0
     assert peak <= 5e6, peak
+
+
+def test_cli_matrix_json_peak_memory(tmp_path):
+    """``evalanche matrix --format json --out`` at K = 500 (3.3 MB of JSON)
+    peaks below 5 MB of heap: the JSON is written a row at a time.  Measured
+    on Python 3.11.7, numpy 2.4.6: 3.7 MB; writing the whole text peaked at
+    20.2 MB."""
+    values, m = _k500_values_csv(tmp_path)
+    out = tmp_path / "matrix.json"
+    peak, code = _peak(cli.main, ["matrix", "--values", str(values), "--format", "json",
+                                  "--out", str(out)])
+    assert code == 0
+    assert peak <= 5e6, peak
+    assert out.read_text() == matrix_json_oracle(m)
 
 
 def test_streamed_matrix_text_equals_string_writers(tmp_path, capsys):
