@@ -49,10 +49,15 @@ rests on the check.
 
 Rounding margin.  Let u = 2^-53, M = max |finite log| + log(K+1), which
 bounds every partial log-sum, and W = max |log w| over the spec's weights.
-One ``np.logaddexp``, z = max + log1p(exp(-|x - y|)), adds a local error
-below u(|z| + 3): u|z| from the final addition, and under 3u from the
-rounded difference, exp and log1p, each within an ulp.  It passes its
-inputs' errors on with weights summing to 1, so errors along a chain add.
+Logs enter through ``RankedValues.from_logs``, ``merging.as_log_array`` or a
+run's increments (``simulate.draw_streams``), each of which rejects a finite
+log beyond ``MAX_ABS_LOG`` = 1e300; so M <= 1e300 + log(K+1), and a log
+product of at most K + 1 <= 10,001 values stays finite: 10,001 x 1e300 <
+1.8e308.  One ``np.logaddexp``, z = max + log1p(exp(-|x - y|)), adds a
+local error below u(|z| + 3): u|z| from the final addition, and under 3u
+from the rounded difference, exp and log1p, each within an ulp.  It passes
+its inputs' errors on with weights summing to 1, so errors along a chain
+add.
 
   * The suffix ``logaddexp.accumulate``: each tail level S[1, k] and each
     base level P[1] is a chain of at most K steps, within K u (M + 3).
@@ -463,7 +468,7 @@ def discovery_matrix(ranked: RankedValues, spec: MergeSpec) -> DiscoveryMatrix:
     seed-42 final values of the untracked paper study scaled to K, with K/2
     false nulls and 50 K steps) K = 200 takes 0.02 s under u1, 0.09-0.10 s
     under u2 and 0.15-0.16 s under the u1/u2 mixture; K = 500 takes
-    0.07-0.09 s under u1 (0.65-0.86 s scoring every tail) and 0.8-1.1 s
+    0.07-0.09 s under u1 (0.65-0.86 s scoring every tail) and 0.6-1.0 s
     under u2; K = 2000 takes 1.1-1.5 s under u1.
     """
     logs = ranked.sorted_logs

@@ -8,8 +8,9 @@ byte-identical; columns come from ``.tolist()``, ``LogValue`` or
 The linear ``value`` is ``linear_value``, ``math.exp(log10_value * LN10)``
 with no ``LogValue`` made: a blank CSV cell, and a null JSON value, outside
 the double range (``log10_value`` still holds it).  A cell's color bucket
-is ``_buckets`` of its log10 value, the rule ``colorize`` applies to a
-value; its edges, names and colors are all here.  JSON is strict RFC 8259
+is ``_buckets`` of its log10 value: its decade class, found with no
+arithmetic, the rule ``colorize`` applies to a value; its edges, names and
+colors are all here.  JSON is strict RFC 8259
 (``json_text``), so +-inf is written as the string ``"inf"`` / ``"-inf"``,
 the CSV text (``_json_float_out``).  Every SVG has one frame (``_svg``).
 
@@ -152,9 +153,12 @@ class ColorBucket(enum.Enum):
     BLACK = "black"
 
 
-# Ascending natural-log lower edges of the buckets above green.  Half-open
-# buckets: each edge belongs to the bucket above it.
-_BUCKET_EDGES = np.array([math.log(x) for x in (10.0, 100.0, 1e8, 1e14, 1e20)])
+# Buckets above green start at 10^d, each edge in the bucket above it: ``colorize``
+# compares logs with ln 10^d, and ``_buckets`` log10 cells with the least x whose
+# x * LN10 reaches ln 10^d, which is d but 13.999999999999998 for 14.
+_BUCKET_DECADES = (1, 2, 8, 14, 20)
+_BUCKET_EDGES = np.array([math.log(10.0 ** d) for d in _BUCKET_DECADES])
+_BUCKET_LOG10_EDGES = np.array([1.0, 2.0, 8.0, math.nextafter(14.0, 0.0), 20.0])
 # Indexed in ColorBucket order, as ``bucket_indexes`` returns them.
 _BUCKET_NAMES = [b.value for b in ColorBucket]
 _BUCKET_HEXES = ["#2ca02c", "#ffdf00", "#ff7f0e", "#d62728", "#8b0000", "#000000"]
@@ -173,9 +177,9 @@ def colorize(v: LogValue) -> ColorBucket:
 
 
 def _buckets(log10: np.ndarray) -> np.ndarray:
-    """Bucket indexes of log10 cells.  ``* LN10`` is the multiply
-    ``LogValue.from_log10`` does, so cells bucket as ``colorize`` buckets them."""
-    return bucket_indexes(log10 * LN10)
+    """Bucket indexes of log10 cells, found with no arithmetic on them: each
+    buckets as ``colorize`` buckets ``LogValue.from_log10`` of it.  NaN is black."""
+    return np.searchsorted(_BUCKET_LOG10_EDGES, log10, side="right")
 
 
 # ---------------------------------------------------------------------------

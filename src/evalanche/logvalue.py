@@ -12,9 +12,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 LN10 = math.log(10.0)
+# The largest |log| a finite input may have (|log10| about 4.3e299), checked
+# where logs enter, so no sum the kernels form overflows (``discovery``,
+# rounding margin).
+MAX_ABS_LOG = 1e300
+
+
+def check_log_bound(logs: np.ndarray) -> None:
+    """Raise DomainError when a finite log lies beyond +-MAX_ABS_LOG."""
+    worst = np.abs(logs[np.isfinite(logs)]).max(initial=0.0)
+    if worst > MAX_ABS_LOG:
+        raise DomainError(f"a finite value's |natural log| must be at most {MAX_ABS_LOG:g} "
+                          f"(|log10| {MAX_ABS_LOG / LN10:.3g}), got {worst:.6g}")
 
 
 def log_add(a: float, b: float) -> float:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .logvalue import LogValue
+from .logvalue import LogValue, check_log_bound
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -126,6 +126,7 @@ class RankedValues:
     def from_logs(cls, logs: np.ndarray) -> "RankedValues":
         if np.isnan(logs).any():
             raise DomainError("cannot rank NaN values")
+        check_log_bound(logs)
         order = np.argsort(-logs, kind="stable")
         return cls(
             sorted_logs=_frozen(logs[order]),

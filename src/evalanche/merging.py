@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .logvalue import INFINITE, LogValue, log_add
+from .logvalue import INFINITE, LogValue, check_log_bound, log_add
 
 WEIGHT_TOL = 1e-12
 # weight_vector holds degree+1 weights and the discovery tables (degree+1) x
@@ -120,6 +120,7 @@ def as_log_array(values: Sequence[LogValue]) -> np.ndarray:
     logs = np.array([v.log_e for v in values], dtype=np.float64)
     if logs.size == 0:
         raise DomainError("merge requires at least one value")
+    check_log_bound(logs)
     return logs
 
 

@@ -25,13 +25,13 @@ import numpy as np
 from . import discovery
 from .discovery import TRACK_BLOCK_CELLS, DiagonalSeries, DiscoveryMatrix, RowTracker
 from .errors import DomainError
-from .logvalue import LN10, LogValue
+from .logvalue import LN10, MAX_ABS_LOG, LogValue
 from .martingales import MartingaleTable, RankedValues, _frozen, gaussian_log_density
 from .merging import MergeSpec, U1, U2
 
 # Size limits, checked before a run allocates anything.  A tracked run sorts
 # a block of B x K logs per B steps, and each checkpoint builds a discovery
-# matrix: 0.07-0.09 s at K = 500 and 1.1-1.5 s at K = 2000 under u1, 0.8-1.1 s
+# matrix: 0.07-0.09 s at K = 500 and 1.1-1.5 s at K = 2000 under u1, 0.6-1.0 s
 # at K = 500 under u2 (inputs and machine as in discovery_matrix's docstring).
 MAX_K = 10_000
 # draw_streams holds about ten float64 arrays of `steps` values (80 MB here).
@@ -156,6 +156,23 @@ def draw_streams(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
         raise DomainError(
             f"an observation has zero density under both bet_dist {cfg.bet_dist} and "
             f"null_dist {cfg.null_dist} in double precision, so its log increment is NaN"
+        )
+    # the sum of |finite increments| bounds every partial sum of every stream
+    with np.errstate(over="ignore"):
+        total = np.abs(log_inc[np.isfinite(log_inc)]).sum()
+    if total > MAX_ABS_LOG:  # an inf sum is over too
+        raise DomainError(
+            f"the finite log increments under bet_dist {cfg.bet_dist} and null_dist "
+            f"{cfg.null_dist} sum to {total:.6g} in absolute value, more than {MAX_ABS_LOG:g}"
+        )
+    sent = np.zeros((2, cfg.k), bool)  # hypotheses with a +inf, and with a -inf, increment
+    sent[0, k_idx[log_inc == np.inf]] = True
+    sent[1, k_idx[log_inc == -np.inf]] = True
+    both = np.flatnonzero(sent.all(axis=0))  # not np.intersect1d, which imports numpy.ma
+    if both.size:  # its value would be inf - inf
+        raise DomainError(
+            f"hypothesis {both[0] + 1} has log increments of both +inf and -inf under "
+            f"bet_dist {cfg.bet_dist} and null_dist {cfg.null_dist}, so it has no value"
         )
     return k_idx, x, log_inc
 

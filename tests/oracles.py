@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's own kernels: subset sums
 are enumerated with itertools and reduced with scipy's logsumexp, so a bug
 in the production DP or suffix scans cannot hide in its own oracle.  The
 matrix CSV oracle reads a line at a time, where the library reads a row at
-a time; it shares only the header split and the bucket rule.  The linear
+a time; it shares only the header split.  The bucket oracle multiplies a
+cell by ln 10 and compares the product with ``colorize``'s natural-log
+edges, where the library compares the cell with log10 edges.  The linear
 value oracle goes through ``LogValue``, which ``formats.linear_value`` skips.
 The matrix and series CSV writer oracles format every cell and line afresh,
 where the library reuses the text of a value equal bit for bit to the one
@@ -24,9 +26,10 @@ from evalanche import LogValue, MergeSpec
 from evalanche.discovery import DiscoveryMatrix
 from evalanche.errors import DomainError
 from evalanche.formats import (
-    _BUCKET_NAMES, MATRIX_HEADER, SERIES_HEADER, _buckets, _data_lines, _json_float_out,
+    _BUCKET_NAMES, MATRIX_HEADER, SERIES_HEADER, _data_lines, _json_float_out, bucket_indexes,
     json_text, linear_cell,
 )
+from evalanche.logvalue import LN10
 
 
 def nesp_log_oracle(values: list[LogValue], n: int) -> float:
@@ -83,11 +86,19 @@ def linear_value_oracle(log10_value: float) -> float | None:
     return x
 
 
+def bucket_oracle(log10: np.ndarray) -> np.ndarray:
+    """Bucket indexes of log10 cells as ``colorize`` buckets ``LogValue.from_log10``
+    of each: the natural log ``log10 * LN10``, +-inf where it overflows, against
+    the natural-log edges."""
+    with np.errstate(over="ignore"):
+        return bucket_indexes(np.asarray(log10) * LN10)
+
+
 def matrix_csv_oracle(m: DiscoveryMatrix) -> str:
     """``formats.matrix_csv`` a cell at a time: every cell's repr and bucket name."""
     lines = [f"{MATRIX_HEADER}\n"]
     for r, row in enumerate(m.rows, start=1):
-        for j, (x, b) in enumerate(zip(row.tolist(), _buckets(row).tolist())):
+        for j, (x, b) in enumerate(zip(row.tolist(), bucket_oracle(row).tolist())):
             lines.append(f"{r},{j},{x!r},{_BUCKET_NAMES[b]}\n")
     return "".join(lines)
 
@@ -134,7 +145,7 @@ def parse_matrix_csv_oracle(text: str) -> DiscoveryMatrix:
     if j:
         raise DomainError(f"matrix CSV ends at line {n}, inside row {r}: missing cell ({r},{j})")
     log10 = np.array(values)
-    want = _buckets(log10)
+    want = bucket_oracle(log10)
     wrong = np.flatnonzero(np.array(buckets) != want)
     if wrong.size:
         i = int(wrong[0])

@@ -198,6 +198,45 @@ def test_region_matches_library(tmp_path, capsys):
     assert parsed["lower_bound"] == region.lower_bound == 1
 
 
+def test_region_reads_a_cell_whose_log_overflows_quietly(tmp_path, capsys):
+    """A log10 cell of 1e308, whose natural log is past the largest double,
+    buckets black with no arithmetic and nothing on stderr."""
+    matrix_path = tmp_path / "dm.csv"
+    matrix_path.write_text("r,j,log10_value,bucket\n1,0,1e308,black\n1,1,0.0,green\n")
+    code, out, err = run_cli(capsys, "region", "--matrix", str(matrix_path), "--row", "1",
+                             "--alpha", "10")
+    assert (code, out, err) == (0, "r=1 alpha=10.0 members={1..1} lower_bound=1\n", "")
+
+
+_BIG_LOG_CONFIG = {
+    "k": 8, "n_false": 4, "null_dist": {"mean": 0.0, "sd": 3e-154},
+    "true_dist_false_nulls": {"mean": -1.0, "sd": 1.0}, "bet_dist": {"mean": -0.82, "sd": 1.0},
+    "steps": 200, "seed": 7,
+}
+
+
+@pytest.mark.parametrize("command, text", [
+    ("matrix", "k,log10_value\n1,5e307\n2,5e307\n3,1\n"),
+    ("matrix", "k,log10_value\n1,-5e307\n2,-5e307\n3,1\n"),
+    ("diagonal", "k,log10_value\n1,5e307\n2,5e307\n3,1\n"),
+    ("merge", "k,log10_value\n1,5e307\n2,5e307\n3,1\n"),
+    ("simulate", json.dumps(_BIG_LOG_CONFIG)),
+])
+def test_huge_finite_logs_exit_2(tmp_path, capsys, command, text):
+    """A finite log past +-MAX_ABS_LOG, as input or as the sum of a run's
+    increments (null sd 3e-154 makes a false-null increment about 5e306),
+    exits 2 with one error line and writes nothing: no NaN cell, no warning."""
+    path = tmp_path / "input"
+    path.write_text(text)
+    out_path = tmp_path / "out"
+    argv = {"simulate": ["--config", str(path)], "merge": ["--values", str(path), "--merge", "u2"]}
+    code, out, err = run_cli(capsys, command, *argv.get(command, ["--values", str(path)]),
+                             "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "1e+300" in err
+    assert not out_path.exists()
+
+
 def test_region_rejects_bad_alpha(tmp_path, capsys):
     rk = RankedValues.from_values([LogValue.of(v) for v in (8, 4, 1)])
     matrix_path = tmp_path / "dm.csv"
@@ -486,7 +525,7 @@ def test_closed_stdout_ends_output_quietly(argv, head):
 
 _CELL = st.sampled_from(["1", "2", "0", "-1", "1.5", "1e400", "inf", "-inf", "nan", "a", "",
                          "green"])
-_LOG10 = st.floats(-400, 400) | st.sampled_from([float("inf"), float("-inf")])
+_LOG10 = st.floats(allow_nan=False) | st.sampled_from([float("inf"), float("-inf")])
 
 
 def _csv(header, lines):
@@ -529,6 +568,11 @@ _CASES = st.one_of(
         lambda text: ("region", "--matrix", text, "--row", "1", "--alpha", "10")),
     st.tuples(st.sampled_from(sorted(_FUZZ_CONFIG)), _JSON).map(
         lambda fv: ("simulate", "--config", json.dumps({**_FUZZ_CONFIG, fv[0]: fv[1]}))),
+    # an sd whose log densities reach about -1e307 or -inf
+    st.tuples(st.sampled_from(["null_dist", "bet_dist"]),
+              st.sampled_from([1e-154, 3e-154, 1e-300, 5e-324]), st.integers(0, 9)).map(
+        lambda fsd: ("simulate", "--config", json.dumps(
+            {**_FUZZ_CONFIG, fsd[0]: {**_FUZZ_CONFIG[fsd[0]], "sd": fsd[1]}, "seed": fsd[2]}))),
     st.tuples(st.one_of(st.integers(-1, 4), _JSON),
               st.one_of(st.dictionaries(_POLY_KEYS, _JSON, max_size=4), _JSON)).map(
         lambda kc: ("validate-poly", "--poly", json.dumps({"k": kc[0], "coeffs": kc[1]}))),

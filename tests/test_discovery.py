@@ -26,10 +26,11 @@ from evalanche import (
     regularize,
     subdiagonal_row,
 )
-from evalanche import discovery, merging
+from evalanche import discovery, formats, merging
 from evalanche.discovery import DiagonalSeries, DiscoveryMatrix, RowTracker
 from evalanche.errors import DomainError
 from evalanche.formats import bucket_indexes
+from evalanche.logvalue import MAX_ABS_LOG
 from oracles import subset_min_oracle
 
 
@@ -240,6 +241,28 @@ def test_infinite_values_rank_first_and_propagate():
         m = discovery_matrix(two, spec)
         assert [m.entry(2, j).value for j in range(3)] == [math.inf, math.inf, 1.0]
         assert [m.entry(3, j).value for j in range(4)] == [math.inf, math.inf, 2.0, 1.0]
+
+
+@pytest.mark.parametrize("k", [2, 300])
+def test_logs_at_the_bound_run_without_overflow(k):
+    """Logs from -MAX_ABS_LOG to +MAX_ABS_LOG go through every scan, merge and
+    writer with no RuntimeWarning (tier-1 makes one an error), and one ulp
+    past the bound is rejected where logs enter."""
+    logs = np.linspace(MAX_ABS_LOG, -MAX_ABS_LOG, k)
+    rk = RankedValues.from_logs(logs)
+    for spec in SPECS:
+        m = discovery_matrix(rk, spec)
+        assert formats.parse_matrix_csv(formats.matrix_csv(m)).log10.tobytes() == m.log10.tobytes()
+        formats.heatmap_svg(regularize(m))
+        tracked = RowTracker(k, (1, k), spec, spec).step(logs[None])
+        assert tracked[0, 0, 0] == diagonal_row(rk, 1, spec).log_e
+        assert tracked[1, 0, 1] == subdiagonal_row(rk, k, spec).log_e
+        assert np.isfinite(merging.mixture_merge(spec, rk.values).log_e)
+    for big in (math.nextafter(MAX_ABS_LOG, math.inf), math.nextafter(-MAX_ABS_LOG, -math.inf)):
+        with pytest.raises(DomainError, match="natural log"):
+            RankedValues.from_logs(np.append(logs, big))
+        with pytest.raises(DomainError, match="natural log"):
+            merging.as_log_array([*rk.values, LogValue(big)])
 
 
 # ---------------------------------------------------------------------------

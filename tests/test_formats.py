@@ -28,8 +28,8 @@ from evalanche.errors import DomainError
 from evalanche.logvalue import LN10
 from evalanche.polynomials import MultiaffinePoly
 from oracles import (
-    linear_value_oracle, matrix_csv_oracle, matrix_json_oracle, parse_matrix_csv_oracle,
-    series_csv_oracle,
+    bucket_oracle, linear_value_oracle, matrix_csv_oracle, matrix_json_oracle,
+    parse_matrix_csv_oracle, series_csv_oracle,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -357,8 +357,9 @@ def test_parse_matrix_csv_matches_line_oracle(case):
         assert formats.parse_matrix_csv(text).log10.tobytes() == want.tobytes()
 
 
-# log10 cells beyond +-7.8e307 overflow ``_buckets``' multiply by ln 10 (a RuntimeWarning)
-_MATRIX_EDGES = (0.0, -0.0, math.inf, -math.inf, 1.0, 1e307, 5e-324, -5e-324)
+_MAX_DOUBLE = 1.7976931348623157e308
+_MATRIX_EDGES = (0.0, -0.0, math.inf, -math.inf, 1.0, 1e307, 5e-324, -5e-324, _MAX_DOUBLE,
+                 -_MAX_DOUBLE)
 
 
 @st.composite
@@ -374,9 +375,9 @@ def _matrix_with_repeats(draw):
         if how == "edge" or above is None:
             log10[i, j] = draw(st.sampled_from(_MATRIX_EDGES))
         elif how == "any":
-            log10[i, j] = draw(st.floats(-1e307, 1e307))
+            log10[i, j] = draw(st.floats(allow_nan=False, allow_infinity=False))
         elif how == "ulp" and np.isfinite(above):  # not +-inf: its neighbour is the max double
-            log10[i, j] = np.nextafter(above, draw(st.sampled_from([-np.inf, np.inf])))
+            log10[i, j] = math.nextafter(above, draw(st.sampled_from([-math.inf, math.inf])))
         else:
             log10[i, j] = -above if how == "negate" else above
     return DiscoveryMatrix(log10)
@@ -392,6 +393,35 @@ def test_matrix_csv_matches_per_cell_writer(m):
     text = formats.matrix_csv(m)
     assert text == matrix_csv_oracle(m)
     assert formats.parse_matrix_csv(text).log10.tobytes() == m.log10.tobytes()
+
+
+# each decade edge and its two neighbours, signed zeros, the least and largest doubles
+_BUCKET_SPECIALS = [
+    *(math.nextafter(float(d), to) for d in formats._BUCKET_DECADES for to in (-math.inf, math.inf)),
+    *map(float, formats._BUCKET_DECADES),
+    0.0, -0.0, 5e-324, -5e-324, _MAX_DOUBLE, -_MAX_DOUBLE, math.inf, -math.inf,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False) | st.sampled_from(_BUCKET_SPECIALS), min_size=1))
+@example(_BUCKET_SPECIALS)
+def test_buckets_match_natural_log_rule(xs):
+    """The writer's, heatmap's and parser's bucket of a log10 cell, compared
+    with no arithmetic, is the bucket ``colorize`` gives ``LogValue.from_log10``
+    of it, for every double that is not NaN, ones whose log overflows included."""
+    log10 = np.array(xs)
+    assert formats._buckets(log10).tolist() == bucket_oracle(log10).tolist()
+
+
+def test_bucket_edges_are_pinned():
+    """``colorize``'s edges keep the bits of ln 10, ln 100, ln 1e8, ln 1e14 and
+    ln 1e20, and each log10 edge is the least double whose product with ln 10
+    reaches its natural-log edge."""
+    literals = np.array([math.log(x) for x in (10.0, 100.0, 1e8, 1e14, 1e20)])
+    assert formats._BUCKET_EDGES.tobytes() == literals.tobytes()
+    for x, edge in zip(formats._BUCKET_LOG10_EDGES.tolist(), literals.tolist()):
+        assert math.nextafter(x, -math.inf) * LN10 < edge <= x * LN10
 
 
 def _bench_like_k500_matrix() -> DiscoveryMatrix:

@@ -140,6 +140,29 @@ def test_tiny_sd_sends_increments_to_infinity_silently():
     assert np.isposinf(run.final_table.log_values).any()
 
 
+@pytest.mark.parametrize("null_sd", [1e-154, 1e-153, 3e-154])
+def test_increments_summing_past_the_log_bound_raise(null_sd):
+    """A false null's increment under these null sds is about 1e305-1e308: the
+    runs stop with DomainError before any stream sum can overflow to a NaN bound."""
+    for seed in range(10):
+        cfg = small_config(k=8, n_false=4, steps=200, seed=seed, null_dist=(0.0, null_sd),
+                           tracked_rows=(1, 4), checkpoints=(200,))
+        with pytest.raises(DomainError, match="sum to .* more than 1e\\+300"):
+            run_experiment(cfg)
+
+
+def test_a_stream_sent_to_both_infinities_raises():
+    """Two sd-1e-154 bands that meet at x = 1.896 (where -0.5 z z overflows):
+    left of it the bet's density is 0 (increment -inf), right of it the null's
+    (+inf), and no increment is finite.  A stream with both has no value."""
+    cfg = small_config(k=3, n_false=3, null_dist=(0.0, 1e-154),
+                       bet_dist=(3.792300763243671, 1e-154), true_dist_false_nulls=(1.9, 0.3))
+    _, _, inc = draw_streams(replace(cfg, k=10, n_false=0))  # true nulls: -inf only
+    assert (inc == -np.inf).all()
+    with pytest.raises(DomainError, match="both \\+inf and -inf"):
+        draw_streams(cfg)
+
+
 def test_mid_run_checkpoints_match_replayed_prefix():
     cfg = small_config(steps=50, tracked_rows=(), checkpoints=(20, 50))
     run = run_experiment(cfg)
