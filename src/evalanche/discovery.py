@@ -228,29 +228,43 @@ def suffix_logsums(logs: np.ndarray) -> np.ndarray:
     return out
 
 
+def tail_logsums(logs: np.ndarray, top: int) -> np.ndarray:
+    """``suffix_logsums`` of the last min(top, K) + 1 suffixes of K descending
+    values, the only tail products ``tail_merges`` reads under a spec of top
+    degree ``top``; the same bits as those columns of the full table."""
+    return suffix_logsums(logs[..., max(logs.shape[-1] - top, 0):])
+
+
 def tail_merges(S, T, tails, P, Psum, arity, spec: MergeSpec) -> np.ndarray:
     """F(base + {i+1..K}) in natural log for tail starts i; i = K is the base alone.
 
-    ``S`` and ``T`` are ``suffix_esp_levels`` (through the spec's top degree)
-    and ``suffix_logsums`` of K descending values, with any leading batch
-    axes.  ``tails`` is an int r, for the contiguous tails i = r..K (the
-    K-r+1 result columns read ``S[..., deg, r:]`` and ``T[..., r:]``), or an
-    integer array of tail starts gathered from one unbatched ``S`` and ``T``
-    and broadcasting against the bases.  The base is given by its log esp
-    levels ``P[a]`` (a = 0..len(P)-1; the levels above are zero and their
+    ``S`` is ``suffix_esp_levels`` (through the spec's top degree) of K
+    descending values, with any leading batch axes, and K comes from it.
+    ``T`` holds the ``suffix_logsums`` of the last suffixes only, at least
+    the min(top, K) + 1 that ``tail_logsums`` builds: the product term reads
+    only tails of size <= top.  ``tails`` is an int r, for the contiguous
+    tails i = r..K, or a slice r:stop of them, i = r..stop-1 (the result
+    columns read ``S[..., deg, r:stop]`` and the tail products of those of
+    size <= top), or an integer array of tail starts gathered from one
+    unbatched ``S`` and ``T`` and broadcasting against the bases.  The base is given by its log
+    esp levels ``P[a]`` (a = 0..len(P)-1; the levels above are zero and their
     exact ``logaddexp`` no-ops are skipped), its log product ``Psum`` and its
-    size ``arity``; each broadcasts against the tail columns, so one call
-    scores a batch of bases, or a row whose base changes from cell to cell.
-    Every cell takes the same elementwise operations either way, so a
-    gathered cell carries the bits of its contiguous counterpart.  No set
-    holding a +inf value may reach the kernel (its padding would meet it as
-    inf - inf): callers fill those cells themselves.
+    size ``arity``; each broadcasts against the tail columns (in a contiguous
+    call ``Psum`` is the same for every column), so one call scores a batch
+    of bases, or a row whose base changes from cell to cell.  Every cell
+    takes the same elementwise operations either way, so a gathered cell, or
+    a cell of a shorter run, carries the bits of its counterpart in the full
+    contiguous call.  No set holding a +inf value may reach the kernel (its
+    padding would meet it as inf - inf): callers fill those cells themselves.
     """
-    k = T.shape[-1] - 1
+    k = S.shape[-1] - 1
     active, lc, log_tail = _tables(spec, k)
     contiguous = np.ndim(tails) == 0
-    cols = slice(tails, None) if contiguous else tails
-    size = np.arange(k - tails, -1, -1) if contiguous else k - tails  # tail sizes
+    if contiguous:
+        start, stop, _ = (tails if isinstance(tails, slice) else slice(tails, None)).indices(k + 1)
+        cols, size = slice(start, stop), np.arange(k - start, k - stop, -1)  # tail sizes
+    else:
+        cols, size = tails, k - tails
     m = arity + size  # size of each candidate set
     out = None
     for deg, log_w in active:
@@ -260,14 +274,18 @@ def tail_merges(S, T, tails, P, Psum, arity, spec: MergeSpec) -> np.ndarray:
         term = (log_w + acc) - lc[deg, m]
         out = term if out is None else np.logaddexp(out, term)
     # only sets of size <= top carry product weight: tails of size <= top,
-    # the last top+1 columns of a contiguous call
+    # i >= K - top; T's column c holds the product of the tail from first + c
     top = spec.max_degree
+    first = k + 1 - T.shape[-1]
     if contiguous:
-        tail = out[..., -top - 1:]
-        np.logaddexp(tail, log_tail[m[..., -top - 1:]] + (Psum + T[..., cols])[..., -top - 1:],
-                     out=tail)
+        p = max(start, k - top)  # the first product-term column
+        if p < stop:
+            tail, prod = out[..., p - start:], Psum + T[..., p - first:stop - first]
+            np.logaddexp(tail, log_tail[m[..., p - start:]] + prod, out=tail)
     else:
-        np.logaddexp(out, log_tail[m] + (Psum + T[..., cols]), out=out, where=size <= top)
+        carry = size <= top  # the other cells read the empty tail's 0.0, always finite
+        at = np.where(carry, tails - first, -1)
+        np.logaddexp(out, log_tail[m] + (Psum + T[..., at]), out=out, where=carry)
     return out
 
 
@@ -375,9 +393,12 @@ class RowTracker:
     width-w base for i >= r, where w is 1 for the diagonal (base {r}) and 2
     for the subdiagonal (base {r-1, r}; 1 at r = 1).  The cells in between
     are left out.  The empty-base cells are the same for every row, so a
-    step scores them once per spec and each row reads their prefix minimum;
-    the anchored cells take one kernel call per spec over the columns from
-    the smallest tracked row on, whatever the number of rows.
+    step scores them once per spec, through the largest cut r-1-w of its rows
+    (fixed on construction; column 0 when every row's cut is -1), and each
+    row reads their prefix minimum through its own cut; the anchored cells
+    take one kernel call per spec over the columns from the smallest tracked
+    row on, whatever the number of rows.  The product term reads the tail
+    products of the last min(top, K) + 1 columns only (``tail_logsums``).
     """
 
     def __init__(self, k: int, rows: Sequence[int], diag_spec: MergeSpec, sub_spec: MergeSpec):
@@ -392,8 +413,11 @@ class RowTracker:
         self._specs = []
         for spec, width in ((diag_spec, 1), (sub_spec, 2)):
             w = np.minimum(width, r)
-            # last empty-base column of each row (-1: none) and the anchored arity
-            self._specs.append((spec, width, w == 2, (r - 1 - w)[:, 0], np.where(anchored, w, 0)))
+            # last empty-base column of each row (-1: none), the end of the
+            # empty-base run, and the anchored arity
+            cut = (r - 1 - w)[:, 0]
+            self._specs.append((spec, width, w == 2, cut, int(cut.max(initial=0)) + 1,
+                                np.where(anchored, w, 0)))
 
     def step(self, block: np.ndarray) -> np.ndarray:
         """Natural-log (diagonal, subdiagonal) values, shape (2, B, R), of the
@@ -404,15 +428,16 @@ class RowTracker:
             out[:, b] = [[_bound(block[b], r, max(r - width, 0), spec) for r in self.rows]
                          for spec, width, *_ in self._specs]
         block = block[~inf_rows]
-        S, T = suffix_esp_levels(block, self._top), suffix_logsums(block)
+        S, T = suffix_esp_levels(block, self._top), tail_logsums(block, self._top)
         last, prev = block[:, self._last], block[:, self._prev]
-        for n, (spec, _, two, cut, arity) in enumerate(self._specs):
+        for n, (spec, _, two, cut, stop, arity) in enumerate(self._specs):
             # levels e_0, e_1, e_2 and log product of each row's base, {r} or
             # {r-1, r}; a width-1 base's e_2 of -inf is an exact no-op
             pair = prev + last
             e1 = np.where(two, np.logaddexp(last, prev), last)
             levels, prod = (0.0, e1, np.where(two, pair, -np.inf)), np.where(two, pair, last)
-            empty = np.minimum.accumulate(tail_merges(S, T, 0, (0.0,), 0.0, 0, spec), axis=-1)
+            empty = np.minimum.accumulate(tail_merges(S, T, slice(0, stop), (0.0,), 0.0, 0, spec),
+                                          axis=-1)
             v = tail_merges(S[:, None], T[:, None], self._lo, levels, prod, arity, spec)
             out[n, ~inf_rows] = np.minimum(
                 np.where(cut < 0, np.inf, empty[:, cut]),
@@ -433,8 +458,8 @@ def _bound(logs: np.ndarray, r: int, j_hi: int, spec: MergeSpec) -> float:
     """
     if not 1 <= r <= logs.size:
         raise DomainError(f"row {r} outside 1..{logs.size}")
-    S = suffix_esp_levels(logs, spec.max_degree)
-    return float(_rows(logs, S, suffix_logsums(logs), r, r, spec)[0, : j_hi + 1].min())
+    S, T = suffix_esp_levels(logs, spec.max_degree), tail_logsums(logs, spec.max_degree)
+    return float(_rows(logs, S, T, r, r, spec)[0, : j_hi + 1].min())
 
 
 def diagonal_row(ranked: RankedValues, r: int, spec: MergeSpec) -> LogValue:
@@ -466,14 +491,13 @@ def discovery_matrix(ranked: RankedValues, spec: MergeSpec) -> DiscoveryMatrix:
     cell over all its tails, one kernel call per row and O(K^3) work.  On a
     2-vCPU Xeon (Python 3.11.7, numpy 2.4.6; medians of three calls, on the
     seed-42 final values of the untracked paper study scaled to K, with K/2
-    false nulls and 50 K steps) K = 200 takes 0.02 s under u1, 0.09-0.10 s
-    under u2 and 0.15-0.16 s under the u1/u2 mixture; K = 500 takes
-    0.07-0.09 s under u1 (0.65-0.86 s scoring every tail) and 0.6-1.0 s
-    under u2; K = 2000 takes 1.1-1.5 s under u1.
+    false nulls and 50 K steps) K = 200 takes 0.01-0.02 s under u1,
+    0.05-0.10 s under u2 and 0.09-0.16 s under the u1/u2 mixture; K = 500
+    takes 0.07-0.10 s under u1 (0.65-0.86 s scoring every tail) and
+    0.8-1.1 s under u2; K = 2000 takes 1.0-1.5 s under u1.
     """
     logs = ranked.sorted_logs
-    S = suffix_esp_levels(logs, spec.max_degree)
-    T = suffix_logsums(logs)
+    S, T = suffix_esp_levels(logs, spec.max_degree), tail_logsums(logs, spec.max_degree)
     k = ranked.k
     out = np.full((k, k + 1), np.nan)
     block = max(1, TRACK_BLOCK_CELLS // (k + 1))

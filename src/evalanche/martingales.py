@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .logvalue import LogValue, check_log_bound
+from .logvalue import MAX_ABS_LOG, LogValue, check_log_bound
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -73,23 +73,32 @@ def lr_increment(
 
     This is the per-step multiplier of the scheduled stream: unit mean under
     the null, expected log-growth equal to the Gaussian KL divergence when
-    the data actually follow the betting distribution.
+    the data actually follow the betting distribution.  A finite log beyond
+    +-``MAX_ABS_LOG`` raises DomainError, as a run's increments do.
     """
     if not math.isfinite(x):
         raise DomainError(f"observation must be finite, got {x!r}")
     if null[1] <= 0.0 or bet[1] <= 0.0:
         raise DomainError("standard deviations must be positive")
-    return LogValue(
-        gaussian_log_density(x, bet[0], bet[1]) - gaussian_log_density(x, null[0], null[1])
-    )
+    log = gaussian_log_density(x, bet[0], bet[1]) - gaussian_log_density(x, null[0], null[1])
+    check_log_bound(np.asarray(log))
+    return LogValue(log)
 
 
 def step(table: MartingaleTable, k_n: int, multiplier: LogValue) -> MartingaleTable:
-    """Multiply stream k_n by ``multiplier``; every other stream is untouched."""
+    """Multiply stream k_n by ``multiplier``; every other stream is untouched.
+
+    A finite stream times a finite multiplier whose log lands beyond
+    +-``MAX_ABS_LOG`` (or overflows) raises DomainError."""
     if not 1 <= k_n <= table.k:
         raise DomainError(f"scheduled index {k_n} outside 1..{table.k}")
     logs = table.log_values.copy()
-    logs[k_n - 1] = logs[k_n - 1] + multiplier.log_e
+    old, inc = float(logs[k_n - 1]), multiplier.log_e
+    new = old + inc  # a float sum: an overflow gives inf, with no numpy warning
+    if math.isfinite(old) and math.isfinite(inc) and not abs(new) <= MAX_ABS_LOG:
+        raise DomainError(f"stream {k_n}'s log {old!r} plus the multiplier's log {inc!r} is "
+                          f"{new!r}, beyond +-{MAX_ABS_LOG:g}")
+    logs[k_n - 1] = new
     return MartingaleTable(log_values=_frozen(logs), step=table.step + 1)
 
 

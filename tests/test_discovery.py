@@ -209,6 +209,102 @@ def test_row_tracker_block_equals_single_steps(data):
     assert np.array_equal(got, want)
 
 
+# ---------------------------------------------------------------------------
+# the read set: tail products of the product-term columns, runs that stop early
+
+_READ_SPECS = (U1, U2, U1_U2_HALF, MergeSpec.nesp(5), MergeSpec.mixture((0.25, 0.0, 0.25, 0.5)))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_tail_logsums_are_the_last_suffix_columns(data):
+    """suffix_logsums(x[..., K-t:]) carries the bits of the last t+1 columns
+    of suffix_logsums(x), t = min(top, K), batched or not."""
+    k = data.draw(st.integers(1, 12), label="k")
+    top = data.draw(st.integers(1, 14), label="top")
+    shape = data.draw(st.sampled_from([(), (3,), (2, 2)]), label="batch")
+    logs = np.array(data.draw(st.lists(_TRACKED_LOGS, min_size=k * math.prod(shape),
+                                       max_size=k * math.prod(shape)), label="logs"))
+    logs = np.sort(logs.reshape(shape + (k,)), axis=-1)[..., ::-1]
+    t = min(top, k)
+    want = discovery.suffix_logsums(logs)[..., k - t:]
+    assert want.shape[-1] == t + 1
+    assert _same_bits(discovery.suffix_logsums(logs[..., k - t:]), want)
+    assert _same_bits(discovery.tail_logsums(logs, top), want)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_tail_merges_reads_only_the_product_columns(data):
+    """A start..stop run over the narrow tail products carries the bits of
+    those columns of the full run over the full table, and so do gathered
+    tail starts; runs stop before and after K - top, batched and unbatched,
+    over values that hold ties and zeros."""
+    k = data.draw(st.integers(1, 12), label="k")
+    spec = data.draw(st.sampled_from(_READ_SPECS), label="spec")
+    top = spec.max_degree
+    batch = data.draw(st.sampled_from([(), (3,)]), label="batch")
+    logs = np.array(data.draw(st.lists(_TRACKED_LOGS, min_size=k * math.prod(batch),
+                                       max_size=k * math.prod(batch)), label="logs"))
+    logs = np.sort(logs.reshape(batch + (k,)), axis=-1)[..., ::-1]
+    S = discovery.suffix_esp_levels(logs, top)
+    full, narrow = discovery.suffix_logsums(logs), discovery.tail_logsums(logs, top)
+    start = data.draw(st.integers(0, k), label="start")
+    stop = data.draw(st.integers(start, k + 1), label="stop")
+    # a base of at most `start` values of its own: its levels, log product and size
+    base = data.draw(st.lists(_TRACKED_LOGS, max_size=min(start, 3)), label="base")
+    base = np.sort(np.array(base))[::-1]
+    levels = tuple(discovery.suffix_esp_levels(base, top)[:, 0])
+    base_args = (levels, float(base.sum()), base.size)
+    want = discovery.tail_merges(S, full, start, *base_args, spec)
+    got = discovery.tail_merges(S, narrow, slice(start, stop), *base_args, spec)
+    assert got.shape == batch + (stop - start,)
+    assert _same_bits(got, want[..., : stop - start])
+    assert _same_bits(discovery.tail_merges(S, narrow, start, *base_args, spec), want)
+    if not batch:
+        tails = np.array(data.draw(st.lists(st.integers(start, k), min_size=1, max_size=6),
+                                   label="tails"))
+        gathered = discovery.tail_merges(S, narrow, tails, *base_args, spec)
+        assert _same_bits(gathered, want[tails - start])
+
+
+@pytest.mark.parametrize("k, rows, diag_spec, sub_spec", [
+    (1, (1,), U1, U2),  # r = 1: both cuts are -1
+    (1, (1,), U2, MergeSpec.nesp(5)),
+    (2, (1, 2), U2, U2),
+    (2, (2,), U1_U2_HALF, U1),
+    (3, (1, 2, 3), U1, MergeSpec.nesp(5)),  # a subdiagonal degree above K
+    (3, (3,), MergeSpec.nesp(5), MergeSpec.nesp(5)),
+    (8, (1,), U2, U2),  # only column 0 of the empty run
+    (8, (1, 8), U2, U2),  # r = K under u2: the empty run reaches the product columns
+    (7, (3, 7), MergeSpec.nesp(5), MergeSpec.nesp(5)),  # product columns inside the run
+    (6, (1, 4, 6), MergeSpec.mixture((0.2, 0.3, 0.5)), U1_U2_HALF),  # mixtures
+    (6, (2, 5), U1_U2_HALF, MergeSpec.mixture((0.25, 0.0, 0.25, 0.5))),
+])
+def test_row_tracker_read_set_edges(k, rows, diag_spec, sub_spec):
+    """At the edges of its read set the tracker still matches the row bounds:
+    its empty-base run ends at the largest cut r-1-w (column 0 when none is
+    nonnegative) and its tail products cover the last min(top, K)+1 columns."""
+    top = max(diag_spec.max_degree, sub_spec.max_degree)
+    stops = [max(max(r - 1 - min(w, r) for r in rows), 0) + 1 for w in (1, 2)]
+    rng = np.random.default_rng(k * 100 + len(rows))
+    for trial in range(20):
+        logs = rng.normal(0.0, 6.0, size=k)
+        if trial % 3 == 1:
+            logs = np.round(logs / 4.0)  # ties
+        logs[k - trial % min(k + 1, 3):] = -math.inf  # some values are exactly 0
+        rk = RankedValues.from_logs(logs)
+        tracker = RowTracker(k, rows, diag_spec, sub_spec)
+        with mock.patch.object(discovery, "tail_merges", wraps=discovery.tail_merges) as spy:
+            d, s = tracker.step(rk.sorted_logs[None])[:, 0]
+        runs = [c.args[2] for c in spy.call_args_list if isinstance(c.args[2], slice)]
+        assert [(run.start, run.stop) for run in runs] == [(0, stop) for stop in stops]
+        assert {c.args[1].shape[-1] for c in spy.call_args_list} == {min(top, k) + 1}
+        for n, r in enumerate(rows):
+            assert d[n] == pytest.approx(diagonal_row(rk, r, diag_spec).log_e, abs=1e-12)
+            assert s[n] == pytest.approx(subdiagonal_row(rk, r, sub_spec).log_e, abs=1e-12)
+
+
 @given(st.lists(st.floats(min_value=1e-4, max_value=1e4), min_size=1, max_size=9))
 @settings(max_examples=40, deadline=None)
 def test_permutation_equivariance(values):

@@ -5,6 +5,7 @@ import pytest
 
 from evalanche import LogValue, MartingaleTable, RankedValues, lr_increment, rank, step
 from evalanche.errors import DomainError
+from evalanche.logvalue import MAX_ABS_LOG
 
 
 def table_of(*values):
@@ -68,6 +69,29 @@ def test_step_bankruptcy_is_absorbing():
     t3 = step(t2, 1, LogValue.of(100.0))
     assert t3.value_of(1).is_zero
     assert t3.value_of(2).value == pytest.approx(5.0, rel=1e-15)
+
+
+def test_scalar_fold_keeps_the_log_bound():
+    """lr_increment and step reject a finite log beyond +-MAX_ABS_LOG, as
+    run_experiment does, with no RuntimeWarning (tier-1 makes one an error);
+    a stream that lands exactly on the bound is still legal."""
+    with pytest.raises(DomainError, match="natural log"):
+        lr_increment(1.5, (0.0, 1e-154), (-0.82, 1.0))  # log 1.125e308
+    huge = LogValue(1.125e308)
+    with pytest.raises(DomainError, match="beyond"):
+        step(MartingaleTable.fresh(2), 1, huge)
+    with pytest.raises(DomainError, match="beyond"):  # the sum overflows to +inf
+        step(MartingaleTable(log_values=np.array([1.125e308, 0.0])), 1, huge)
+    with pytest.raises(DomainError, match="beyond"):
+        step(MartingaleTable(log_values=np.array([-MAX_ABS_LOG])), 1, LogValue(-1e290))
+    for sign in (1.0, -1.0):
+        half = LogValue(sign * MAX_ABS_LOG / 2)
+        t = step(step(MartingaleTable.fresh(1), 1, half), 1, half)
+        assert t.log_values[0] == sign * MAX_ABS_LOG
+    # an infinite factor or stream is a legal value, not a finite overflow
+    assert step(MartingaleTable.fresh(1), 1, LogValue(math.inf)).value_of(1).is_infinite
+    t = MartingaleTable(log_values=np.array([math.inf]))
+    assert step(t, 1, LogValue(MAX_ABS_LOG)).value_of(1).is_infinite
 
 
 def test_step_index_bounds():
