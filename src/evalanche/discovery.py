@@ -67,7 +67,9 @@ add.
     ``logaddexp`` with log w_0 adds u(M + W + 3) + 2uW.  The product term
     is an exact no-op on sets of two or more values; a one-value set takes
     its "+ log w" and ``logaddexp`` there instead, and the empty set is
-    exact.
+    exact.  The product of a tail of s values is read from its top suffix
+    level S[s, K-s]; at top degree 1, s <= 1 and that level is the value
+    itself plus the empty set's 0.0, exact.
 
 Together |c - e| < (K + 8) u (M + W + 4); the walk takes delta =
 2^-50 (K + 8)(M + W + 4), eight times that.
@@ -218,44 +220,28 @@ def _tables(spec: MergeSpec, k: int) -> tuple:
     return tuple(active), lc, log_tail
 
 
-def suffix_logsums(logs: np.ndarray) -> np.ndarray:
-    """Log of the product over each suffix logs[..., i:], shape (..., K+1); +inf
-    columns for +inf entries (which must lead, descending order)."""
-    inf = np.isposinf(logs)
-    out = np.zeros(logs.shape[:-1] + (logs.shape[-1] + 1,))
-    sums = np.cumsum(np.where(inf, 0.0, logs)[..., ::-1], axis=-1)[..., ::-1]
-    out[..., :-1] = np.where(inf, np.inf, sums)
-    return out
-
-
-def tail_logsums(logs: np.ndarray, top: int) -> np.ndarray:
-    """``suffix_logsums`` of the last min(top, K) + 1 suffixes of K descending
-    values, the only tail products ``tail_merges`` reads under a spec of top
-    degree ``top``; the same bits as those columns of the full table."""
-    return suffix_logsums(logs[..., max(logs.shape[-1] - top, 0):])
-
-
-def tail_merges(S, T, tails, P, Psum, arity, spec: MergeSpec) -> np.ndarray:
+def tail_merges(S, tails, P, Psum, arity, spec: MergeSpec) -> np.ndarray:
     """F(base + {i+1..K}) in natural log for tail starts i; i = K is the base alone.
 
     ``S`` is ``suffix_esp_levels`` (through the spec's top degree) of K
     descending values, with any leading batch axes, and K comes from it.
-    ``T`` holds the ``suffix_logsums`` of the last suffixes only, at least
-    the min(top, K) + 1 that ``tail_logsums`` builds: the product term reads
-    only tails of size <= top.  ``tails`` is an int r, for the contiguous
-    tails i = r..K, or a slice r:stop of them, i = r..stop-1 (the result
-    columns read ``S[..., deg, r:stop]`` and the tail products of those of
-    size <= top), or an integer array of tail starts gathered from one
-    unbatched ``S`` and ``T`` and broadcasting against the bases.  The base is given by its log
-    esp levels ``P[a]`` (a = 0..len(P)-1; the levels above are zero and their
-    exact ``logaddexp`` no-ops are skipped), its log product ``Psum`` and its
-    size ``arity``; each broadcasts against the tail columns (in a contiguous
-    call ``Psum`` is the same for every column), so one call scores a batch
-    of bases, or a row whose base changes from cell to cell.  Every cell
-    takes the same elementwise operations either way, so a gathered cell, or
-    a cell of a shorter run, carries the bits of its counterpart in the full
-    contiguous call.  No set holding a +inf value may reach the kernel (its
-    padding would meet it as inf - inf): callers fill those cells themselves.
+    ``tails`` is an int r, for the contiguous tails i = r..K, or a slice
+    r:stop of them, i = r..stop-1 (the result columns read only
+    ``S[..., :, r:stop]``), or an integer array of tail starts gathered from
+    one unbatched ``S`` and broadcasting against the bases.  The base is given
+    by its log esp levels ``P[a]`` (a = 0..len(P)-1; the levels above are zero
+    and their exact ``logaddexp`` no-ops are skipped), its log product ``Psum``
+    and its size ``arity``; each broadcasts against the tail columns (in a
+    contiguous call ``Psum`` is the same for every column), so one call scores
+    a batch of bases, or a row whose base changes from cell to cell.  ``Psum``
+    is read only for bases of at most top values, top being the spec's top
+    degree.  Only sets of at most top values carry the product term, and the
+    product of a tail of s <= top values is its top level, ``S[..., s, K-s]``.
+    Every cell takes the same elementwise operations either way, so a gathered
+    cell, or a cell of a shorter run, carries the bits of its counterpart in
+    the full contiguous call.  No set holding a +inf value may reach the
+    kernel (its padding would meet it as inf - inf): callers fill those cells
+    themselves.
     """
     k = S.shape[-1] - 1
     active, lc, log_tail = _tables(spec, k)
@@ -273,32 +259,31 @@ def tail_merges(S, T, tails, P, Psum, arity, spec: MergeSpec) -> np.ndarray:
             acc = np.logaddexp(acc, P[a] + S[..., deg - a, cols])
         term = (log_w + acc) - lc[deg, m]
         out = term if out is None else np.logaddexp(out, term)
-    # only sets of size <= top carry product weight: tails of size <= top,
-    # i >= K - top; T's column c holds the product of the tail from first + c
     top = spec.max_degree
-    first = k + 1 - T.shape[-1]
     if contiguous:
         p = max(start, k - top)  # the first product-term column
         if p < stop:
-            tail, prod = out[..., p - start:], Psum + T[..., p - first:stop - first]
+            i = np.arange(p, stop)
+            tail, prod = out[..., p - start:], Psum + S[..., k - i, i]
             np.logaddexp(tail, log_tail[m[..., p - start:]] + prod, out=tail)
     else:
-        carry = size <= top  # the other cells read the empty tail's 0.0, always finite
-        at = np.where(carry, tails - first, -1)
-        np.logaddexp(out, log_tail[m] + (Psum + T[..., at]), out=out, where=carry)
+        carry = size <= top  # the other cells read the empty tail's e_0 = 0.0
+        i = np.where(carry, tails, k)
+        np.logaddexp(out, log_tail[m] + (Psum + S[..., k - i, i]), out=out, where=carry)
     return out
 
 
-def _row_cells(logs: np.ndarray, S: np.ndarray, T: np.ndarray, r: int, cols: np.ndarray,
+def _row_cells(logs: np.ndarray, S: np.ndarray, r: int, cols: np.ndarray,
                spec: MergeSpec) -> np.ndarray:
     """Raw cells (r, j) of the columns j in ``cols`` in natural log, each over
     all tails of its base {j+1..r}, which must hold no +inf value: one kernel
-    call on the row's prefix tables."""
-    prefix = logs[:r]
-    levels = suffix_esp_levels(prefix, spec.max_degree)[:, cols, None]
-    sums = suffix_logsums(prefix)[cols, None]
+    call on the row's prefix levels, whose top level holds the product of
+    each base of at most top values."""
+    top = spec.max_degree
+    levels = suffix_esp_levels(logs[:r], top)
+    prod = levels[np.minimum(r - cols, top), cols][:, None]
     i0 = max(r, int(np.count_nonzero(np.isposinf(logs))))  # tails hold no +inf value
-    return tail_merges(S, T, i0, levels, sums, (r - cols)[:, None], spec).min(axis=1)
+    return tail_merges(S, i0, levels[:, cols, None], prod, (r - cols)[:, None], spec).min(axis=1)
 
 
 def _walk_margin(logs: np.ndarray, spec: MergeSpec) -> float:
@@ -310,27 +295,27 @@ def _walk_margin(logs: np.ndarray, spec: MergeSpec) -> float:
     return 2.0 ** -50 * (k + 8) * (scale + 4.0)
 
 
-def _walk(logs: np.ndarray, S: np.ndarray, T: np.ndarray, r: np.ndarray, n_inf: int,
+def _walk(logs: np.ndarray, S: np.ndarray, r: np.ndarray, n_inf: int,
           spec: MergeSpec) -> tuple[np.ndarray, np.ndarray]:
     """The threshold walk (module docstring) over the rows r, a column, under a
     spec of top degree 1: the cells of columns 0..max(r) and the mask of those
-    it certified, each of which carries the bits of ``_row_cells``."""
+    it certified, each of which carries the bits of ``_row_cells``.  The
+    product term reads a base's product only when it holds at most one
+    value: 0.0 for the empty base, else its e_1 level, the value itself."""
     k = logs.size
     r1 = int(r[-1, 0])
     jc = np.clip(np.arange(r1 + 1), np.minimum(n_inf, r), r)  # outside lo..r: a row cell's copy
-    # each row's bases {j+1..r} from its own padded prefix: -inf and -0.0 are
-    # exact identities of the suffix logaddexp and cumsum, so every base
-    # carries the bits of the row's unpadded suffix tables (whose empty base
-    # has the log product 0.0, not the padding's -0.0)
+    # each row's bases {j+1..r} from its own padded prefix: -inf is an exact
+    # identity of the suffix logaddexp, so every base carries the bits of the
+    # row's unpadded suffix levels
     pad = np.arange(r1) >= r
     levels = suffix_esp_levels(np.where(pad, -np.inf, logs[:r1]), 1)
-    sums = suffix_logsums(np.where(pad, -0.0, logs[:r1]))
     base_sum = np.take_along_axis(levels[:, 1], jc, axis=1)  # log of the base's sum
-    Psum = np.where(jc == r, 0.0, np.take_along_axis(sums, jc, axis=1))
     arity = r - jc
+    prod = np.where(arity == 0, 0.0, base_sum)  # read for bases of at most one value
 
     def score(tails):
-        return tail_merges(S, T, tails, (0.0, base_sum), Psum, arity, spec)
+        return tail_merges(S, tails, (0.0, base_sum), prod, arity, spec)
 
     # the valley runs over the tail starts i0..hi; the base-alone end i = K is
     # a mean only for a nonempty base
@@ -361,8 +346,7 @@ def _walk(logs: np.ndarray, S: np.ndarray, T: np.ndarray, r: np.ndarray, n_inf: 
     return cells, certified
 
 
-def _rows(logs: np.ndarray, S: np.ndarray, T: np.ndarray, r0: int, r1: int,
-          spec: MergeSpec) -> np.ndarray:
+def _rows(logs: np.ndarray, S: np.ndarray, r0: int, r1: int, spec: MergeSpec) -> np.ndarray:
     """Raw cells of rows r0..r1 in natural log, shape (r1-r0+1, r1+1), NaN above
     the diagonal: the cells the threshold walk certifies under a spec of top
     degree 1, and every other cell over all its tails."""
@@ -372,13 +356,13 @@ def _rows(logs: np.ndarray, S: np.ndarray, T: np.ndarray, r0: int, r1: int,
     lo = np.minimum(n_inf, r)  # bases of the columns j < lo hold a +inf value
     todo = (j >= lo) & (j <= r)  # in-row cells whose bases hold no +inf value
     if spec.max_degree == 1:
-        cells, certified = _walk(logs, S, T, r, n_inf, spec)
+        cells, certified = _walk(logs, S, r, n_inf, spec)
         todo &= ~certified
     else:
         cells = np.empty(todo.shape)
     for n in np.flatnonzero(todo.any(axis=1)):
         cols = np.flatnonzero(todo[n])
-        cells[n, cols] = _row_cells(logs, S, T, r0 + n, cols, spec)
+        cells[n, cols] = _row_cells(logs, S, r0 + n, cols, spec)
     cells[j < lo] = math.inf if spec.has_positive_degree else 0.0
     cells[j > r] = math.nan
     return cells
@@ -397,8 +381,8 @@ class RowTracker:
     (fixed on construction; column 0 when every row's cut is -1), and each
     row reads their prefix minimum through its own cut; the anchored cells
     take one kernel call per spec over the columns from the smallest tracked
-    row on, whatever the number of rows.  The product term reads the tail
-    products of the last min(top, K) + 1 columns only (``tail_logsums``).
+    row on, whatever the number of rows.  Both calls read the block's one
+    table of suffix levels.
     """
 
     def __init__(self, k: int, rows: Sequence[int], diag_spec: MergeSpec, sub_spec: MergeSpec):
@@ -428,7 +412,7 @@ class RowTracker:
             out[:, b] = [[_bound(block[b], r, max(r - width, 0), spec) for r in self.rows]
                          for spec, width, *_ in self._specs]
         block = block[~inf_rows]
-        S, T = suffix_esp_levels(block, self._top), tail_logsums(block, self._top)
+        S = suffix_esp_levels(block, self._top)
         last, prev = block[:, self._last], block[:, self._prev]
         for n, (spec, _, two, cut, stop, arity) in enumerate(self._specs):
             # levels e_0, e_1, e_2 and log product of each row's base, {r} or
@@ -436,9 +420,9 @@ class RowTracker:
             pair = prev + last
             e1 = np.where(two, np.logaddexp(last, prev), last)
             levels, prod = (0.0, e1, np.where(two, pair, -np.inf)), np.where(two, pair, last)
-            empty = np.minimum.accumulate(tail_merges(S, T, slice(0, stop), (0.0,), 0.0, 0, spec),
+            empty = np.minimum.accumulate(tail_merges(S, slice(0, stop), (0.0,), 0.0, 0, spec),
                                           axis=-1)
-            v = tail_merges(S[:, None], T[:, None], self._lo, levels, prod, arity, spec)
+            v = tail_merges(S[:, None], self._lo, levels, prod, arity, spec)
             out[n, ~inf_rows] = np.minimum(
                 np.where(cut < 0, np.inf, empty[:, cut]),
                 np.minimum.reduce(v, axis=-1, where=self._anchored, initial=np.inf),
@@ -458,8 +442,8 @@ def _bound(logs: np.ndarray, r: int, j_hi: int, spec: MergeSpec) -> float:
     """
     if not 1 <= r <= logs.size:
         raise DomainError(f"row {r} outside 1..{logs.size}")
-    S, T = suffix_esp_levels(logs, spec.max_degree), tail_logsums(logs, spec.max_degree)
-    return float(_rows(logs, S, T, r, r, spec)[0, : j_hi + 1].min())
+    S = suffix_esp_levels(logs, spec.max_degree)
+    return float(_rows(logs, S, r, r, spec)[0, : j_hi + 1].min())
 
 
 def diagonal_row(ranked: RankedValues, r: int, spec: MergeSpec) -> LogValue:
@@ -488,22 +472,18 @@ def discovery_matrix(ranked: RankedValues, spec: MergeSpec) -> DiscoveryMatrix:
     Under a spec of top degree 1 (u1, or a mixture of U_0 and U_1) the
     threshold walk scores seven kernel cells per matrix cell after an
     O(log K) search, O(K^2 log K) work in all; every other spec scores each
-    cell over all its tails, one kernel call per row and O(K^3) work.  On a
-    2-vCPU Xeon (Python 3.11.7, numpy 2.4.6; medians of three calls, on the
-    seed-42 final values of the untracked paper study scaled to K, with K/2
-    false nulls and 50 K steps) K = 200 takes 0.01-0.02 s under u1,
-    0.05-0.10 s under u2 and 0.09-0.16 s under the u1/u2 mixture; K = 500
-    takes 0.07-0.10 s under u1 (0.65-0.86 s scoring every tail) and
-    0.8-1.1 s under u2; K = 2000 takes 1.0-1.5 s under u1.
+    cell over all its tails, one kernel call per row and O(K^3) work.
+    README's numerical design notes give the timings and how they were
+    taken.
     """
     logs = ranked.sorted_logs
-    S, T = suffix_esp_levels(logs, spec.max_degree), tail_logsums(logs, spec.max_degree)
+    S = suffix_esp_levels(logs, spec.max_degree)
     k = ranked.k
     out = np.full((k, k + 1), np.nan)
     block = max(1, TRACK_BLOCK_CELLS // (k + 1))
     for r0 in range(1, k + 1, block):
         r1 = min(r0 + block - 1, k)
-        out[r0 - 1 : r1, : r1 + 1] = _rows(logs, S, T, r0, r1, spec)
+        out[r0 - 1 : r1, : r1 + 1] = _rows(logs, S, r0, r1, spec)
     out /= LN10
     return DiscoveryMatrix(out)
 

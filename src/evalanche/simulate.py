@@ -31,8 +31,7 @@ from .merging import MergeSpec, U1, U2
 
 # Size limits, checked before a run allocates anything.  A tracked run sorts
 # a block of B x K logs per B steps, and each checkpoint builds a discovery
-# matrix: 0.07-0.10 s at K = 500 and 1.0-1.5 s at K = 2000 under u1, 0.8-1.1 s
-# at K = 500 under u2 (inputs and machine as in discovery_matrix's docstring).
+# matrix (timings in README's numerical design notes).
 MAX_K = 10_000
 # draw_streams holds about ten float64 arrays of `steps` values (80 MB here).
 MAX_STEPS = 1_000_000

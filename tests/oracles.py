@@ -11,7 +11,10 @@ value oracle goes through ``LogValue``, which ``formats.linear_value`` skips.
 The matrix and series CSV writer oracles format every cell and line afresh,
 where the library reuses the text of a value equal bit for bit to the one
 before it in its column; the matrix JSON oracle dumps the whole report at
-once, where the library streams it a row at a time.
+once, where the library streams it a row at a time.  The two-table tail-merge
+kernel is the library's earlier ``tail_merges``, which read each tail's
+product from a second table of suffix log products; the library now reads
+it from the suffix levels' top level, and must carry the same bits.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from evalanche import LogValue, MergeSpec
-from evalanche.discovery import DiscoveryMatrix
+from evalanche.discovery import DiscoveryMatrix, _tables
 from evalanche.errors import DomainError
 from evalanche.formats import (
     _BUCKET_NAMES, MATRIX_HEADER, SERIES_HEADER, _data_lines, _json_float_out, bucket_indexes,
@@ -155,3 +158,47 @@ def parse_matrix_csv_oracle(text: str) -> DiscoveryMatrix:
     out = np.full((k, k + 1), np.nan)
     out[np.tril_indices(k, 1, k + 1)] = log10
     return DiscoveryMatrix(out)
+
+
+def suffix_logsums_oracle(logs: np.ndarray) -> np.ndarray:
+    """Log of the product over each suffix logs[..., i:], shape (..., K+1); +inf
+    columns for +inf entries (which must lead, descending order)."""
+    inf = np.isposinf(logs)
+    out = np.zeros(logs.shape[:-1] + (logs.shape[-1] + 1,))
+    sums = np.cumsum(np.where(inf, 0.0, logs)[..., ::-1], axis=-1)[..., ::-1]
+    out[..., :-1] = np.where(inf, np.inf, sums)
+    return out
+
+
+def tail_merges_oracle(S, T, tails, P, Psum, arity, spec: MergeSpec) -> np.ndarray:
+    """``discovery.tail_merges`` with the tail products taken from ``T``, the
+    ``suffix_logsums_oracle`` of the last t >= min(top, K) values, whose
+    column c holds the product of the tail from i = K - t + c."""
+    k = S.shape[-1] - 1
+    active, lc, log_tail = _tables(spec, k)
+    contiguous = np.ndim(tails) == 0
+    if contiguous:
+        start, stop, _ = (tails if isinstance(tails, slice) else slice(tails, None)).indices(k + 1)
+        cols, size = slice(start, stop), np.arange(k - start, k - stop, -1)
+    else:
+        cols, size = tails, k - tails
+    m = arity + size
+    out = None
+    for deg, log_w in active:
+        acc = P[0] + S[..., deg, cols]
+        for a in range(1, min(deg, len(P) - 1) + 1):
+            acc = np.logaddexp(acc, P[a] + S[..., deg - a, cols])
+        term = (log_w + acc) - lc[deg, m]
+        out = term if out is None else np.logaddexp(out, term)
+    top = spec.max_degree
+    first = k + 1 - T.shape[-1]
+    if contiguous:
+        p = max(start, k - top)
+        if p < stop:
+            tail, prod = out[..., p - start:], Psum + T[..., p - first:stop - first]
+            np.logaddexp(tail, log_tail[m[..., p - start:]] + prod, out=tail)
+    else:
+        carry = size <= top
+        at = np.where(carry, tails - first, -1)
+        np.logaddexp(out, log_tail[m] + (Psum + T[..., at]), out=out, where=carry)
+    return out

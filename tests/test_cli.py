@@ -163,6 +163,21 @@ def test_matrix_golden_bytes(tmp_path, capsys):
     assert heatmap.read_text() == (GOLDEN / "heatmap_8_4_1_u1.svg").read_text()
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (("matrix", "--merge", "u2"), "edge_matrix_u2.csv"),
+    (("matrix", "--merge", "u5"), "edge_matrix_u5.csv"),
+    (("matrix", "--merge", "mix:0.2,0.3,0.5"), "edge_matrix_mix.csv"),
+    (("diagonal",), "edge_diagonal.csv"),
+    (("subdiag",), "edge_subdiag.csv"),
+])
+def test_edge_values_golden_bytes(capsys, argv, golden):
+    """Values whose log10 column holds +inf twice, ties of 0.0 and -0.0, and
+    -inf: the matrix and row tables match their golden files byte for byte."""
+    code, out, err = run_cli(capsys, *argv, "--values", str(GOLDEN / "edge_values.csv"))
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
 def test_matrix_regularize_and_json(capsys):
     code, out, _ = run_cli(
         capsys, "matrix", "--values", "8,4,1", "--merge", "u1",

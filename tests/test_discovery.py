@@ -31,7 +31,7 @@ from evalanche.discovery import DiagonalSeries, DiscoveryMatrix, RowTracker
 from evalanche.errors import DomainError
 from evalanche.formats import bucket_indexes
 from evalanche.logvalue import MAX_ABS_LOG
-from oracles import subset_min_oracle
+from oracles import subset_min_oracle, suffix_logsums_oracle, tail_merges_oracle
 
 
 def lv(*xs):
@@ -215,31 +215,67 @@ def test_row_tracker_block_equals_single_steps(data):
 _READ_SPECS = (U1, U2, U1_U2_HALF, MergeSpec.nesp(5), MergeSpec.mixture((0.25, 0.0, 0.25, 0.5)))
 
 
+_ZERO_LOGS = st.sampled_from([-math.inf, -2.0, -0.0, 0.0, 1.5])  # ties of +-0.0, zeros
+
+
 @given(st.data())
-@settings(max_examples=150, deadline=None)
-def test_tail_logsums_are_the_last_suffix_columns(data):
-    """suffix_logsums(x[..., K-t:]) carries the bits of the last t+1 columns
-    of suffix_logsums(x), t = min(top, K), batched or not."""
+@settings(max_examples=300, deadline=None)
+def test_tail_merges_carries_the_two_table_bits(data):
+    """The kernel carries the bits of the two-table reference, which read each
+    tail's product from a separate table of suffix log products, on int,
+    slice and gathered calls, over batches of values and of bases.
+
+    The product of a tail of s values is its top suffix level ``S[..., s,
+    K-s]``, equal as a value to the reference's table entry; the two differ
+    only in the sign of a zero (``np.logaddexp(-inf, -0.0)`` and ``-0.0 +
+    0.0`` give +0.0 where the reference's sum keeps -0.0), and likewise a
+    base's product read off its own top level.  The kernel reads a product
+    only as ``log_tail[m] + (Psum + product)``, and ``log_tail`` is never
+    -0.0, so that sign never reaches a cell."""
     k = data.draw(st.integers(1, 12), label="k")
-    top = data.draw(st.integers(1, 14), label="top")
-    shape = data.draw(st.sampled_from([(), (3,), (2, 2)]), label="batch")
-    logs = np.array(data.draw(st.lists(_TRACKED_LOGS, min_size=k * math.prod(shape),
-                                       max_size=k * math.prod(shape)), label="logs"))
-    logs = np.sort(logs.reshape(shape + (k,)), axis=-1)[..., ::-1]
-    t = min(top, k)
-    want = discovery.suffix_logsums(logs)[..., k - t:]
-    assert want.shape[-1] == t + 1
-    assert _same_bits(discovery.suffix_logsums(logs[..., k - t:]), want)
-    assert _same_bits(discovery.tail_logsums(logs, top), want)
+    spec = data.draw(st.sampled_from(_READ_SPECS), label="spec")
+    top = spec.max_degree
+    values = data.draw(st.sampled_from([_TRACKED_LOGS, _ZERO_LOGS]), label="values")
+    # the values' batch shape and the bases' (nb of them, on axis -2 of the result)
+    batch, nb = data.draw(st.sampled_from([((), 0), ((), 3), ((3,), 0), ((3, 1), 2)]),
+                          label="batch")
+    logs = np.array(data.draw(st.lists(values, min_size=k * math.prod(batch),
+                                       max_size=k * math.prod(batch)), label="logs"))
+    logs = np.sort(logs.reshape(batch + (k,)), axis=-1)[..., ::-1]
+    S = discovery.suffix_esp_levels(logs, top)
+    for s in range(min(top, k) + 1):
+        assert np.array_equal(S[..., s, k - s], suffix_logsums_oracle(logs)[..., k - s])
+    start = data.draw(st.integers(0, k), label="start")
+    # bases of at most `start` values of their own: levels, log product and size
+    bases = [np.sort(np.array(data.draw(st.lists(values, max_size=min(start, 4)),
+                                        label="base")))[::-1] for _ in range(max(nb, 1))]
+    levels = [discovery.suffix_esp_levels(base, top)[:, 0] for base in bases]
+    prod = [lev[min(base.size, top)] for base, lev in zip(bases, levels)]  # as the callers read it
+    sums = [suffix_logsums_oracle(base)[0] for base in bases]  # -0.0 for a base of -0.0 values
+
+    def column(x):  # one scalar per base, or a column of nb of them
+        return np.array(x)[:, None] if nb else x[0]
+
+    P = tuple(column([lev[a] for lev in levels]) for a in range(top + 1))
+    size = column([base.size for base in bases])
+    calls = [start, slice(start, data.draw(st.integers(start, k + 1), label="stop"))]
+    if not batch:
+        calls.append(np.array(data.draw(st.lists(st.integers(start, k), min_size=1, max_size=6),
+                                        label="tails")))
+    T = suffix_logsums_oracle(logs[..., k - data.draw(st.integers(min(top, k), k), label="t"):])
+    for tails in calls:
+        want = tail_merges_oracle(S, T, tails, P, column(sums), size, spec)
+        got = discovery.tail_merges(S, tails, P, column(prod), size, spec)
+        assert got.shape == want.shape
+        assert _same_bits(got, want)
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_tail_merges_reads_only_the_product_columns(data):
-    """A start..stop run over the narrow tail products carries the bits of
-    those columns of the full run over the full table, and so do gathered
-    tail starts; runs stop before and after K - top, batched and unbatched,
-    over values that hold ties and zeros."""
+    """A start..stop run carries the bits of those columns of the full run,
+    and so do gathered tail starts; runs stop before and after K - top,
+    batched and unbatched, over values that hold ties and zeros."""
     k = data.draw(st.integers(1, 12), label="k")
     spec = data.draw(st.sampled_from(_READ_SPECS), label="spec")
     top = spec.max_degree
@@ -248,7 +284,6 @@ def test_tail_merges_reads_only_the_product_columns(data):
                                        max_size=k * math.prod(batch)), label="logs"))
     logs = np.sort(logs.reshape(batch + (k,)), axis=-1)[..., ::-1]
     S = discovery.suffix_esp_levels(logs, top)
-    full, narrow = discovery.suffix_logsums(logs), discovery.tail_logsums(logs, top)
     start = data.draw(st.integers(0, k), label="start")
     stop = data.draw(st.integers(start, k + 1), label="stop")
     # a base of at most `start` values of its own: its levels, log product and size
@@ -256,15 +291,14 @@ def test_tail_merges_reads_only_the_product_columns(data):
     base = np.sort(np.array(base))[::-1]
     levels = tuple(discovery.suffix_esp_levels(base, top)[:, 0])
     base_args = (levels, float(base.sum()), base.size)
-    want = discovery.tail_merges(S, full, start, *base_args, spec)
-    got = discovery.tail_merges(S, narrow, slice(start, stop), *base_args, spec)
+    want = discovery.tail_merges(S, start, *base_args, spec)
+    got = discovery.tail_merges(S, slice(start, stop), *base_args, spec)
     assert got.shape == batch + (stop - start,)
     assert _same_bits(got, want[..., : stop - start])
-    assert _same_bits(discovery.tail_merges(S, narrow, start, *base_args, spec), want)
     if not batch:
         tails = np.array(data.draw(st.lists(st.integers(start, k), min_size=1, max_size=6),
                                    label="tails"))
-        gathered = discovery.tail_merges(S, narrow, tails, *base_args, spec)
+        gathered = discovery.tail_merges(S, tails, *base_args, spec)
         assert _same_bits(gathered, want[tails - start])
 
 
@@ -284,8 +318,7 @@ def test_tail_merges_reads_only_the_product_columns(data):
 def test_row_tracker_read_set_edges(k, rows, diag_spec, sub_spec):
     """At the edges of its read set the tracker still matches the row bounds:
     its empty-base run ends at the largest cut r-1-w (column 0 when none is
-    nonnegative) and its tail products cover the last min(top, K)+1 columns."""
-    top = max(diag_spec.max_degree, sub_spec.max_degree)
+    nonnegative)."""
     stops = [max(max(r - 1 - min(w, r) for r in rows), 0) + 1 for w in (1, 2)]
     rng = np.random.default_rng(k * 100 + len(rows))
     for trial in range(20):
@@ -297,9 +330,8 @@ def test_row_tracker_read_set_edges(k, rows, diag_spec, sub_spec):
         tracker = RowTracker(k, rows, diag_spec, sub_spec)
         with mock.patch.object(discovery, "tail_merges", wraps=discovery.tail_merges) as spy:
             d, s = tracker.step(rk.sorted_logs[None])[:, 0]
-        runs = [c.args[2] for c in spy.call_args_list if isinstance(c.args[2], slice)]
+        runs = [c.args[1] for c in spy.call_args_list if isinstance(c.args[1], slice)]
         assert [(run.start, run.stop) for run in runs] == [(0, stop) for stop in stops]
-        assert {c.args[1].shape[-1] for c in spy.call_args_list} == {min(top, k) + 1}
         for n, r in enumerate(rows):
             assert d[n] == pytest.approx(diagonal_row(rk, r, diag_spec).log_e, abs=1e-12)
             assert s[n] == pytest.approx(subdiagonal_row(rk, r, sub_spec).log_e, abs=1e-12)
@@ -369,13 +401,12 @@ def _full_kernel(rk, spec):
     """Natural-log raw cells of every row, each cell scored over all its tails."""
     logs = rk.sorted_logs
     S = discovery.suffix_esp_levels(logs, spec.max_degree)
-    T = discovery.suffix_logsums(logs)
     n_inf = int(np.isposinf(logs).sum())
     out = np.full((rk.k, rk.k + 1), np.nan)
     for r in range(1, rk.k + 1):
         lo = min(n_inf, r)  # bases of the columns j < lo hold a +inf value
         out[r - 1, :lo] = math.inf
-        out[r - 1, lo : r + 1] = discovery._row_cells(logs, S, T, r, np.arange(lo, r + 1), spec)
+        out[r - 1, lo : r + 1] = discovery._row_cells(logs, S, r, np.arange(lo, r + 1), spec)
     return out
 
 
@@ -410,7 +441,7 @@ def _walk_logs(draw):
 def _tail_calls(calls):
     """Cells handed to the full-scan fallback: tail_merges calls with a
     contiguous tail start, one per base."""
-    return sum(np.size(c.args[5]) for c in calls if np.ndim(c.args[2]) == 0)
+    return sum(np.size(c.args[4]) for c in calls if np.ndim(c.args[1]) == 0)
 
 
 def test_u1_walk_matches_full_kernel():
@@ -458,8 +489,8 @@ def _check_margin(logs, rows):
         results = []
         real = discovery.tail_merges
 
-        def spy(S, T, tails, P, Psum, arity, spec):
-            out = real(S, T, tails, P, Psum, arity, spec)
+        def spy(S, tails, P, Psum, arity, spec):
+            out = real(S, tails, P, Psum, arity, spec)
             i = tails + np.arange(out.shape[-1]) if np.ndim(tails) == 0 else tails
             results.append(np.broadcast_arrays(r - arity, i, out))
             return out
