@@ -16,7 +16,8 @@ matrix cell (r, j) takes the base {j+1..r} and the tails k = r+1..K+1
   * subdiagonal_row: the same allowing one exception; the running minimum
     through column r-2.
   * RowTracker: both row bounds for fixed rows over a block of simulation
-    steps, with two kernel calls per merge spec.
+    steps, with two kernel calls per merge spec; the anchored call scores
+    only the steps that change a value it reads.
 
 ``oracles.brute_force_bound`` evaluates the unrestricted minima over all 2^K
 index sets and certifies the scans at desk scale.
@@ -383,6 +384,16 @@ class RowTracker:
     take one kernel call per spec over the columns from the smallest tracked
     row on, whatever the number of rows.  Both calls read the block's one
     table of suffix levels.
+
+    The anchored cells read only the values from position c = max(lo-2, 0)
+    on (0-based), lo being the smallest tracked row: the suffix levels from
+    column lo on are right-to-left ``logaddexp`` chains over the values from
+    lo on, the base values sit at positions r-2 and r-1 >= c, and the
+    product term reads tails from lo on.  So a step whose values from c on
+    carry the int64 bits of the step before it in the block (+0.0 and -0.0
+    differ) takes that step's anchored minima unscored, with the same bits.
+    The first step of each block is always scored; the tracker keeps no
+    state between calls.
     """
 
     def __init__(self, k: int, rows: Sequence[int], diag_spec: MergeSpec, sub_spec: MergeSpec):
@@ -393,6 +404,7 @@ class RowTracker:
         r = self.rows[:, None]
         self._last, self._prev = r - 1, np.maximum(r - 2, 0)
         self._lo = int(self.rows.min(initial=k))  # first anchored column of any row
+        self._c = max(self._lo - 2, 0)  # the first value any anchored cell reads
         self._anchored = anchored = np.arange(self._lo, k + 1) >= r
         self._specs = []
         for spec, width in ((diag_spec, 1), (sub_spec, 2)):
@@ -413,7 +425,16 @@ class RowTracker:
                          for spec, width, *_ in self._specs]
         block = block[~inf_rows]
         S = suffix_esp_levels(block, self._top)
-        last, prev = block[:, self._last], block[:, self._prev]
+        # a step whose values from position c on carry the bits of the step
+        # before it takes that step's anchored minima
+        bits = block[:, self._c:].view(np.int64)
+        fresh = np.ones(len(block), dtype=bool)
+        fresh[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+        idx = np.flatnonzero(fresh)
+        # the fresh steps' levels from column c on, as if over K - c values:
+        # the kernel reads its tables by set size, and no anchored set holds more
+        S_fresh = S[idx, None, :, self._c:]
+        last, prev = block[:, self._last][idx], block[:, self._prev][idx]
         for n, (spec, _, two, cut, stop, arity) in enumerate(self._specs):
             # levels e_0, e_1, e_2 and log product of each row's base, {r} or
             # {r-1, r}; a width-1 base's e_2 of -inf is an exact no-op
@@ -422,11 +443,10 @@ class RowTracker:
             levels, prod = (0.0, e1, np.where(two, pair, -np.inf)), np.where(two, pair, last)
             empty = np.minimum.accumulate(tail_merges(S, slice(0, stop), (0.0,), 0.0, 0, spec),
                                           axis=-1)
-            v = tail_merges(S[:, None], self._lo, levels, prod, arity, spec)
-            out[n, ~inf_rows] = np.minimum(
-                np.where(cut < 0, np.inf, empty[:, cut]),
-                np.minimum.reduce(v, axis=-1, where=self._anchored, initial=np.inf),
-            )
+            v = tail_merges(S_fresh, self._lo - self._c, levels, prod, arity, spec)
+            anchored = np.minimum.reduce(v, axis=-1, where=self._anchored, initial=np.inf)
+            out[n, ~inf_rows] = np.minimum(np.where(cut < 0, np.inf, empty[:, cut]),
+                                           anchored[np.cumsum(fresh) - 1])
         return out
 
 

@@ -209,6 +209,72 @@ def test_row_tracker_block_equals_single_steps(data):
     assert np.array_equal(got, want)
 
 
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_row_tracker_reuse_equals_single_steps(data):
+    """Steps that leave the values from position c = lo - 2 on alone, lo the
+    smallest tracked row, take the anchored minima of the step before them and
+    still carry the bits, sign bits included, of one-row blocks.  Each step
+    after the first repeats its predecessor, changes in order the values
+    before position c (or through c, a fresh step), flips the sign of a zero
+    at or after c, or draws new values; one step may be +inf-led."""
+    k = data.draw(st.integers(3, 12), label="k")
+    lo = data.draw(st.integers(3, k), label="lo")
+    c = lo - 2
+    rows = sorted({lo} | set(data.draw(st.lists(st.integers(lo, k), max_size=3), label="more")))
+    row = np.sort(np.array(data.draw(st.lists(_ZERO_LOGS | _TRACKED_LOGS, min_size=k,
+                                              max_size=k), label="row")))[::-1]
+    steps = [row]
+    for _ in range(data.draw(st.integers(0, 7), label="steps")):
+        row = row.copy()
+        move = data.draw(st.sampled_from(["repeat", "head", "zero", "new"]), label="move")
+        if move == "head":
+            n = c + data.draw(st.integers(0, 1), label="through c")
+            head = np.array(data.draw(st.lists(_TRACKED_LOGS, min_size=n, max_size=n),
+                                      label="head"))
+            row[:n] = np.sort(np.maximum(head, row[n]))[::-1]
+        if move == "new":
+            row = np.sort(np.array(data.draw(st.lists(_ZERO_LOGS | _TRACKED_LOGS, min_size=k,
+                                                      max_size=k), label="new")))[::-1]
+        zeros = c + np.flatnonzero(row[c:] == 0.0)
+        if move == "zero" and zeros.size:
+            z = zeros[data.draw(st.integers(0, zeros.size - 1), label="zero")]
+            row[z] = -row[z]
+        steps.append(row)
+    block = np.array(steps)
+    if data.draw(st.booleans(), label="infinite row"):
+        block[len(block) // 2, : data.draw(st.integers(1, k), label="n_inf")] = math.inf
+    specs = data.draw(st.tuples(st.sampled_from(SPECS), st.sampled_from(SPECS)), label="specs")
+    tracker = RowTracker(k, rows, *specs)
+    got = tracker.step(block)
+    want = np.concatenate([tracker.step(step[None]) for step in block], axis=1)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_row_tracker_scores_only_fresh_steps():
+    """The anchored call scores only the steps whose values from position c
+    on differ in their bits from the step before them; a flip of 0.0 to -0.0
+    is such a step."""
+    x = np.array([5.0, 4.0, 2.0, 1.0, 0.0, -1.0])
+    rows = (4, 6)  # c = 2
+    block = np.array([
+        x,
+        x,  # a repeat
+        [6.0, 4.5, *x[2:]],  # new values before c only
+        [6.0, 4.5, 2.0, 1.0, -0.0, -1.0],  # the flip, scored
+        [6.0, 4.5, 2.0, 1.0, -0.0, -1.0],  # a repeat
+        [6.0, 4.5, 2.0, 1.5, -0.0, -1.0],
+    ])
+    for specs in ((U1, U2), (U1_U2_HALF, U1)):
+        tracker = RowTracker(x.size, rows, *specs)
+        with mock.patch.object(discovery, "tail_merges", wraps=discovery.tail_merges) as spy:
+            got = tracker.step(block)
+        anchored = [c.args[0] for c in spy.call_args_list if isinstance(c.args[1], int)]
+        assert [S.shape[0] for S in anchored] == [3, 3]  # steps 0, 3 and 5
+        want = np.concatenate([tracker.step(step[None]) for step in block], axis=1)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # the read set: tail products of the product-term columns, runs that stop early
 

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import typing
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from evalanche import (
     regularize,
     run_experiment,
 )
-from evalanche import cli, formats
+from evalanche import cli, discovery, formats
 from evalanche.discovery import DiscoveryMatrix
 from evalanche.errors import DomainError
 from evalanche.logvalue import LN10
@@ -817,15 +818,34 @@ def test_write_bundle_rejects_nan_series_before_writing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_bundle_matches_golden_bytes(tmp_path):
-    """Every file of the small run's bundle but the manifest, which holds
-    version strings, is pinned byte for byte."""
-    cfg, run = small_run()
-    bundle = formats.write_bundle(cfg, run, tmp_path)
-    golden = GOLDEN / "small_run"
+def _assert_golden_bundle(cfg, run, name, path):
+    """Every file of the bundle but the manifest, which holds version
+    strings, matches ``GOLDEN / name`` byte for byte."""
+    bundle = formats.write_bundle(cfg, run, path)
+    golden = GOLDEN / name
     assert sorted(p.name for p in golden.iterdir()) == sorted(set(bundle) - {"manifest.json"})
     for p in golden.iterdir():
         assert bundle[p.name].read_bytes() == p.read_bytes(), p.name
+
+
+def test_bundle_matches_golden_bytes(tmp_path):
+    _assert_golden_bundle(*small_run(), "small_run", tmp_path)
+
+
+def test_tracked_low_rows_bundle_matches_golden_bytes(tmp_path):
+    """Tracked from row 8 of 12, 96 of the 200 steps move none of the values
+    the anchored cells read and take the minima of the step before them; the
+    bundle is pinned byte for byte."""
+    cfg = ExperimentConfig(
+        k=12, n_false=6, null_dist=(0, 1), true_dist_false_nulls=(-1, 1),
+        bet_dist=(-0.82, 1), steps=200, seed=11, tracked_rows=(8, 12), checkpoints=(200,),
+    )
+    with mock.patch.object(discovery, "tail_merges", wraps=discovery.tail_merges) as spy:
+        run = run_experiment(cfg)
+    # the anchored calls are the batched ones, one per spec
+    scored = [c.args[0].shape[0] for c in spy.call_args_list if c.args[0].ndim == 4]
+    assert sum(scored) == 2 * (200 - 96)
+    _assert_golden_bundle(cfg, run, "tracked_low_rows", tmp_path)
 
 
 def test_json_text_is_strict():

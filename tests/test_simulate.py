@@ -182,33 +182,39 @@ def test_mid_run_checkpoints_match_replayed_prefix():
 @pytest.mark.parametrize("null_sd", [1.0, 1e-160])  # 1e-160 sends false nulls to +inf
 def test_tracked_blocks_match_per_step_tracking(null_sd):
     """Blocks of steps, split at checkpoints inside them, score each step
-    exactly as one tracker step per increment does."""
+    exactly as one tracker step per increment does, sign bits included.
+    Tracked from row 20 on, a step that moves none of the top 18 values
+    reuses the anchored minima of the step before it."""
     k = 40
     block = TRACK_BLOCK_CELLS // (k + 1)
     steps = 2 * block + 37
     checkpoints = (block // 2, block + 3, steps)
-    cfg = small_config(
-        k=k, n_false=20, steps=steps, tracked_rows=(1, 2, 20, 39, 40), checkpoints=checkpoints,
-        null_dist=(0.0, null_sd), merge_diagonal=U1_U2_HALF, merge_subdiagonal=U2,
-    )
-    assert steps % block and 0 < checkpoints[0] < block < checkpoints[1] < 2 * block
-    run = run_experiment(cfg)
-    k_idx, _, inc = draw_streams(cfg)
-    tracker = RowTracker(k, cfg.tracked_rows, cfg.merge_diagonal, cfg.merge_subdiagonal)
-    logs = np.zeros(k)
-    want = np.empty((2, steps, len(cfg.tracked_rows)))
-    for t in range(steps):
-        logs[k_idx[t]] += inc[t]
-        want[:, t] = tracker.step(np.sort(logs)[::-1][None])[:, 0]
-        if t + 1 in checkpoints:
-            raw = discovery_matrix(RankedValues.from_logs(logs.copy()), cfg.merge_matrix)
-            assert np.array_equal(run.matrices[t + 1].log10, raw.log10, equal_nan=True)
-    assert np.array_equal(run.final_table.log_values, logs)
-    if null_sd < 1.0:
-        assert np.isposinf(logs).any()
-    for n, r in enumerate(cfg.tracked_rows):
-        assert np.array_equal(run.diagonal_series[r].log10_values, want[0, :, n] / LN10)
-        assert np.array_equal(run.subdiagonal_series[r].log10_values, want[1, :, n] / LN10)
+    for tracked_rows in ((1, 2, 20, 39, 40), (20, 39, 40)):
+        cfg = small_config(
+            k=k, n_false=20, steps=steps, tracked_rows=tracked_rows, checkpoints=checkpoints,
+            null_dist=(0.0, null_sd), merge_diagonal=U1_U2_HALF, merge_subdiagonal=U2,
+        )
+        assert steps % block and 0 < checkpoints[0] < block < checkpoints[1] < 2 * block
+        run = run_experiment(cfg)
+        k_idx, _, inc = draw_streams(cfg)
+        tracker = RowTracker(k, cfg.tracked_rows, cfg.merge_diagonal, cfg.merge_subdiagonal)
+        logs = np.zeros(k)
+        want = np.empty((2, steps, len(cfg.tracked_rows)))
+        for t in range(steps):
+            logs[k_idx[t]] += inc[t]
+            want[:, t] = tracker.step(np.sort(logs)[::-1][None])[:, 0]
+            if t + 1 in checkpoints:
+                raw = discovery_matrix(RankedValues.from_logs(logs.copy()), cfg.merge_matrix)
+                assert np.array_equal(run.matrices[t + 1].log10, raw.log10, equal_nan=True)
+        assert np.array_equal(run.final_table.log_values, logs)
+        if null_sd < 1.0:
+            assert np.isposinf(logs).any()
+        want = (want / LN10).view(np.int64)
+        for n, r in enumerate(cfg.tracked_rows):
+            assert np.array_equal(run.diagonal_series[r].log10_values.view(np.int64),
+                                  want[0, :, n])
+            assert np.array_equal(run.subdiagonal_series[r].log10_values.view(np.int64),
+                                  want[1, :, n])
 
 
 def test_tracked_run_peak_memory():
