@@ -182,6 +182,11 @@ def _cmd_oracle_check(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="evalanche", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # the flags several commands share, each defined once in a parent parser
+    values, fmt, out = (_Parser(add_help=False) for _ in range(3))
+    values.add_argument("--values", required=True, help="values CSV path or inline v1,v2,...")
+    fmt.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+    out.add_argument("--out", default=None, help="output file (default: stdout)")
 
     p = sub.add_parser("simulate", help="run a seeded experiment and write its output bundle")
     p.add_argument("--config", required=True, help="experiment config JSON")
@@ -190,42 +195,33 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_simulate)
 
     for name, kind in (("diagonal", "diagonal"), ("subdiag", "subdiagonal")):
-        p = sub.add_parser(name, help=f"compute the discovery {kind} for given values")
-        p.add_argument("--values", required=True, help="values CSV path or inline v1,v2,...")
+        p = sub.add_parser(name, parents=[values, fmt, out],
+                           help=f"compute the discovery {kind} for given values")
         p.add_argument("--merge", default="u1" if kind == "diagonal" else "u2",
                        help="u1|u2|...|mix:w0,w1,...")
         p.add_argument("--rows", default=None, help="comma-separated rows (default: all)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.set_defaults(fn=lambda args, kind=kind: _cmd_row_scan(args, kind))
 
-    p = sub.add_parser("matrix", help="compute the discovery matrix for given values")
-    p.add_argument("--values", required=True)
+    p = sub.add_parser("matrix", parents=[values, fmt, out],
+                       help="compute the discovery matrix for given values")
     p.add_argument("--merge", default="u1")
     p.add_argument("--regularize", action="store_true")
     p.add_argument("--heatmap", default=None, help="also write an SVG heatmap here")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_matrix)
 
-    p = sub.add_parser("region", help="confidence region from a matrix CSV row")
+    p = sub.add_parser("region", parents=[out], help="confidence region from a matrix CSV row")
     p.add_argument("--matrix", required=True, help="matrix CSV (regularized on load)")
     p.add_argument("--row", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_region)
 
-    p = sub.add_parser("merge", help="merge values with a NESP or mixture")
-    p.add_argument("--values", required=True)
+    p = sub.add_parser("merge", parents=[values, fmt, out], help="merge values with a NESP or mixture")
     p.add_argument("--merge", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_merge)
 
-    p = sub.add_parser("validate-poly", help="validate and decompose a merging polynomial")
+    p = sub.add_parser("validate-poly", parents=[out], help="validate and decompose a merging polynomial")
     p.add_argument("--poly", required=True, help="polynomial JSON file")
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_validate_poly)
 
     p = sub.add_parser("oracle-check", help="cross-check the fast paths against oracles")

@@ -132,12 +132,17 @@ def _lines(text: str, chunk: int = 1 << 16) -> Iterator[str]:
         a = b
 
 
-def _data_lines(text: str, header: str, what: str):
-    """(line number, line) of each non-empty line after ``header``."""
+def _after_header(text: str, header: str, what: str) -> Iterator[str]:
+    """The lines of ``text`` after its first, which must be ``header``."""
     lines = _lines(text)
     if next(lines, None) != header:
         raise DomainError(f"{what} CSV must start with {header!r}")
-    return ((n, line) for n, line in enumerate(lines, start=2) if line)
+    return lines
+
+
+def _data_lines(text: str, header: str, what: str):
+    """(line number, line) of each non-empty line after ``header``."""
+    return ((n, line) for n, line in enumerate(_after_header(text, header, what), start=2) if line)
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +351,7 @@ def _matrix_row_error(text: str, r: int) -> DomainError:
 
 def _matrix_rows(text: str) -> list[np.ndarray]:
     """The rows of a matrix CSV, row r from its r+1 non-empty lines."""
-    lines = _lines(text)
-    if next(lines, None) != MATRIX_HEADER:
-        raise DomainError(f"matrix CSV must start with {MATRIX_HEADER!r}")
-    cells = filter(None, lines)
+    cells = filter(None, _after_header(text, MATRIX_HEADER, "matrix"))
     index = ["0"]
     rows = []
     above = ([], np.empty(0))
@@ -702,7 +704,7 @@ def write_bundle(cfg: ExperimentConfig, run: RunResult, out_dir: str | Path) -> 
         paths[name] = out / name
         write_chunks(chunks, paths[name])
 
-    rows = sorted(set(cfg.tracked_rows))
+    rows = sorted(run.diagonal_series)
     if rows:
         series = [*run.diagonal_series.values(), *run.subdiagonal_series.values()]
         if any(np.isnan(s.log10_values).any() for s in series):  # linear_cell's error, before a file opens

@@ -273,7 +273,6 @@ def replicate(cfg: ExperimentConfig, seeds: Sequence[int]) -> dict[str, SeedSumm
     """
     if not seeds:
         raise DomainError("replicate needs at least one seed")
-    rows = sorted(set(cfg.tracked_rows))
     stats: dict[str, list[float]] = {}
 
     def put(name: str, value: float) -> None:
@@ -285,7 +284,7 @@ def replicate(cfg: ExperimentConfig, seeds: Sequence[int]) -> dict[str, SeedSumm
             if len(series):
                 put(f"{series.kind}_r{series.row}", float(series.log10_values[-1]))
         for step, raw in run.matrices.items():
-            for r in rows:
+            for r in sorted(run.diagonal_series):
                 for j in (r - 1, r - 2, r):
                     if 0 <= j <= r:
                         put(f"matrix{step}_r{r}_j{j}", raw.log10_entry(r, j))

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -517,6 +518,23 @@ def test_entry_point_help(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def test_shared_flags_show_one_help_text(capsys, monkeypatch):
+    """``--values``, the csv/json ``--format`` and the file ``--out`` each show
+    one non-empty help text in the help of every command that takes them."""
+    monkeypatch.setenv("COLUMNS", "200")  # one line per option
+    shared = ("--values", "--format", "--out")
+    helps: dict[str, set[str]] = {flag: set() for flag in shared}
+    for command, flags in (("diagonal", shared), ("subdiag", shared), ("matrix", shared),
+                           ("merge", shared), ("region", ("--out",)), ("validate-poly", ("--out",))):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        shown = dict(re.findall(r"^  (--\S+)(?: \S+)?(?: {2,}(.*))?$", capsys.readouterr().out, re.M))
+        for flag in flags:
+            helps[flag].add(shown[flag])
+    assert all(len(texts) == 1 and "" not in texts for texts in helps.values()), helps
 
 
 @pytest.mark.parametrize("argv, head", [

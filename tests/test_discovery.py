@@ -26,7 +26,7 @@ from evalanche import (
     regularize,
     subdiagonal_row,
 )
-from evalanche import discovery, formats, merging
+from evalanche import discovery, formats, merging, oracles
 from evalanche.discovery import DiagonalSeries, DiscoveryMatrix, RowTracker
 from evalanche.errors import DomainError
 from evalanche.formats import bucket_indexes
@@ -151,8 +151,20 @@ def test_diagonal_full_row_covers_small_pairs():
     assert got.log_e == pytest.approx(want.log_e, abs=1e-12)
 
 
+def _assert_tracked_match_brute_force(values, rows, d, s, diag_spec, sub_spec):
+    """Tracked values against ``brute_force_bound``: the diagonal over sets that
+    meet the top r, the subdiagonal over sets holding two of them (r >= 2)."""
+    pairs = []
+    for n, r in enumerate(rows):
+        sub = CONSTRAINT_GE2_IN_TOP_R if r >= 2 else CONSTRAINT_INTERSECTS_TOP_R
+        pairs += [(d[n], brute_force_bound(values, CONSTRAINT_INTERSECTS_TOP_R, r, diag_spec).log_e),
+                  (s[n], brute_force_bound(values, sub, r, sub_spec).log_e)]
+    assert oracles._worst_error(pairs) <= 1e-9  # equal infinities score 0
+
+
 def test_row_tracker_matches_row_bounds():
-    """The tracker's per-cell bases reach the same minima as the matrix rows."""
+    """The tracker's per-cell bases reach the same minima as the matrix rows,
+    and the brute-force subset minima."""
     rng = np.random.default_rng(21)
     for trial in range(60):
         k = int(rng.integers(1, 13))
@@ -165,13 +177,16 @@ def test_row_tracker_matches_row_bounds():
         for n, r in enumerate(rows):
             assert d[n] == pytest.approx(diagonal_row(rk, r, diag_spec).log_e, abs=1e-12)
             assert s[n] == pytest.approx(subdiagonal_row(rk, r, sub_spec).log_e, abs=1e-12)
+        _assert_tracked_match_brute_force([LogValue(x) for x in logs], rows, d, s, diag_spec, sub_spec)
 
 
 def test_row_tracker_with_leading_infinite_values():
-    rk = RankedValues.from_values([LogValue(math.inf)] * 2 + lv(3, 0.5, 0.2, 0.1))
+    values = [LogValue(math.inf)] * 2 + lv(3, 0.5, 0.2, 0.1)
+    rk = RankedValues.from_values(values)
     rows = [1, 2, 3, 4, 6]
     for spec in SPECS:
         d, s = RowTracker(rk.k, rows, spec, spec).step(rk.sorted_logs[None])[:, 0]
+        _assert_tracked_match_brute_force(values, rows, d, s, spec, spec)
         assert list(d) == [diagonal_row(rk, r, spec).log_e for r in rows]
         assert list(s) == [subdiagonal_row(rk, r, spec).log_e for r in rows]
         assert np.isinf(d[:2]).all() and np.isfinite(d[2:]).all()
@@ -401,6 +416,7 @@ def test_row_tracker_read_set_edges(k, rows, diag_spec, sub_spec):
         for n, r in enumerate(rows):
             assert d[n] == pytest.approx(diagonal_row(rk, r, diag_spec).log_e, abs=1e-12)
             assert s[n] == pytest.approx(subdiagonal_row(rk, r, sub_spec).log_e, abs=1e-12)
+        _assert_tracked_match_brute_force([LogValue(x) for x in logs], rows, d, s, diag_spec, sub_spec)
 
 
 @given(st.lists(st.floats(min_value=1e-4, max_value=1e4), min_size=1, max_size=9))

@@ -36,11 +36,13 @@ from oracles import (
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def golden_config(name: str) -> ExperimentConfig:
+    """The config of the golden bundle ``GOLDEN / name``, which CI also runs."""
+    return formats.config_from_json((GOLDEN / f"{name}.json").read_text())
+
+
 def small_run():
-    cfg = ExperimentConfig(
-        k=5, n_false=2, null_dist=(0, 1), true_dist_false_nulls=(-1, 1),
-        bet_dist=(-0.82, 1), steps=20, seed=11, tracked_rows=(1, 3), checkpoints=(20,),
-    )
+    cfg = golden_config("small_run")
     return cfg, run_experiment(cfg)
 
 
@@ -836,16 +838,20 @@ def test_tracked_low_rows_bundle_matches_golden_bytes(tmp_path):
     """Tracked from row 8 of 12, 96 of the 200 steps move none of the values
     the anchored cells read and take the minima of the step before them; the
     bundle is pinned byte for byte."""
-    cfg = ExperimentConfig(
-        k=12, n_false=6, null_dist=(0, 1), true_dist_false_nulls=(-1, 1),
-        bet_dist=(-0.82, 1), steps=200, seed=11, tracked_rows=(8, 12), checkpoints=(200,),
-    )
+    cfg = golden_config("tracked_low_rows")
     with mock.patch.object(discovery, "tail_merges", wraps=discovery.tail_merges) as spy:
         run = run_experiment(cfg)
     # the anchored calls are the batched ones, one per spec
     scored = [c.args[0].shape[0] for c in spy.call_args_list if c.args[0].ndim == 4]
     assert sum(scored) == 2 * (200 - 96)
     _assert_golden_bundle(cfg, run, "tracked_low_rows", tmp_path)
+
+
+def test_bundle_from_repeated_unsorted_rows_matches_golden_bytes(tmp_path):
+    """Tracked rows given out of order and with a repeat write the bundle of
+    the sorted, distinct rows."""
+    cfg = dataclasses.replace(golden_config("small_run"), tracked_rows=(3, 1, 3))
+    _assert_golden_bundle(cfg, run_experiment(cfg), "small_run", tmp_path)
 
 
 def test_json_text_is_strict():
