@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands: simulate, diagonal, subdiag, matrix, region, merge,
-validate-poly, oracle-check.  This module parses flags, reads inputs and
-dispatches; every ``--format`` output is rendered by ``formats``.  Data goes
-to stdout or files; diagnostics go to stderr.  Exit codes: 0 success, 1
-usage error (bad flags, unreadable or malformed input file, unwritable
-output), 2 numerical or domain error or a failed ``oracle-check`` row.  A
-stdout closed early by its reader ends the output, with exit 0.
+validate-poly, oracle-check.  argparse reads and converts each input once,
+through its flag's ``type``, so a command only computes and emits; every
+``--format`` output is rendered by ``formats``.  Data goes to stdout or
+files; diagnostics go to stderr.  Exit codes: 0 success, 1 usage error (bad
+flags, unreadable or malformed input file, unwritable output), 2 numerical
+or domain error or a failed ``oracle-check`` row.  A stdout closed early by
+its reader ends the output, with exit 0.
 """
 
 from __future__ import annotations
@@ -82,9 +83,7 @@ def _parse_merge(text: str) -> MergeSpec:
         return formats.parse_merge_flag(text)
 
 
-def _parse_rows(text: str | None, k: int) -> list[int]:
-    if text is None:
-        return list(range(1, k + 1))
+def _parse_rows(text: str) -> list[int]:
     try:
         return [int(t) for t in text.split(",")]
     except ValueError as exc:
@@ -106,34 +105,26 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _read(args.config, "config", formats.config_from_json)
+    cfg = args.config
     if args.seed is not None:
         with _as_usage_error("bad --seed"):
             cfg = replace(cfg, seed=args.seed)
-    run = run_experiment(cfg)
-    bundle = formats.write_bundle(cfg, run, args.out)
+    bundle = formats.write_bundle(cfg, run_experiment(cfg), args.out)
     _emit([f"{bundle['manifest.json']}\n"], None)
     return 0
 
 
 def _cmd_row_scan(args, kind: str) -> int:
-    values = _load_values(args.values)
-    spec = _parse_merge(args.merge)
-    ranked = RankedValues.from_values(values)
-    rows = _parse_rows(args.rows, ranked.k)
+    ranked = RankedValues.from_values(args.values)
     fn = diagonal_row if kind == "diagonal" else subdiagonal_row
-    table = [(r, fn(ranked, r, spec)) for r in rows]
-    _emit([formats.row_table(kind, spec, table, args.format)], args.out)
+    table = [(r, fn(ranked, r, args.merge)) for r in args.rows or range(1, ranked.k + 1)]
+    _emit([formats.row_table(kind, args.merge, table, args.format)], args.out)
     return 0
 
 
 def _cmd_matrix(args) -> int:
-    values = _load_values(args.values)
-    spec = _parse_merge(args.merge)
-    ranked = RankedValues.from_values(values)
-    m = discovery_matrix(ranked, spec)
-    if args.regularize:
-        m = regularize(m)
+    m = discovery_matrix(RankedValues.from_values(args.values), args.merge)
+    m = regularize(m) if args.regularize else m
     if args.heatmap:
         _emit(formats.heatmap_svg_chunks(m), args.heatmap)
     _emit(formats.matrix_report(m, args.format), args.out)
@@ -141,26 +132,23 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    m = regularize(_read(args.matrix, "matrix", formats.parse_matrix_csv))
-    region = confidence_region(m, args.row, args.alpha)
+    region = confidence_region(regularize(args.matrix), args.row, args.alpha)
     _emit([formats.region_report(region, args.format)], args.out)
     return 0
 
 
 def _cmd_merge(args) -> int:
-    values = _load_values(args.values)
-    spec = _parse_merge(args.merge)
-    _emit([formats.merge_report(spec, mixture_merge(spec, values), args.format)], args.out)
+    _emit([formats.merge_report(args.merge, mixture_merge(args.merge, args.values), args.format)],
+          args.out)
     return 0
 
 
 def _cmd_validate_poly(args) -> int:
-    poly = _read(args.poly, "polynomial", formats.poly_from_json)
-    verdict = validate_merging_polynomial(poly)
+    verdict = validate_merging_polynomial(args.poly)
     lines = ["valid" if verdict.ok else "invalid"]
     lines += [f"violation: {v}" for v in verdict.violations]
     try:
-        weights = decompose_symmetric(poly)
+        weights = decompose_symmetric(args.poly)
         lines.append("weights: " + ",".join(map(repr, weights)))
     except DomainError as exc:
         lines.append(f"not symmetric: {exc}")
@@ -184,12 +172,19 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     # the flags several commands share, each defined once in a parent parser
     values, fmt, out = (_Parser(add_help=False) for _ in range(3))
-    values.add_argument("--values", required=True, help="values CSV path or inline v1,v2,...")
+    values.add_argument("--values", required=True, type=_load_values,
+                        help="values CSV path or inline v1,v2,...")
     fmt.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     out.add_argument("--out", default=None, help="output file (default: stdout)")
 
+    def add_merge(p, default: str | None) -> None:  # not a parent: its one action would share a default
+        p.add_argument("--merge", type=_parse_merge, default=default, required=default is None,
+                       help="u1|u2|...|mix:w0,w1,... (default: u1 for diagonal and matrix, "
+                            "u2 for subdiag; merge requires it)")
+
     p = sub.add_parser("simulate", help="run a seeded experiment and write its output bundle")
-    p.add_argument("--config", required=True, help="experiment config JSON")
+    p.add_argument("--config", required=True, help="experiment config JSON",
+                   type=lambda path: _read(path, "config", formats.config_from_json))
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=_cmd_simulate)
@@ -197,36 +192,37 @@ def build_parser() -> _Parser:
     for name, kind in (("diagonal", "diagonal"), ("subdiag", "subdiagonal")):
         p = sub.add_parser(name, parents=[values, fmt, out],
                            help=f"compute the discovery {kind} for given values")
-        p.add_argument("--merge", default="u1" if kind == "diagonal" else "u2",
-                       help="u1|u2|...|mix:w0,w1,...")
-        p.add_argument("--rows", default=None, help="comma-separated rows (default: all)")
+        add_merge(p, "u1" if kind == "diagonal" else "u2")
+        p.add_argument("--rows", type=_parse_rows, help="comma-separated rows (default: all)")
         p.set_defaults(fn=lambda args, kind=kind: _cmd_row_scan(args, kind))
 
     p = sub.add_parser("matrix", parents=[values, fmt, out],
                        help="compute the discovery matrix for given values")
-    p.add_argument("--merge", default="u1")
-    p.add_argument("--regularize", action="store_true")
+    add_merge(p, "u1")
+    p.add_argument("--regularize", action="store_true", help="each row's running minimum in j")
     p.add_argument("--heatmap", default=None, help="also write an SVG heatmap here")
     p.set_defaults(fn=_cmd_matrix)
 
     p = sub.add_parser("region", parents=[out], help="confidence region from a matrix CSV row")
-    p.add_argument("--matrix", required=True, help="matrix CSV (regularized on load)")
-    p.add_argument("--row", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--matrix", required=True, help="matrix CSV (regularized on load)",
+                   type=lambda path: _read(path, "matrix", formats.parse_matrix_csv))
+    p.add_argument("--row", type=int, required=True, help="matrix row r, 1..K")
+    p.add_argument("--alpha", type=float, required=True, help="level: the columns of row r below alpha")
+    p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
     p.set_defaults(fn=_cmd_region)
 
     p = sub.add_parser("merge", parents=[values, fmt, out], help="merge values with a NESP or mixture")
-    p.add_argument("--merge", required=True)
+    add_merge(p, None)
     p.set_defaults(fn=_cmd_merge)
 
     p = sub.add_parser("validate-poly", parents=[out], help="validate and decompose a merging polynomial")
-    p.add_argument("--poly", required=True, help="polynomial JSON file")
+    p.add_argument("--poly", required=True, help="polynomial JSON file",
+                   type=lambda path: _read(path, "polynomial", formats.poly_from_json))
     p.set_defaults(fn=_cmd_validate_poly)
 
     p = sub.add_parser("oracle-check", help="cross-check the fast paths against oracles")
-    p.add_argument("--instances", type=int, default=25)
-    p.add_argument("--seed", type=int, default=20240542)
+    p.add_argument("--instances", type=int, default=25, help="random instances per check (default: 25)")
+    p.add_argument("--seed", type=int, default=20240542, help="generator seed (default: 20240542)")
     p.set_defaults(fn=_cmd_oracle_check)
 
     return parser

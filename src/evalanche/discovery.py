@@ -277,14 +277,17 @@ def tail_merges(S, tails, P, Psum, arity, spec: MergeSpec) -> np.ndarray:
 def _row_cells(logs: np.ndarray, S: np.ndarray, r: int, cols: np.ndarray,
                spec: MergeSpec) -> np.ndarray:
     """Raw cells (r, j) of the columns j in ``cols`` in natural log, each over
-    all tails of its base {j+1..r}, which must hold no +inf value: one kernel
-    call on the row's prefix levels, whose top level holds the product of
-    each base of at most top values."""
+    all tails of its base {j+1..r}, which must hold no +inf value: kernel
+    calls on the row's prefix levels, whose top level holds the product of
+    each base of at most top values.  A call scores a chunk of columns, at
+    most ``TRACK_BLOCK_CELLS * 64`` cells x tails, so the heap stays flat in K."""
     top = spec.max_degree
     levels = suffix_esp_levels(logs[:r], top)
-    prod = levels[np.minimum(r - cols, top), cols][:, None]
     i0 = max(r, int(np.count_nonzero(np.isposinf(logs))))  # tails hold no +inf value
-    return tail_merges(S, i0, levels[:, cols, None], prod, (r - cols)[:, None], spec).min(axis=1)
+    step = max(1, TRACK_BLOCK_CELLS * 64 // (S.shape[-1] - i0))  # columns per call
+    return np.concatenate([tail_merges(S, i0, levels[:, j, None], levels[np.minimum(r - j, top), j, None],
+                                       (r - j)[:, None], spec).min(axis=1)
+                           for j in (cols[c:c + step] for c in range(0, cols.size, step))])
 
 
 def _walk_margin(logs: np.ndarray, spec: MergeSpec) -> float:

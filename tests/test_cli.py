@@ -521,20 +521,37 @@ def test_entry_point_help(capsys):
 
 
 def test_shared_flags_show_one_help_text(capsys, monkeypatch):
-    """``--values``, the csv/json ``--format`` and the file ``--out`` each show
-    one non-empty help text in the help of every command that takes them."""
-    monkeypatch.setenv("COLUMNS", "200")  # one line per option
-    shared = ("--values", "--format", "--out")
+    """Every option of every command shows a non-empty help text, and
+    ``--values``, the csv/json ``--format``, the file ``--out`` and ``--merge``
+    each show one help text in the help of every command that takes them."""
+    monkeypatch.setenv("COLUMNS", "200")  # one line per option, two for a long option
+    shared = ("--values", "--format", "--out", "--merge")
     helps: dict[str, set[str]] = {flag: set() for flag in shared}
-    for command, flags in (("diagonal", shared), ("subdiag", shared), ("matrix", shared),
-                           ("merge", shared), ("region", ("--out",)), ("validate-poly", ("--out",))):
+    for command, flags in (("simulate", ()), ("diagonal", shared), ("subdiag", shared),
+                           ("matrix", shared), ("merge", shared), ("region", ("--out",)),
+                           ("validate-poly", ("--out",)), ("oracle-check", ())):
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
-        shown = dict(re.findall(r"^  (--\S+)(?: \S+)?(?: {2,}(.*))?$", capsys.readouterr().out, re.M))
+        # the help follows its option on the same line, or on the next one
+        shown = dict(re.findall(r"^  (--\S+)(?: \S+)?(?: {2,}|\n {3,})?(.*)$", capsys.readouterr().out,
+                                re.M))
+        assert shown and "" not in shown.values(), (command, shown)
         for flag in flags:
             helps[flag].add(shown[flag])
-    assert all(len(texts) == 1 and "" not in texts for texts in helps.values()), helps
+    assert all(len(texts) == 1 for texts in helps.values()), helps
+
+
+@pytest.mark.parametrize("command, default, other", [
+    ("diagonal", "u1", "u2"), ("subdiag", "u2", "u1"), ("matrix", "u1", "u2"),
+])
+def test_merge_defaults(capsys, command, default, other):
+    """Without ``--merge`` a command writes the bytes of its default spec, not
+    those of another (README, "Command line")."""
+    implicit = run_cli(capsys, command, "--values", "8,4,1")
+    assert implicit[0] == 0
+    assert implicit == run_cli(capsys, command, "--values", "8,4,1", "--merge", default)
+    assert implicit != run_cli(capsys, command, "--values", "8,4,1", "--merge", other)
 
 
 @pytest.mark.parametrize("argv, head", [

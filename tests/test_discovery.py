@@ -640,6 +640,41 @@ def test_full_tail_peak_memory():
     assert peak <= nbytes + 1_000_000, (peak, nbytes)
 
 
+def test_row_cells_heap_is_flat_in_k():
+    """The middle row under u2 at K = 2000 scores 1001 x 1001 cells x tails,
+    8 MB a kernel temporary in one call (a 32 MB peak); scored in chunks of
+    ``TRACK_BLOCK_CELLS * 64`` cells x tails it peaks within five chunks'
+    bytes (21 MB), a bound that does not grow with K."""
+    k = 2000
+    logs = RankedValues.from_logs(np.random.default_rng(42).normal(0.0, 5.0, k)).sorted_logs
+    S = discovery.suffix_esp_levels(logs, U2.max_degree)
+    cols = np.arange(k // 2 + 1)
+    discovery._row_cells(logs, S, k // 2, cols, U2)  # first-call caches stay out of the peak
+    tracemalloc.start()
+    try:
+        discovery._row_cells(logs, S, k // 2, cols, U2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * discovery.TRACK_BLOCK_CELLS * 64 * 8, peak
+
+
+@pytest.mark.parametrize("spec", [U1, U2, U1_U2_HALF, MergeSpec.nesp(5)])
+def test_row_cells_chunks_keep_every_bit(monkeypatch, spec):
+    """A row scored a few columns per kernel call carries the bits of one call
+    over all its columns, on logs with +inf, ties of 0.0 and -0.0, and -inf."""
+    rng = np.random.default_rng(7)
+    logs = RankedValues.from_logs(np.concatenate([
+        [math.inf, math.inf, -math.inf, 0.0, 0.0, -0.0], rng.normal(0.0, 3.0, 40).round(1)])).sorted_logs
+    S = discovery.suffix_esp_levels(logs, spec.max_degree)
+    for r in (3, 25, 40):
+        cols = np.arange(2, r + 1)  # the bases past the two +inf values
+        whole = discovery._row_cells(logs, S, r, cols, spec)  # one call at this size
+        with monkeypatch.context() as m:
+            m.setattr(discovery, "TRACK_BLOCK_CELLS", 1)  # 64 cells x tails a call
+            assert _same_bits(discovery._row_cells(logs, S, r, cols, spec), whole), r
+
+
 def test_tables_leave_log_comb_cache_alone():
     """The weight tables are the cache of their log C(m, deg) cells: building
     them adds no entry to log_comb's unbounded cache (at K = 2000 and 201
