@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import formats
-from .discovery import confidence_region, diagonal_row, discovery_matrix, regularize, subdiagonal_row
+from .discovery import confidence_region, discovery_matrix, regularize, row_bounds
 from .errors import DomainError, EvalancheError
 from .logvalue import LogValue
 from .martingales import RankedValues
@@ -114,10 +114,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_row_scan(args, kind: str) -> int:
+def _cmd_row_scan(args, kind: str, width: int) -> int:
     ranked = RankedValues.from_values(args.values)
-    fn = diagonal_row if kind == "diagonal" else subdiagonal_row
-    table = [(r, fn(ranked, r, args.merge)) for r in args.rows or range(1, ranked.k + 1)]
+    rows = args.rows or range(1, ranked.k + 1)
+    table = list(zip(rows, map(LogValue, row_bounds(ranked.sorted_logs, rows, width, args.merge))))
     _emit([formats.row_table(kind, args.merge, table, args.format)], args.out)
     return 0
 
@@ -189,12 +189,12 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=_cmd_simulate)
 
-    for name, kind in (("diagonal", "diagonal"), ("subdiag", "subdiagonal")):
+    for name, kind, width in (("diagonal", "diagonal", 1), ("subdiag", "subdiagonal", 2)):
         p = sub.add_parser(name, parents=[values, fmt, out],
                            help=f"compute the discovery {kind} for given values")
         add_merge(p, "u1" if kind == "diagonal" else "u2")
         p.add_argument("--rows", type=_parse_rows, help="comma-separated rows (default: all)")
-        p.set_defaults(fn=lambda args, kind=kind: _cmd_row_scan(args, kind))
+        p.set_defaults(fn=lambda args, kind=kind, width=width: _cmd_row_scan(args, kind, width))
 
     p = sub.add_parser("matrix", parents=[values, fmt, out],
                        help="compute the discovery matrix for given values")

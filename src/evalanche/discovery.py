@@ -9,12 +9,10 @@ matrix cell (r, j) takes the base {j+1..r} and the tails k = r+1..K+1
   * discovery_matrix: the lower-triangular D[r, j] of those cell minima;
     row r read at level alpha as {j : D[r, j] < alpha} yields a confidence
     region for the number of justified discoveries among the top r.
-  * diagonal_row: evidence that every one of the top-r discoveries is
-    justified; the running minimum of row r through column r-1 (equivalently
-    the regularized matrix diagonal), which equals the true minimum of F
-    over every index set meeting the top-r set.
-  * subdiagonal_row: the same allowing one exception; the running minimum
-    through column r-2.
+  * row_bounds: the running minimum of given rows r through column
+    max(r - width, 0), scored through the matrix's row blocks: at width 1
+    (diagonal_row) the true minimum of F over every index set meeting the
+    top-r set, at width 2 (subdiagonal_row) the same allowing one exception.
   * RowTracker: both row bounds for fixed rows over a block of simulation
     steps, with two kernel calls per merge spec; the anchored call scores
     only the steps that change a value it reads.
@@ -179,8 +177,8 @@ class ConfidenceRegion:
 # the tail-merge kernel
 
 # Cells per block: a tracked run scores B = max(1, TRACK_BLOCK_CELLS // (K+1))
-# steps per RowTracker.step call (40 at K = 200), and discovery_matrix scores
-# B rows per block.  That already amortises the per-call numpy overhead: on a
+# steps per RowTracker.step call (40 at K = 200), and _row_blocks scores B
+# rows per block.  That already amortises the per-call numpy overhead: on a
 # 2-vCPU Xeon (Python 3.11.7, numpy 2.4.6) 256-step blocks tracked the paper
 # study no faster and raised a 2,000-step run's Python-heap peak from 1.25 MB
 # to 6.6 MB.
@@ -350,26 +348,51 @@ def _walk(logs: np.ndarray, S: np.ndarray, r: np.ndarray, n_inf: int,
     return cells, certified
 
 
-def _rows(logs: np.ndarray, S: np.ndarray, r0: int, r1: int, spec: MergeSpec) -> np.ndarray:
-    """Raw cells of rows r0..r1 in natural log, shape (r1-r0+1, r1+1), NaN above
-    the diagonal: the cells the threshold walk certifies under a spec of top
-    degree 1, and every other cell over all its tails."""
+def _row_blocks(logs: np.ndarray, rows: np.ndarray, spec: MergeSpec):
+    """Yields (r, cells) for each block of ``max(1, TRACK_BLOCK_CELLS // (K+1))``
+    of the ascending rows, all over one table of suffix levels: the rows and
+    their raw cells in natural log, NaN above the diagonal, the cells the walk
+    certifies under a spec of top degree 1 and every other cell over all tails."""
+    S = suffix_esp_levels(logs, spec.max_degree)
     n_inf = int(np.count_nonzero(np.isposinf(logs)))
-    r = np.arange(r0, r1 + 1)[:, None]
-    j = np.arange(r1 + 1)
-    lo = np.minimum(n_inf, r)  # bases of the columns j < lo hold a +inf value
-    todo = (j >= lo) & (j <= r)  # in-row cells whose bases hold no +inf value
-    if spec.max_degree == 1:
-        cells, certified = _walk(logs, S, r, n_inf, spec)
-        todo &= ~certified
-    else:
-        cells = np.empty(todo.shape)
-    for n in np.flatnonzero(todo.any(axis=1)):
-        cols = np.flatnonzero(todo[n])
-        cells[n, cols] = _row_cells(logs, S, r0 + n, cols, spec)
-    cells[j < lo] = math.inf if spec.has_positive_degree else 0.0
-    cells[j > r] = math.nan
-    return cells
+    size = max(1, TRACK_BLOCK_CELLS // (logs.size + 1))
+    for b in range(0, rows.size, size):
+        r = rows[b : b + size, None]
+        j = np.arange(r[-1, 0] + 1)
+        lo = np.minimum(n_inf, r)  # bases of the columns j < lo hold a +inf value
+        todo = (j >= lo) & (j <= r)  # in-row cells whose bases hold no +inf value
+        if spec.max_degree == 1:
+            cells, certified = _walk(logs, S, r, n_inf, spec)
+            todo &= ~certified
+        else:
+            cells = np.empty(todo.shape)
+        for n in np.flatnonzero(todo.any(axis=1)):
+            cols = np.flatnonzero(todo[n])
+            cells[n, cols] = _row_cells(logs, S, r[n, 0], cols, spec)
+        cells[j < lo] = math.inf if spec.has_positive_degree else 0.0
+        cells[j > r] = math.nan
+        yield r[:, 0], cells
+
+
+def row_bounds(logs: np.ndarray, rows: Sequence[int], width: int, spec: MergeSpec) -> np.ndarray:
+    """Natural-log bounds of the given rows of the descending logs, in the
+    order given: for each row r the minimum of its raw cells over the columns
+    0..max(r - width, 0), width 1 for the diagonal and 2 for the subdiagonal.
+
+    This running-minimum reading makes the bound the true minimum of F over
+    every qualifying index set, not just the narrower family the plain scan
+    reaches: by an exchange argument any qualifying set is dominated by
+    either a single-anchor candidate or a whole-tail suffix {j..K}, and both
+    families are covered by the row's cells.  It also makes the value agree
+    bit for bit with the regularized matrix cell (r, max(r - width, 0)).
+    """
+    for r in rows:  # in the order given, before int64: a huge row is out of range, not an overflow
+        if not 1 <= r <= logs.size:
+            raise DomainError(f"row {r} outside 1..{logs.size}")
+    distinct, order = np.unique(np.asarray(rows, dtype=np.int64), return_inverse=True)
+    bounds = [row[: max(r - width, 0) + 1].min()
+              for block, cells in _row_blocks(logs, distinct, spec) for r, row in zip(block, cells)]
+    return np.array(bounds, dtype=float)[order]
 
 
 class RowTracker:
@@ -377,7 +400,7 @@ class RowTracker:
 
     Each row r is one candidate row over the tails {i+1..K}, i = 0..K, whose
     base changes per cell: the empty set for i <= r-1-w (the whole-suffix
-    family of the exchange argument behind ``diagonal_row``) and the row's
+    family of the exchange argument behind ``row_bounds``) and the row's
     width-w base for i >= r, where w is 1 for the diagonal (base {r}) and 2
     for the subdiagonal (base {r-1, r}; 1 at r = 1).  The cells in between
     are left out.  The empty-base cells are the same for every row, so a
@@ -425,8 +448,7 @@ class RowTracker:
         out = np.empty((2, len(block), self.rows.size))
         inf_rows = block[:, 0] == math.inf
         for b in np.flatnonzero(inf_rows):  # kept out of the kernel: the row bounds themselves
-            out[:, b] = [[_bound(block[b], r, max(r - width, 0), spec) for r in self.rows]
-                         for spec, width, *_ in self._specs]
+            out[:, b] = [row_bounds(block[b], self.rows, width, spec) for spec, width, *_ in self._specs]
         block = block[~inf_rows]
         S = suffix_esp_levels(block, self._top)
         # a step whose values from position c on carry the bits of the step
@@ -454,29 +476,13 @@ class RowTracker:
         return out
 
 
-def _bound(logs: np.ndarray, r: int, j_hi: int, spec: MergeSpec) -> float:
-    """min over columns 0..j_hi of the natural-log raw cells of row r of the logs.
-
-    This running-minimum reading makes the bound the true minimum of F over
-    every qualifying index set, not just the narrower family the plain scan
-    reaches: by an exchange argument any qualifying set is dominated by
-    either a single-anchor candidate or a whole-tail suffix {j..K}, and both
-    families are covered by the row's cells.  It also makes the value agree
-    bit for bit with the regularized matrix cell (r, j_hi).
-    """
-    if not 1 <= r <= logs.size:
-        raise DomainError(f"row {r} outside 1..{logs.size}")
-    S = suffix_esp_levels(logs, spec.max_degree)
-    return float(_rows(logs, S, r, r, spec)[0, : j_hi + 1].min())
-
-
 def diagonal_row(ranked: RankedValues, r: int, spec: MergeSpec) -> LogValue:
     """Evidence that every one of the top-r discoveries is justified.
 
     The minimum of F over all index sets meeting the top-r set, equal to the
     regularized matrix entry at (r, r-1).
     """
-    return LogValue(_bound(ranked.sorted_logs, r, r - 1, spec))
+    return LogValue(row_bounds(ranked.sorted_logs, [r], 1, spec)[0])
 
 
 def subdiagonal_row(ranked: RankedValues, r: int, spec: MergeSpec) -> LogValue:
@@ -486,13 +492,12 @@ def subdiagonal_row(ranked: RankedValues, r: int, spec: MergeSpec) -> LogValue:
     (at least one when r = 1), equal to the regularized matrix entry at
     (r, r-2); degree-2 merges fall back to the mean on singleton sets.
     """
-    return LogValue(_bound(ranked.sorted_logs, r, max(r - 2, 0), spec))
+    return LogValue(row_bounds(ranked.sorted_logs, [r], 2, spec)[0])
 
 
 def discovery_matrix(ranked: RankedValues, spec: MergeSpec) -> DiscoveryMatrix:
     """The full lower-triangular matrix of tail-merge minima (unregularized).
 
-    Rows are scored in blocks of ``max(1, TRACK_BLOCK_CELLS // (K+1))``.
     Under a spec of top degree 1 (u1, or a mixture of U_0 and U_1) the
     threshold walk scores seven kernel cells per matrix cell after an
     O(log K) search, O(K^2 log K) work in all; every other spec scores each
@@ -500,14 +505,9 @@ def discovery_matrix(ranked: RankedValues, spec: MergeSpec) -> DiscoveryMatrix:
     README's numerical design notes give the timings and how they were
     taken.
     """
-    logs = ranked.sorted_logs
-    S = suffix_esp_levels(logs, spec.max_degree)
-    k = ranked.k
-    out = np.full((k, k + 1), np.nan)
-    block = max(1, TRACK_BLOCK_CELLS // (k + 1))
-    for r0 in range(1, k + 1, block):
-        r1 = min(r0 + block - 1, k)
-        out[r0 - 1 : r1, : r1 + 1] = _rows(logs, S, r0, r1, spec)
+    out = np.full((ranked.k, ranked.k + 1), np.nan)
+    for r, cells in _row_blocks(ranked.sorted_logs, np.arange(1, ranked.k + 1), spec):
+        out[r - 1, : r[-1] + 1] = cells
     out /= LN10
     return DiscoveryMatrix(out)
 

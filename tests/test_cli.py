@@ -150,6 +150,22 @@ def test_subdiag_selected_rows(capsys):
             assert json.loads(out)["rows"] == [{"r": 2, "log10_value": -400.0, "value": None}]
 
 
+def test_row_scan_order_and_errors(capsys):
+    """Rows print in argv order, repeats included, each line byte-equal to its
+    one-row call; the first bad row in argv order is named, and a row past
+    int64 is a domain error, not an overflow."""
+    code, out, err = run_cli(capsys, "diagonal", "--values", "8,4,1", "--rows", "3,1,3")
+    assert (code, err) == (0, "")
+    header, *lines = out.splitlines()
+    assert len(lines) == 3
+    for r, line in zip((3, 1, 3), lines):
+        one = run_cli(capsys, "diagonal", "--values", "8,4,1", "--rows", str(r))[1]
+        assert one == f"{header}\n{line}\n"
+    for rows, named in (("2,9,0", "9"), ("99999999999999999999", "99999999999999999999")):
+        code, out, err = run_cli(capsys, "diagonal", "--values", "8,4,1", "--rows", rows)
+        assert (code, out, err) == (2, "", f"error: row {named} outside 1..3\n")
+
+
 def test_matrix_golden_bytes(tmp_path, capsys):
     values = tmp_path / "values.csv"
     values.write_text(formats.values_csv([LogValue.of(v) for v in (8, 4, 1)]))

@@ -290,6 +290,21 @@ def test_row_tracker_scores_only_fresh_steps():
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("n_rows", [4, 8])
+def test_row_tracker_infinite_step_builds_one_table_per_spec(n_rows):
+    """A +inf-led step scores all its rows through one ``row_bounds`` call per
+    spec, so it builds one table of suffix levels over the whole step per
+    spec, whatever the number of rows; a u2 row's own prefix levels, over
+    fewer than K values, are not counted."""
+    k = 20
+    logs = np.sort(np.random.default_rng(3).normal(0.0, 3.0, k))[::-1]
+    logs[0] = math.inf
+    tracker = RowTracker(k, range(3, 3 + n_rows), U1, U2)
+    with mock.patch.object(discovery, "suffix_esp_levels", wraps=discovery.suffix_esp_levels) as spy:
+        tracker.step(logs[None])
+    assert [np.shape(c.args[0]) for c in spy.call_args_list].count((k,)) == 2
+
+
 # ---------------------------------------------------------------------------
 # the read set: tail products of the product-term columns, runs that stop early
 
@@ -552,6 +567,28 @@ def test_u1_walk_matches_full_kernel():
 
     check()
     assert seen["certified"] > 0 and seen["fallback"] > 0, seen
+
+
+@given(_walk_logs(), st.sampled_from([U1, U2, U1_U2_HALF, MergeSpec.nesp(5)]), st.data())
+@settings(max_examples=120, deadline=None)
+def test_row_bounds_keep_every_bit(logs, spec, data):
+    """Rows given unsorted and repeated, scored through row blocks of a few
+    rows each, carry the bits (sign bits included) of the running minima of
+    the full kernel's rows, in the order given; ``diagonal_row`` and
+    ``subdiagonal_row`` are one-row calls."""
+    rk = RankedValues.from_logs(logs)
+    reg = np.minimum.accumulate(_full_kernel(rk, spec), axis=1)
+    rows = data.draw(st.lists(st.integers(1, rk.k), min_size=1, max_size=12), label="rows")
+    cells = data.draw(st.integers(1, 4 * (rk.k + 1)), label="TRACK_BLOCK_CELLS")  # 1-4 rows a block
+    for width in (1, 2):
+        want = np.array([reg[r - 1, max(r - width, 0)] for r in rows])
+        with mock.patch.object(discovery, "TRACK_BLOCK_CELLS", cells):
+            got = discovery.row_bounds(logs, rows, width, spec)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    for r in set(rows):
+        for fn, width in ((diagonal_row, 1), (subdiagonal_row, 2)):
+            one = discovery.row_bounds(logs, [r], width, spec)
+            assert np.float64(fn(rk, r, spec).log_e).view(np.int64) == one.view(np.int64)[0]
 
 
 def _check_margin(logs, rows):
