@@ -15,7 +15,8 @@ matrix cell (r, j) takes the base {j+1..r} and the tails k = r+1..K+1
     top-r set, at width 2 (subdiagonal_row) the same allowing one exception.
   * RowTracker: both row bounds for fixed rows over a block of simulation
     steps, with two kernel calls per merge spec; the anchored call scores
-    only the steps that change a value it reads.
+    only the steps that change a value it reads, and the whole-suffix cells
+    are scored from one column below the smallest cut, under a certificate.
 
 ``oracles.brute_force_bound`` evaluates the unrestricted minima over all 2^K
 index sets and certifies the scans at desk scale.
@@ -46,32 +47,53 @@ such as ties, all-equal values or spreads near delta) goes to ``_row_cells``,
 which scores every tail.  The search only places the window; correctness
 rests on the check.
 
-Rounding margin.  Let u = 2^-53, M = max |finite log| + log(K+1), which
-bounds every partial log-sum, and W = max |log w| over the spec's weights.
-Logs enter through ``RankedValues.from_logs``, ``merging.as_log_array`` or a
-run's increments (``simulate.draw_streams``), each of which rejects a finite
-log beyond ``MAX_ABS_LOG`` = 1e300; so M <= 1e300 + log(K+1), and a log
+Whole-suffix certificate.  The empty-base cell of tail start i is F over the
+K - i smallest values, and it does not decrease as i moves left from a
+column where K - i is at least the top degree.  Adding x >= max A to a set A
+of m >= n values never lowers U_n: U_n(A + {x}) >= U_n(A) exactly when x >=
+U_n(A) / U_{n-1}(A), and by Newton's inequalities that ratio is at most
+U_1(A) / U_0(A), the mean of A, which is at most x.  So the same holds for
+every mixture with nonnegative weights.  ``RowTracker`` scores these cells
+from a column a on and takes w, a row's minimum through its cut.  If c(a) >
+w + 2 delta, then e(i) >= e(a) > w + delta for every i < a, so no cell left
+of a computes to a value <= w, and the minimum over columns 0..cut carries
+the bits of the one over a..cut.  A minimum of -inf needs no check.
+
+Rounding margin.  Let u = 2^-53, t >= 1 the top degree, L = max |finite
+log|, M = t (L + log(K+1)) and W = max |log w| over the spec's weights.  M
+bounds every partial log-sum: a nonzero level e_b, b <= t, of at most K
+values lies between e^(-bL) and C(K, b) e^(bL) <= (K+1)^b e^(bL), and so
+does each product e_a e_(d-a) of a base level and a tail level the kernel
+forms.  Logs enter through ``RankedValues.from_logs``,
+``merging.as_log_array`` or a run's increments (``simulate.draw_streams``),
+each of which rejects a finite log beyond ``MAX_ABS_LOG`` = 1e300; so a log
 product of at most K + 1 <= 10,001 values stays finite: 10,001 x 1e300 <
 1.8e308.  One ``np.logaddexp``, z = max + log1p(exp(-|x - y|)), adds a
 local error below u(|z| + 3): u|z| from the final addition, and under 3u
 from the rounded difference, exp and log1p, each within an ulp.  It passes
 its inputs' errors on with weights summing to 1, so errors along a chain
-add.
+add.  With X = M + W + 4, each rounding below adds at most u X.
 
-  * The suffix ``logaddexp.accumulate``: each tail level S[1, k] and each
-    base level P[1] is a chain of at most K steps, within K u (M + 3).
-  * The kernel's own steps: P[0] + S[1] and P[1] + S[0] add 0 exactly; its
-    ``logaddexp`` adds u(M + 3); "+ log w" and "- log m" add u(M + W) each,
-    plus 2uW and 2u log(K+1) for the ``math.log`` of w and m; a mixture's
-    ``logaddexp`` with log w_0 adds u(M + W + 3) + 2uW.  The product term
-    is an exact no-op on sets of two or more values; a one-value set takes
-    its "+ log w" and ``logaddexp`` there instead, and the empty set is
-    exact.  The product of a tail of s values is read from its top suffix
-    level S[s, K-s]; at top degree 1, s <= 1 and that level is the value
-    itself plus the empty set's 0.0, exact.
+  * The suffix ``logaddexp.accumulate``: level b at column i is a chain of
+    at most K steps over the terms x_j + S[b-1, j+1], each sum rounded once
+    (exact at b = 1, where S[0] is 0.0).  So level b is within (bK + b - 1)
+    u X, and so is a base's level b built from the values: the walk's e_1
+    level, the tracker's e_1 and e_2 of one or two values.
+  * The kernel's ``acc`` at degree d: each term P[a] + S[d-a] is within
+    (dK + d - 1) u X (two levels and one rounding, or one level plus an
+    exact 0.0), and its at most d ``logaddexp`` steps add d u X.
+  * "+ log w" and "- log C(m, d)" round once each, and the ``math.log`` of w
+    and of the integer C(m, d) <= (K+1)^t are within 2uW and 2uM: 4 u X in
+    all.  The mixture's ``logaddexp`` over at most t + 1 degrees adds t u X.
+  * The product term of a set of at most t values: the base's product and
+    the tail's top level S[s, K-s] are within (tK + t - 2) u X together;
+    their sum and "+ log_tail" round once each, ``log_tail`` (the log of a
+    float sum of at most t + 1 weights) is within 2 u X, and the
+    ``logaddexp`` adds u X.
 
-Together |c - e| < (K + 8) u (M + W + 4); the walk takes delta =
-2^-50 (K + 8)(M + W + 4), eight times that.
+Together |c - e| <= (tK + 3t + 4) u X <= t (K + 8) u (M + W + 4); the walk
+and the tracker's certificate take delta = 2^-50 t (K + 8)(M + W + 4), eight
+times that.
 
 Matrix and series containers store log10 floats (the serialization scale);
 all scan arithmetic happens in natural logs and is converted once on storage.
@@ -288,13 +310,14 @@ def _row_cells(logs: np.ndarray, S: np.ndarray, r: int, cols: np.ndarray,
                            for j in (cols[c:c + step] for c in range(0, cols.size, step))])
 
 
-def _walk_margin(logs: np.ndarray, spec: MergeSpec) -> float:
-    """The rounding margin delta of the threshold walk (module docstring)."""
-    k = logs.size
+def _margin(big, k: int, spec: MergeSpec):
+    """The rounding margin delta (module docstring) of the kernel cells over
+    K values whose largest |finite log| is ``big`` (a float, or an array of
+    them), under a spec of top degree at least 1."""
+    top = spec.max_degree
     active, _, _ = _tables(spec, k)
-    scale = (float(np.abs(logs[np.isfinite(logs)]).max(initial=0.0)) + math.log(k + 1)
-             + max(abs(log_w) for _, log_w in active))
-    return 2.0 ** -50 * (k + 8) * (scale + 4.0)
+    scale = top * (big + math.log(k + 1)) + max(abs(log_w) for _, log_w in active)
+    return 2.0 ** -50 * top * (k + 8) * (scale + 4.0)
 
 
 def _walk(logs: np.ndarray, S: np.ndarray, r: np.ndarray, n_inf: int,
@@ -340,7 +363,7 @@ def _walk(logs: np.ndarray, S: np.ndarray, r: np.ndarray, n_inf: int,
     for t in range(1, 5):
         last = score(np.minimum(left + t, right))
         low = np.minimum(low, last)
-    edge = low + 2.0 * _walk_margin(logs, spec)
+    edge = low + 2.0 * _margin(np.abs(logs[np.isfinite(logs)]).max(initial=0.0), k, spec)
     certified = ((left == i0) | (first > edge)) & ((right == hi) | (last > edge))
     certified |= low == -math.inf  # a set of zeros: nothing computes lower
     # the two product-term columns, tail sizes 1 and 0
@@ -405,11 +428,21 @@ class RowTracker:
     for the subdiagonal (base {r-1, r}; 1 at r = 1).  The cells in between
     are left out.  The empty-base cells are the same for every row, so a
     step scores them once per spec, through the largest cut r-1-w of its rows
-    (fixed on construction; column 0 when every row's cut is -1), and each
-    row reads their prefix minimum through its own cut; the anchored cells
-    take one kernel call per spec over the columns from the smallest tracked
-    row on, whatever the number of rows.  Both calls read the block's one
-    table of suffix levels.
+    (fixed on construction), and each row reads their prefix minimum through
+    its own cut; the anchored cells take one kernel call per spec over the
+    columns from the smallest tracked row on, whatever the number of rows.
+    Both calls read the block's one table of suffix levels.
+
+    That table covers the values from column a on, one column below the
+    smallest cut and no further right than c below: each level is a
+    right-to-left chain, so its columns carry the bits of the whole table's
+    columns a..K.  The empty-base cells are scored from column a on, and a
+    step is certified by the whole-suffix certificate (module docstring):
+    cell a exceeds every row's minimum by 2 delta, or that minimum is -inf.
+    The steps it leaves open, such as early steps whose values from a on are
+    all tied, score their empty-base cells again from column 0 over the whole
+    table.  a is 0 when the smallest cut is at most 1, and when K - a would
+    be below the top degree; then every step takes that path.
 
     The anchored cells read only the values from position c = max(lo-2, 0)
     on (0-based), lo being the smallest tracked row: the suffix levels from
@@ -420,7 +453,8 @@ class RowTracker:
     differ) takes that step's anchored minima unscored, with the same bits.
     The first step of each block is always scored; the tracker keeps no
     state between calls.  Tests certify its values against
-    ``oracles.brute_force_bound`` to 1e-9, as well as against the row scans.
+    ``oracles.brute_force_bound`` to 1e-9, as well as against the row scans,
+    and against the same tracker with a = 0 bit for bit.
     """
 
     def __init__(self, k: int, rows: Sequence[int], diag_spec: MergeSpec, sub_spec: MergeSpec):
@@ -441,6 +475,9 @@ class RowTracker:
             cut = (r - 1 - w)[:, 0]
             self._specs.append((spec, width, w == 2, cut, int(cut.max(initial=0)) + 1,
                                 np.where(anchored, w, 0)))
+        # the table's first column a (docstring); 0 without rows
+        a = min(max(min(int(cut.min(initial=k)) for *_, cut, _, _ in self._specs) - 1, 0), self._c)
+        self._a = a if k - a >= self._top and self.rows.size else 0
 
     def step(self, block: np.ndarray) -> np.ndarray:
         """Natural-log (diagonal, subdiagonal) values, shape (2, B, R), of the
@@ -450,7 +487,11 @@ class RowTracker:
         for b in np.flatnonzero(inf_rows):  # kept out of the kernel: the row bounds themselves
             out[:, b] = [row_bounds(block[b], self.rows, width, spec) for spec, width, *_ in self._specs]
         block = block[~inf_rows]
-        S = suffix_esp_levels(block, self._top)
+        S = suffix_esp_levels(block[:, self._a:], self._top)
+        lows, certified = self._empty_base(S, block, self._a)
+        redo = np.flatnonzero(~certified)
+        if redo.size:  # a minimum the certificate leaves open: every column from 0
+            lows[:, redo] = self._empty_base(suffix_esp_levels(block[redo], self._top), block[redo], 0)[0]
         # a step whose values from position c on carry the bits of the step
         # before it takes that step's anchored minima
         bits = block[:, self._c:].view(np.int64)
@@ -459,21 +500,39 @@ class RowTracker:
         idx = np.flatnonzero(fresh)
         # the fresh steps' levels from column c on, as if over K - c values:
         # the kernel reads its tables by set size, and no anchored set holds more
-        S_fresh = S[idx, None, :, self._c:]
+        S_fresh = S[idx, None, :, self._c - self._a:]
         last, prev = block[:, self._last][idx], block[:, self._prev][idx]
-        for n, (spec, _, two, cut, stop, arity) in enumerate(self._specs):
+        for n, (spec, _, two, _, _, arity) in enumerate(self._specs):
             # levels e_0, e_1, e_2 and log product of each row's base, {r} or
             # {r-1, r}; a width-1 base's e_2 of -inf is an exact no-op
             pair = prev + last
             e1 = np.where(two, np.logaddexp(last, prev), last)
             levels, prod = (0.0, e1, np.where(two, pair, -np.inf)), np.where(two, pair, last)
-            empty = np.minimum.accumulate(tail_merges(S, slice(0, stop), (0.0,), 0.0, 0, spec),
-                                          axis=-1)
             v = tail_merges(S_fresh, self._lo - self._c, levels, prod, arity, spec)
             anchored = np.minimum.reduce(v, axis=-1, where=self._anchored, initial=np.inf)
-            out[n, ~inf_rows] = np.minimum(np.where(cut < 0, np.inf, empty[:, cut]),
-                                           anchored[np.cumsum(fresh) - 1])
+            out[n, ~inf_rows] = np.minimum(lows[n], anchored[np.cumsum(fresh) - 1])
         return out
+
+    def _empty_base(self, S: np.ndarray, block: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's minimum of the empty-base cells over columns a..cut per
+        spec, shape (2, B, R) (+inf for a row with none), from the levels S of
+        the block's values from column a on; and the mask of the steps at
+        which it is certified to be the minimum over columns 0..cut (every
+        step at a = 0)."""
+        lows = np.empty((2, len(block), self.rows.size))
+        certified = np.ones(len(block), dtype=bool)
+        if a:  # each step's largest |finite log|, for the margin
+            big = np.abs(block, out=np.zeros(block.shape), where=np.isfinite(block)).max(axis=-1)
+        for n, (spec, _, _, cut, stop, _) in enumerate(self._specs):
+            cells = tail_merges(S, slice(0, stop - a), (0.0,), 0.0, 0, spec)
+            low = np.minimum.accumulate(cells, axis=-1)[:, cut - a]
+            lows[n] = np.where(cut < 0, np.inf, low)
+            # cell a over every row's minimum through its cut, by 2 delta; at
+            # top degree 0 every nonempty set merges to the same bits, log w_0
+            if a and spec.max_degree:
+                edge = low + 2.0 * _margin(big, block.shape[1], spec)[:, None]
+                certified &= ((cells[:, :1] > edge) | (low == -math.inf)).all(axis=1)
+        return lows, certified
 
 
 def diagonal_row(ranked: RankedValues, r: int, spec: MergeSpec) -> LogValue:

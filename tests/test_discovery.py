@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 from unittest import mock
@@ -305,6 +306,98 @@ def test_row_tracker_infinite_step_builds_one_table_per_spec(n_rows):
     assert [np.shape(c.args[0]) for c in spy.call_args_list].count((k,)) == 2
 
 
+_U5 = MergeSpec.nesp(5)
+
+
+def _suffix_start(tracker, a):
+    """The same tracker with its table starting at column a."""
+    forced = copy.copy(tracker)
+    forced._a = a
+    return forced
+
+
+def test_row_tracker_suffix_start_keeps_every_bit():
+    """The tracker carries the bits, sign bits included, of the same tracker
+    at a = 0, which scores every whole-suffix cell from column 0, and its
+    values match brute force; both certified steps and steps the certificate
+    leaves open are exercised."""
+    seen = {"certified": 0, "open": 0}
+    step_logs = {
+        "ties": st.lists(_ZERO_LOGS, min_size=1),
+        "equal": st.one_of(_ZERO_LOGS, st.floats(-700.0, 700.0)).map(lambda x: [x]),
+        "wide": st.lists(st.floats(-700.0, 700.0), min_size=1),
+    }
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def check(data):
+        k = data.draw(st.integers(1, 12), label="k")
+        rows = data.draw(st.lists(st.sampled_from(sorted({1, 2, k // 2, k // 2 + 1, k - 1, k}
+                                                         & set(range(1, k + 1)))),
+                                  min_size=1, max_size=4), label="rows")
+        rows = sorted(set(rows))
+        block = []
+        for _ in range(data.draw(st.integers(1, 5), label="steps")):
+            pool = data.draw(step_logs[data.draw(st.sampled_from(sorted(step_logs)), label="kind")],
+                             label="pool")
+            block.append(sorted(data.draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k),
+                                          label="step"), reverse=True))
+        block = np.array(block)
+        if data.draw(st.booleans(), label="infinite row"):
+            block[len(block) // 2, : data.draw(st.integers(1, k), label="n_inf")] = math.inf
+        specs = data.draw(st.tuples(st.sampled_from(SPECS + (_U5,)), st.sampled_from(SPECS + (_U5,))),
+                          label="specs")
+        tracker = RowTracker(k, rows, *specs)
+        with mock.patch.object(RowTracker, "_empty_base", autospec=True,
+                               side_effect=RowTracker._empty_base) as spy:
+            got = tracker.step(block)
+        want = _suffix_start(tracker, 0).step(block)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        if tracker._a:  # the steps scored again from column 0
+            opened = sum(len(c.args[2]) for c in spy.call_args_list if c.args[3] == 0)
+            seen["open"] += opened
+            seen["certified"] += int((block[:, 0] < math.inf).sum()) - opened
+        for b, logs in enumerate(block):
+            _assert_tracked_match_brute_force([LogValue(x) for x in logs], rows, *got[:, b], *specs)
+
+    check()
+    assert seen["certified"] > 0 and seen["open"] > 0, seen
+
+
+def test_row_tracker_builds_its_table_from_column_a():
+    """A finite K = 200 step tracking rows 98-101 builds one table of suffix
+    levels, over the values from column a = 94 on (K - a + 1 = 107 columns);
+    an all-tied block builds it too, then the whole table for its whole-suffix
+    cells, with the bits of the tracker at a = 0, but U_0's cells, all tied,
+    need no second table.  Rows whose smallest cut is at most 0 build the
+    whole table at once."""
+    k = 200
+    logs = np.sort(np.random.default_rng(5).normal(0.0, 3.0, k))[::-1]
+    real = discovery.suffix_esp_levels
+
+    def tables(rows, block, diag_spec=U1):
+        shapes = []
+
+        def spy(logs, n_max):
+            out = real(logs, n_max)
+            shapes.append(out.shape)
+            return out
+
+        tracker = RowTracker(k, rows, diag_spec, U2)
+        with mock.patch.object(discovery, "suffix_esp_levels", spy):
+            got = tracker.step(block)
+        want = _suffix_start(tracker, 0).step(block)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        return shapes
+
+    assert tables(range(98, 102), logs[None]) == [(1, 3, 107)]
+    assert tables(range(98, 102), np.zeros((3, k))) == [(3, 3, 107), (3, 3, k + 1)]
+    # U_0 alone merges every nonempty set to 1: its tied cells need no certificate
+    assert tables(range(98, 102), logs[None], MergeSpec.mixture((1.0,))) == [(1, 3, 107)]
+    assert tables((2, 100), logs[None]) == [(1, 3, k + 1)]  # row 2's diagonal cut is 0
+    assert tables((3, 100), logs[None]) == [(1, 3, k + 1)]  # row 3's subdiagonal cut is 0
+
+
 # ---------------------------------------------------------------------------
 # the read set: tail products of the product-term columns, runs that stop early
 
@@ -595,7 +688,7 @@ def _check_margin(logs, rows):
     """Every cell scored for the given rows lies within delta/4 of its exact
     log-mean, computed with mpmath."""
     k = logs.size
-    delta = discovery._walk_margin(logs, U1)
+    delta = discovery._margin(np.abs(logs[np.isfinite(logs)]).max(initial=0.0), k, U1)
     x = [mpmath.exp(mpmath.mpf(float(v))) for v in logs]
     tail = [mpmath.mpf(0)] * (k + 1)
     for i in range(k - 1, -1, -1):
@@ -642,6 +735,53 @@ def test_walk_margin_is_sound():
             logs = np.sort(logs)[::-1]
             _check_margin(logs, sorted({1, k, *rng.integers(1, k + 1, size=3).tolist()}))
         _check_margin(np.sort(rng.uniform(-700.0, 700.0, 2000))[::-1], [1000])
+
+
+def _margin_inputs(rng):
+    """Descending logs that stress the margin: wide spreads, logs near
+    +-700, ties, and values of exactly zero."""
+    with_zeros = rng.normal(0.0, 5.0, 60)
+    with_zeros[50:] = -math.inf
+    return [np.sort(logs)[::-1] for logs in (
+        rng.uniform(-700.0, 700.0, 40), rng.normal(0.0, 5.0, 120), 699.0 + rng.uniform(0.0, 1.0, 200),
+        -699.0 - rng.uniform(0.0, 1.0, 300), np.round(rng.normal(0.0, 3.0, 300)), with_zeros,
+    )]
+
+
+def test_margin_at_top_degree_one_is_the_walk_margin():
+    """At top degree 1 the margin is the walk's 2^-50 (K + 8)(M + W + 4),
+    M = L + log(K + 1), to the bit, so the walk certifies the same cells."""
+    for logs in _margin_inputs(np.random.default_rng(9)):
+        k, big = logs.size, np.abs(logs[np.isfinite(logs)]).max()
+        for spec in (U1, MergeSpec.mixture((0.25, 0.75))):
+            w = max(abs(math.log(x)) for x in spec.weight_vector() if x > 0.0)
+            walk = 2.0 ** -50 * (k + 8) * (float(big) + math.log(k + 1) + w + 4.0)
+            assert discovery._margin(big, k, spec) == walk
+
+
+@pytest.mark.parametrize("spec", [U2, _U5, U1_U2_HALF])
+def test_margin_is_sound_over_whole_suffix_cells(spec):
+    """delta bounds the rounding error of every whole-suffix cell (the empty
+    base over each tail) with a factor 4 to spare, against an mpmath
+    evaluation of F over the exact values of the stored doubles."""
+    top, weights = spec.max_degree, spec.weight_vector()
+    with mpmath.workprec(96):
+        for logs in _margin_inputs(np.random.default_rng(8)):
+            k = logs.size
+            delta = discovery._margin(np.abs(logs[np.isfinite(logs)]).max(), k, spec)
+            cells = discovery.tail_merges(discovery.suffix_esp_levels(logs, top), 0, (0.0,), 0.0, 0, spec)
+            x = [mpmath.exp(mpmath.mpf(float(v))) for v in logs]
+            e = [[mpmath.mpf(1)] * (k + 1)] + [[mpmath.mpf(0)] * (k + 1) for _ in range(top)]
+            for i in range(k - 1, -1, -1):
+                for b in range(1, top + 1):
+                    e[b][i] = e[b][i + 1] + x[i] * e[b - 1][i + 1]
+            worst = 0.0
+            for i, c in enumerate(cells.tolist()):
+                m = k - i  # U_n of m < n values is U_m
+                exact = mpmath.log(mpmath.fsum(w * e[min(n, m)][i] / mpmath.binomial(m, min(n, m))
+                                               for n, w in enumerate(weights) if w > 0.0))
+                worst = max(worst, 0.0 if c == exact else float(abs(c - exact)))
+            assert worst <= delta / 4, (worst, delta)
 
 
 def test_walk_peak_memory():

@@ -847,6 +847,22 @@ def test_tracked_low_rows_bundle_matches_golden_bytes(tmp_path):
     _assert_golden_bundle(cfg, run, "tracked_low_rows", tmp_path)
 
 
+def test_tracked_mid_rows_bundle_matches_golden_bytes(tmp_path):
+    """Tracked rows 19-21 of 40, the diagonal under the u1/u2 mixture and the
+    subdiagonal under u5: the tracker's table covers the values from column
+    a = 15 on, and the first 8 steps, whose values from there on are all
+    tied, score their whole-suffix cells again over all 40 values.  The
+    bundle, written before the tracker started at column a, is pinned byte
+    for byte."""
+    cfg = golden_config("tracked_mid_rows")
+    with mock.patch.object(discovery, "suffix_esp_levels", wraps=discovery.suffix_esp_levels) as spy:
+        run = run_experiment(cfg)
+    # the passes of step 0, the 199-step block and the last 41 steps, then the matrix's tables
+    tracked = [c.args[0].shape for c in spy.call_args_list][:4]
+    assert tracked == [(0, 25), (199, 25), (8, 40), (41, 25)]
+    _assert_golden_bundle(cfg, run, "tracked_mid_rows", tmp_path)
+
+
 def test_bundle_from_repeated_unsorted_rows_matches_golden_bytes(tmp_path):
     """Tracked rows given out of order and with a repeat write the bundle of
     the sorted, distinct rows."""
