@@ -198,13 +198,13 @@ class ConfidenceRegion:
 # ---------------------------------------------------------------------------
 # the tail-merge kernel
 
-# Cells per block: a tracked run scores B = max(1, TRACK_BLOCK_CELLS // (K+1))
-# steps per RowTracker.step call (40 at K = 200), and _row_blocks scores B
-# rows per block.  That already amortises the per-call numpy overhead: on a
-# 2-vCPU Xeon (Python 3.11.7, numpy 2.4.6) 256-step blocks tracked the paper
-# study no faster and raised a 2,000-step run's Python-heap peak from 1.25 MB
-# to 6.6 MB.
+# Cells per block of the row scans: _row_blocks scores max(1,
+# TRACK_BLOCK_CELLS // (K+1)) rows per block and _row_cells at most
+# TRACK_BLOCK_CELLS * 64 cells x tails per kernel call, so neither heap grows
+# with K.  A tracked run's blocks are sized by STEP_BLOCK_CELLS instead
+# (RowTracker).
 TRACK_BLOCK_CELLS = 2 ** 13
+STEP_BLOCK_CELLS = 60_000
 
 
 @lru_cache(maxsize=64)
@@ -455,6 +455,20 @@ class RowTracker:
     state between calls.  Tests certify its values against
     ``oracles.brute_force_bound`` to 1e-9, as well as against the row scans,
     and against the same tracker with a = 0 bit for bit.
+
+    ``block`` is the number of steps one call should take, which
+    ``run_experiment`` uses as its block length: max(1, STEP_BLOCK_CELLS //
+    max(n, 2K)), n = (top+1)(K-a+1) + R(K-lo+1) being the cells a step
+    holds in its table and scores in its anchored call, R the number of
+    rows.  A call has a fixed cost that a longer block spreads over more
+    steps, while the heap grows with the block, by about 13 KB a step for
+    rows 98-101 at K = 200: the table, the anchored kernel's temporaries
+    and the block's copies of its K values a step, which the 2K floor
+    counts for rows near K, where n is small.  That gives 81 steps for rows
+    98-101 at K = 200, 144 for row 100, 17 for rows 500-503 at K = 1000 and
+    30 for row 1000 there, and keeps a 2,000-step run's heap under 2 MB
+    (``test_tracked_run_peak_memory``).  A step's values do not depend on
+    the block it is scored in.
     """
 
     def __init__(self, k: int, rows: Sequence[int], diag_spec: MergeSpec, sub_spec: MergeSpec):
@@ -478,6 +492,9 @@ class RowTracker:
         # the table's first column a (docstring); 0 without rows
         a = min(max(min(int(cut.min(initial=k)) for *_, cut, _, _ in self._specs) - 1, 0), self._c)
         self._a = a if k - a >= self._top and self.rows.size else 0
+        # steps per call (docstring)
+        scored = (self._top + 1) * (k - self._a + 1) + self.rows.size * (k - self._lo + 1)
+        self.block = max(1, STEP_BLOCK_CELLS // max(scored, 2 * k))
 
     def step(self, block: np.ndarray) -> np.ndarray:
         """Natural-log (diagonal, subdiagonal) values, shape (2, B, R), of the
@@ -486,7 +503,8 @@ class RowTracker:
         inf_rows = block[:, 0] == math.inf
         for b in np.flatnonzero(inf_rows):  # kept out of the kernel: the row bounds themselves
             out[:, b] = [row_bounds(block[b], self.rows, width, spec) for spec, width, *_ in self._specs]
-        block = block[~inf_rows]
+        if inf_rows.any():  # a copy only then: the block's copies bound its length
+            block = block[~inf_rows]
         S = suffix_esp_levels(block[:, self._a:], self._top)
         lows, certified = self._empty_base(S, block, self._a)
         redo = np.flatnonzero(~certified)
@@ -498,9 +516,10 @@ class RowTracker:
         fresh = np.ones(len(block), dtype=bool)
         fresh[1:] = (bits[1:] != bits[:-1]).any(axis=1)
         idx = np.flatnonzero(fresh)
-        # the fresh steps' levels from column c on, as if over K - c values:
-        # the kernel reads its tables by set size, and no anchored set holds more
-        S_fresh = S[idx, None, :, self._c - self._a:]
+        # the fresh steps' levels from column c on (a view when all are
+        # fresh), as if over K - c values: the kernel reads its tables by set
+        # size, and no anchored set holds more
+        S_fresh = (S if fresh.all() else S[idx])[:, None, :, self._c - self._a:]
         last, prev = block[:, self._last][idx], block[:, self._prev][idx]
         for n, (spec, _, two, _, _, arity) in enumerate(self._specs):
             # levels e_0, e_1, e_2 and log product of each row's base, {r} or

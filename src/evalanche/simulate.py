@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import discovery
-from .discovery import TRACK_BLOCK_CELLS, DiagonalSeries, DiscoveryMatrix, RowTracker
+from .discovery import DiagonalSeries, DiscoveryMatrix, RowTracker
 from .errors import DomainError
 from .logvalue import LN10, MAX_ABS_LOG, LogValue
 from .martingales import MartingaleTable, RankedValues, _frozen, gaussian_log_density
@@ -179,8 +179,9 @@ def draw_streams(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Run one seeded experiment; deterministic given (config, seed).
 
-    One pass per stop: block ends every ``TRACK_BLOCK_CELLS // (K+1)`` steps
-    when rows are tracked, then step 0, the checkpoints and the last step.
+    One pass per stop: block ends every ``RowTracker.block`` steps when rows
+    are tracked, then the checkpoints and the last step.  A pass of no
+    steps, to a checkpoint at step 0, scores nothing.
     Untracked, a pass applies its increments with ``np.add.at``, which
     accumulates in index order.  Tracked, it builds the pass's (B, K) logs
     after each step by a cumulative sum of one-hot increments, which adds the
@@ -191,23 +192,24 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     k_idx, _, log_inc = draw_streams(cfg)
     logs = np.zeros(cfg.k)
     tracked = tuple(sorted(set(cfg.tracked_rows)))
-    stops = {0, cfg.steps, *cfg.checkpoints}
+    stops = {cfg.steps, *cfg.checkpoints}
     if tracked:
         tracker = RowTracker(cfg.k, tracked, cfg.merge_diagonal, cfg.merge_subdiagonal)
-        stops.update(range(0, cfg.steps, max(1, TRACK_BLOCK_CELLS // (cfg.k + 1))))
+        stops.update(range(tracker.block, cfg.steps, tracker.block))
     checkpoints = set(cfg.checkpoints)
     store = np.empty((2, cfg.steps, len(tracked)))  # diagonal, subdiagonal
     matrices: dict[int, DiscoveryMatrix] = {}
     start = 0
     for stop in sorted(stops):
-        if tracked:
+        if tracked and stop > start:
             snaps = np.zeros((stop - start + 1, cfg.k))
             snaps[0] = logs
             snaps[np.arange(1, stop - start + 1), k_idx[start:stop]] = log_inc[start:stop]
             snaps = np.cumsum(snaps, axis=0)
-            logs = snaps[-1]
-            store[:, start:stop] = tracker.step(np.sort(snaps[1:], axis=1)[:, ::-1])
-        else:
+            logs = snaps[-1].copy()
+            snaps[1:].sort(axis=1)  # in place: np.sort sorts a copy the same way
+            store[:, start:stop] = tracker.step(snaps[1:, ::-1])
+        else:  # untracked, or a pass of no steps to a checkpoint at step 0
             np.add.at(logs, k_idx[start:stop], log_inc[start:stop])
         start = stop
         if stop in checkpoints:

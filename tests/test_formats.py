@@ -24,7 +24,7 @@ from evalanche import (
     run_experiment,
 )
 from evalanche import cli, discovery, formats
-from evalanche.discovery import DiscoveryMatrix
+from evalanche.discovery import DiscoveryMatrix, RowTracker
 from evalanche.errors import DomainError
 from evalanche.logvalue import LN10
 from evalanche.polynomials import MultiaffinePoly
@@ -857,10 +857,23 @@ def test_tracked_mid_rows_bundle_matches_golden_bytes(tmp_path):
     cfg = golden_config("tracked_mid_rows")
     with mock.patch.object(discovery, "suffix_esp_levels", wraps=discovery.suffix_esp_levels) as spy:
         run = run_experiment(cfg)
-    # the passes of step 0, the 199-step block and the last 41 steps, then the matrix's tables
-    tracked = [c.args[0].shape for c in spy.call_args_list][:4]
-    assert tracked == [(0, 25), (199, 25), (8, 40), (41, 25)]
+    # the one 240-step pass, its tied steps over the whole table, then the matrix's tables
+    tracked = [c.args[0].shape for c in spy.call_args_list][:3]
+    assert tracked == [(240, 25), (8, 40), (40,)]
     _assert_golden_bundle(cfg, run, "tracked_mid_rows", tmp_path)
+
+
+def test_tracked_blocks_bundle_matches_golden_bytes(tmp_path):
+    """Rows 19-21 of 40 over 700 steps: the run crosses two of the tracker's
+    block ends, and the checkpoint at step 150 splits the first block.  The
+    bundle, written in blocks of 199 steps, is pinned byte for byte."""
+    cfg = golden_config("tracked_blocks")
+    block = RowTracker(cfg.k, cfg.tracked_rows, cfg.merge_diagonal, cfg.merge_subdiagonal).block
+    with mock.patch.object(RowTracker, "step", autospec=True, side_effect=RowTracker.step) as spy:
+        run = run_experiment(cfg)
+    passes = [len(c.args[1]) for c in spy.call_args_list]
+    assert passes == [150, block - 150, block, cfg.steps - 2 * block], passes
+    _assert_golden_bundle(cfg, run, "tracked_blocks", tmp_path)
 
 
 def test_bundle_from_repeated_unsorted_rows_matches_golden_bytes(tmp_path):

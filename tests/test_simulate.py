@@ -4,6 +4,7 @@ import os
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,12 +27,11 @@ from evalanche.errors import DomainError
 from evalanche.discovery import DiagonalSeries, RowTracker, discovery_matrix
 from evalanche.logvalue import LN10
 from evalanche.martingales import RankedValues
-from evalanche.merging import U1_U2_HALF
+from evalanche.merging import U1_U2_HALF, MergeSpec
 from evalanche.simulate import (
     MAX_K,
     MAX_RUN_VALUES,
     MAX_STEPS,
-    TRACK_BLOCK_CELLS,
     SeedSummary,
     draw_streams,
 )
@@ -186,18 +186,22 @@ def test_tracked_blocks_match_per_step_tracking(null_sd):
     Tracked from row 20 on, a step that moves none of the top 18 values
     reuses the anchored minima of the step before it."""
     k = 40
-    block = TRACK_BLOCK_CELLS // (k + 1)
-    steps = 2 * block + 37
-    checkpoints = (block // 2, block + 3, steps)
     for tracked_rows in ((1, 2, 20, 39, 40), (20, 39, 40)):
         cfg = small_config(
-            k=k, n_false=20, steps=steps, tracked_rows=tracked_rows, checkpoints=checkpoints,
-            null_dist=(0.0, null_sd), merge_diagonal=U1_U2_HALF, merge_subdiagonal=U2,
+            k=k, n_false=20, tracked_rows=tracked_rows, null_dist=(0.0, null_sd),
+            merge_diagonal=U1_U2_HALF, merge_subdiagonal=U2,
         )
-        assert steps % block and 0 < checkpoints[0] < block < checkpoints[1] < 2 * block
-        run = run_experiment(cfg)
-        k_idx, _, inc = draw_streams(cfg)
         tracker = RowTracker(k, cfg.tracked_rows, cfg.merge_diagonal, cfg.merge_subdiagonal)
+        block = tracker.block  # the run's passes follow the tracker's own rule
+        steps = 2 * block + 37
+        checkpoints = (block // 2, block + 3, steps)
+        cfg = replace(cfg, steps=steps, checkpoints=checkpoints)
+        with mock.patch.object(RowTracker, "step", autospec=True, side_effect=RowTracker.step) as spy:
+            run = run_experiment(cfg)
+        # two whole rule blocks, each split by a checkpoint strictly inside it, then the rest
+        passes = [len(c.args[1]) for c in spy.call_args_list]
+        assert passes == [block // 2, block - block // 2, 3, block - 3, 37] and block >= 4, passes
+        k_idx, _, inc = draw_streams(cfg)
         logs = np.zeros(k)
         want = np.empty((2, steps, len(cfg.tracked_rows)))
         for t in range(steps):
@@ -217,13 +221,38 @@ def test_tracked_blocks_match_per_step_tracking(null_sd):
                                   want[1, :, n])
 
 
-def test_tracked_run_peak_memory():
-    """The Python-heap peak of a tracked run guards the tracker's block size.
+def test_checkpoint_zero_scores_no_empty_block():
+    """A checkpoint at step 0 gets the matrix of the all-zero start, and the
+    tracker is called only on blocks that hold steps."""
+    cfg = small_config(steps=12, checkpoints=(0, 12))
+    with mock.patch.object(RowTracker, "step", autospec=True, side_effect=RowTracker.step) as spy:
+        run = run_experiment(cfg)
+    assert [len(c.args[1]) for c in spy.call_args_list] == [12]
+    want = discovery_matrix(RankedValues.from_logs(np.zeros(cfg.k)), cfg.merge_matrix)
+    assert np.array_equal(run.matrices[0].log10, want.log10, equal_nan=True)
 
-    1.25 MB measured with blocks of 40 steps at K = 200; 81-step blocks
-    reach 2.3 MB and 256-step blocks 6.6 MB.
+
+_PAPER_2000 = paper_experiment_config(steps=2_000, checkpoints=())
+
+
+@pytest.mark.parametrize("cfg", [
+    _PAPER_2000,
+    replace(_PAPER_2000, tracked_rows=(100,)),
+    replace(_PAPER_2000, tracked_rows=(1, 2)),
+    replace(_PAPER_2000, tracked_rows=(10, 190)),
+    replace(_PAPER_2000, merge_subdiagonal=MergeSpec.nesp(5)),
+    replace(_PAPER_2000, k=1_000, tracked_rows=(500, 501, 502, 503)),
+], ids=["rows-98-101", "row-100", "rows-1-2", "rows-10-190", "u5-subdiagonal", "k1000-rows-500-503"])
+def test_tracked_run_peak_memory(cfg):
+    """The Python-heap peak of a 2,000-step tracked run guards the tracker's
+    block length, ``RowTracker.block``.
+
+    Measured (tracemalloc, numpy 2.4.6): 1.27-1.92 MB over these shapes,
+    rows 98-101 1.48 MB in blocks of 81 steps and rows 500-503 at K = 1000
+    the most, in blocks of 17.  Rows 98-101 in blocks of 157 steps reach
+    2.44 MB and in blocks of 320 steps 4.63 MB, and rows 500-503 at
+    K = 1000 in blocks of 18 steps 2.01 MB.
     """
-    cfg = paper_experiment_config(steps=2_000, checkpoints=())
     run_experiment(replace(cfg, steps=10))  # first-call caches stay out of the peak
     tracemalloc.start()
     try:
