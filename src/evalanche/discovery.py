@@ -431,7 +431,9 @@ class RowTracker:
     (fixed on construction), and each row reads their prefix minimum through
     its own cut; the anchored cells take one kernel call per spec over the
     columns from the smallest tracked row on, whatever the number of rows.
-    Both calls read the block's one table of suffix levels.
+    Both calls read one table of suffix levels per block, built over its
+    fresh steps only (below): the anchored call reads it as built, and the
+    empty-base call reads it expanded to every step.
 
     That table covers the values from column a on, one column below the
     smallest cut and no further right than c below: each level is a
@@ -450,18 +452,19 @@ class RowTracker:
     lo on, the base values sit at positions r-2 and r-1 >= c, and the
     product term reads tails from lo on.  So a step whose values from c on
     carry the int64 bits of the step before it in the block (+0.0 and -0.0
-    differ) takes that step's anchored minima unscored, with the same bits.
-    The first step of each block is always scored; the tracker keeps no
-    state between calls.  Tests certify its values against
-    ``oracles.brute_force_bound`` to 1e-9, as well as against the row scans,
-    and against the same tracker with a = 0 bit for bit.
+    differ) takes that step's anchored minima unscored, with the same bits,
+    and its table from column c on, computing only the columns a..c-1 of its
+    own (``_step_levels``).  The first step of each block is always scored;
+    the tracker keeps no state between calls.  Tests certify its values
+    against ``oracles.brute_force_bound`` to 1e-9, as well as against the
+    row scans, and against the same tracker with a = 0 bit for bit.
 
     ``block`` is the number of steps one call should take, which
     ``run_experiment`` uses as its block length: max(1, STEP_BLOCK_CELLS //
     max(n, 2K)), n = (top+1)(K-a+1) + R(K-lo+1) being the cells a step
     holds in its table and scores in its anchored call, R the number of
     rows.  A call has a fixed cost that a longer block spreads over more
-    steps, while the heap grows with the block, by about 13 KB a step for
+    steps, while the heap grows with the block, by about 10 KB a step for
     rows 98-101 at K = 200: the table, the anchored kernel's temporaries
     and the block's copies of its K values a step, which the 2K floor
     counts for rows near K, where n is small.  That gives 81 steps for rows
@@ -505,22 +508,21 @@ class RowTracker:
             out[:, b] = [row_bounds(block[b], self.rows, width, spec) for spec, width, *_ in self._specs]
         if inf_rows.any():  # a copy only then: the block's copies bound its length
             block = block[~inf_rows]
-        S = suffix_esp_levels(block[:, self._a:], self._top)
-        lows, certified = self._empty_base(S, block, self._a)
-        redo = np.flatnonzero(~certified)
-        if redo.size:  # a minimum the certificate leaves open: every column from 0
-            lows[:, redo] = self._empty_base(suffix_esp_levels(block[redo], self._top), block[redo], 0)[0]
         # a step whose values from position c on carry the bits of the step
-        # before it takes that step's anchored minima
+        # before it takes that step's table from column c on and its anchored minima
         bits = block[:, self._c:].view(np.int64)
         fresh = np.ones(len(block), dtype=bool)
         fresh[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-        idx = np.flatnonzero(fresh)
-        # the fresh steps' levels from column c on (a view when all are
-        # fresh), as if over K - c values: the kernel reads its tables by set
-        # size, and no anchored set holds more
-        S_fresh = (S if fresh.all() else S[idx])[:, None, :, self._c - self._a:]
-        last, prev = block[:, self._last][idx], block[:, self._prev][idx]
+        S_fresh, S = self._step_levels(block, fresh)
+        lows, certified = self._empty_base(S, block, self._a)
+        del S  # the anchored call reads only the fresh steps' table: a lower heap peak
+        redo = np.flatnonzero(~certified)
+        if redo.size:  # a minimum the certificate leaves open: every column from 0
+            lows[:, redo] = self._empty_base(suffix_esp_levels(block[redo], self._top), block[redo], 0)[0]
+        # the fresh steps' levels from column c on, as if over K - c values:
+        # the kernel reads its tables by set size, and no anchored set holds more
+        S_fresh = S_fresh[:, None, :, self._c - self._a:]
+        last, prev = block[:, self._last][fresh], block[:, self._prev][fresh]
         for n, (spec, _, two, _, _, arity) in enumerate(self._specs):
             # levels e_0, e_1, e_2 and log product of each row's base, {r} or
             # {r-1, r}; a width-1 base's e_2 of -inf is an exact no-op
@@ -531,6 +533,27 @@ class RowTracker:
             anchored = np.minimum.reduce(v, axis=-1, where=self._anchored, initial=np.inf)
             out[n, ~inf_rows] = np.minimum(lows[n], anchored[np.cumsum(fresh) - 1])
         return out
+
+    def _step_levels(self, block: np.ndarray, fresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Suffix levels of the block's values from column a on, built over the
+        fresh steps only: the fresh steps' table, shape (F, top+1, K-a+1), which
+        the anchored call reads, and every step's, shape (B, top+1, K-a+1), with
+        the bits of ``suffix_esp_levels(block[:, a:], top)``.  A reused step
+        takes its fresh step's row, whose columns from c on are its own, and
+        recomputes columns a..c-1 by continuing each degree's chain from column
+        c in one ``logaddexp.accumulate``: the operations of
+        ``suffix_esp_levels``, in top calls whatever c - a."""
+        a, c = self._a, self._c
+        S_fresh = suffix_esp_levels(block[fresh, a:], self._top)
+        if fresh.all():
+            return S_fresh, S_fresh
+        S = S_fresh[np.cumsum(fresh) - 1]
+        reused = np.flatnonzero(~fresh)
+        x, n = block[reused, a:c], c - a
+        for b in range(1, self._top + 1):
+            chain = np.concatenate([S[reused, b, n, None], (x + S[reused, b - 1, 1:n + 1])[:, ::-1]], axis=1)
+            S[reused, b, :n + 1] = np.logaddexp.accumulate(chain, axis=1)[:, ::-1]
+        return S_fresh, S
 
     def _empty_base(self, S: np.ndarray, block: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
         """Each row's minimum of the empty-base cells over columns a..cut per

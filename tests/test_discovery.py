@@ -366,11 +366,12 @@ def test_row_tracker_suffix_start_keeps_every_bit():
 
 def test_row_tracker_builds_its_table_from_column_a():
     """A finite K = 200 step tracking rows 98-101 builds one table of suffix
-    levels, over the values from column a = 94 on (K - a + 1 = 107 columns);
-    an all-tied block builds it too, then the whole table for its whole-suffix
-    cells, with the bits of the tracker at a = 0, but U_0's cells, all tied,
-    need no second table.  Rows whose smallest cut is at most 0 build the
-    whole table at once."""
+    levels, over the values from column a = 94 on (K - a + 1 = 107 columns),
+    and a block builds it over its fresh steps only; an all-tied block, one
+    fresh step, builds it too, then the whole table of every step for its
+    whole-suffix cells, with the bits of the tracker at a = 0, but U_0's
+    cells, all tied, need no second table.  Rows whose smallest cut is at
+    most 0 build the whole table at once."""
     k = 200
     logs = np.sort(np.random.default_rng(5).normal(0.0, 3.0, k))[::-1]
     real = discovery.suffix_esp_levels
@@ -391,11 +392,73 @@ def test_row_tracker_builds_its_table_from_column_a():
         return shapes
 
     assert tables(range(98, 102), logs[None]) == [(1, 3, 107)]
-    assert tables(range(98, 102), np.zeros((3, k))) == [(3, 3, 107), (3, 3, k + 1)]
+    # a repeat and a step that moves only the values before c = 96 reuse step 0
+    head = logs.copy()
+    head[:3] += 1.0
+    other = np.sort(np.random.default_rng(6).normal(0.0, 3.0, k))[::-1]
+    assert tables(range(98, 102), np.array([logs, logs, head, other])) == [(2, 3, 107)]
+    assert tables(range(98, 102), np.zeros((3, k))) == [(1, 3, 107), (3, 3, k + 1)]
     # U_0 alone merges every nonempty set to 1: its tied cells need no certificate
     assert tables(range(98, 102), logs[None], MergeSpec.mixture((1.0,))) == [(1, 3, 107)]
     assert tables((2, 100), logs[None]) == [(1, 3, k + 1)]  # row 2's diagonal cut is 0
     assert tables((3, 100), logs[None]) == [(1, 3, k + 1)]  # row 3's subdiagonal cut is 0
+
+
+def test_step_levels_carry_the_bits_of_the_whole_table():
+    """``RowTracker._step_levels`` builds the table of the fresh steps only: a
+    reused step takes its fresh step's row from column c on and computes its
+    columns a..c-1 itself.  Every step's row carries the int64 bits of
+    ``suffix_esp_levels(block[:, a:], top)``, and the tracker over such blocks
+    matches brute force and, bit for bit, the same tracker at a = 0.  Steps
+    repeat their tails while the values before c move, flip zeros on either
+    side of c and hold -inf values; the rows reach a == c (rows 1 and 2) and
+    K, where a top degree above K - a (U_5 or U_9) puts a at 0, far below c."""
+    seen = {"a == c": 0, "a < c": 0, "c - a > 2": 0}
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def check(data):
+        k = data.draw(st.integers(3, 12), label="k")
+        lo = data.draw(st.integers(1, k) | st.integers(max(k - 4, 1), k), label="lo")  # often near K
+        rows = sorted({lo} | set(data.draw(st.lists(st.integers(lo, k), max_size=2), label="more")))
+        pool = st.sampled_from(SPECS + (_U5, MergeSpec.nesp(9)))
+        specs = data.draw(st.tuples(pool, pool), label="specs")
+        tracker = RowTracker(k, rows, *specs)
+        a, c = tracker._a, tracker._c
+        values = st.lists(_ZERO_LOGS | _TRACKED_LOGS, min_size=k, max_size=k)
+        row = np.sort(np.array(data.draw(values, label="row")))[::-1]
+        steps = [row]
+        for _ in range(data.draw(st.integers(1, 6), label="steps")):
+            row = row.copy()
+            move = data.draw(st.sampled_from(["repeat", "head", "zero", "new"]), label="move")
+            if move == "head":  # new values before c, in order, over the same tail
+                head = np.array(data.draw(values, label="head"))[:c]
+                row[:c] = np.sort(np.maximum(head, row[c]))[::-1]
+            zeros = np.flatnonzero(row == 0.0)
+            if move == "zero" and zeros.size:  # before c a reused step, from c on a fresh one
+                z = zeros[data.draw(st.integers(0, zeros.size - 1), label="zero")]
+                row[z] = -row[z]
+            if move == "new":
+                row = np.sort(np.array(data.draw(values, label="new")))[::-1]
+            steps.append(row)
+        block = np.array(steps)
+        bits = block[:, c:].view(np.int64)
+        fresh = np.ones(len(block), dtype=bool)
+        fresh[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+        S_fresh, S = tracker._step_levels(block, fresh)
+        want = discovery.suffix_esp_levels(block[:, a:], tracker._top)
+        assert np.array_equal(S.view(np.int64), want.view(np.int64))
+        assert np.array_equal(S_fresh.view(np.int64), want[fresh].view(np.int64))
+        got = tracker.step(block)
+        assert np.array_equal(got.view(np.int64), _suffix_start(tracker, 0).step(block).view(np.int64))
+        for b, logs in enumerate(block):
+            _assert_tracked_match_brute_force([LogValue(x) for x in logs], rows, *got[:, b], *specs)
+        if not fresh.all():
+            seen["a == c" if a == c else "a < c"] += 1
+            seen["c - a > 2"] += c - a > 2
+
+    check()
+    assert min(seen.values()) > 0, seen
 
 
 # ---------------------------------------------------------------------------

@@ -836,30 +836,34 @@ def test_bundle_matches_golden_bytes(tmp_path):
 
 def test_tracked_low_rows_bundle_matches_golden_bytes(tmp_path):
     """Tracked from row 8 of 12, 96 of the 200 steps move none of the values
-    the anchored cells read and take the minima of the step before them; the
-    bundle is pinned byte for byte."""
+    the anchored cells read, take the minima of the step before them and
+    build no table of suffix levels of their own; the bundle is pinned byte
+    for byte."""
     cfg = golden_config("tracked_low_rows")
-    with mock.patch.object(discovery, "tail_merges", wraps=discovery.tail_merges) as spy:
+    with mock.patch.object(discovery, "tail_merges", wraps=discovery.tail_merges) as spy, \
+            mock.patch.object(discovery, "suffix_esp_levels", wraps=discovery.suffix_esp_levels) as levels:
         run = run_experiment(cfg)
     # the anchored calls are the batched ones, one per spec
     scored = [c.args[0].shape[0] for c in spy.call_args_list if c.args[0].ndim == 4]
     assert sum(scored) == 2 * (200 - 96)
+    assert levels.call_args_list[0].args[0].shape == (200 - 96, 12 - 4)  # the values from a = 4 on
     _assert_golden_bundle(cfg, run, "tracked_low_rows", tmp_path)
 
 
 def test_tracked_mid_rows_bundle_matches_golden_bytes(tmp_path):
     """Tracked rows 19-21 of 40, the diagonal under the u1/u2 mixture and the
     subdiagonal under u5: the tracker's table covers the values from column
-    a = 15 on, and the first 8 steps, whose values from there on are all
+    a = 15 on, built over the 131 of the 240 steps whose values from c = 17
+    on are fresh, and the first 8 steps, whose values from a on are all
     tied, score their whole-suffix cells again over all 40 values.  The
     bundle, written before the tracker started at column a, is pinned byte
     for byte."""
     cfg = golden_config("tracked_mid_rows")
     with mock.patch.object(discovery, "suffix_esp_levels", wraps=discovery.suffix_esp_levels) as spy:
         run = run_experiment(cfg)
-    # the one 240-step pass, its tied steps over the whole table, then the matrix's tables
+    # the one 240-step pass's fresh steps, its tied steps over the whole table, then the matrix's tables
     tracked = [c.args[0].shape for c in spy.call_args_list][:3]
-    assert tracked == [(240, 25), (8, 40), (40,)]
+    assert tracked == [(131, 25), (8, 40), (40,)]
     _assert_golden_bundle(cfg, run, "tracked_mid_rows", tmp_path)
 
 

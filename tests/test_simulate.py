@@ -247,11 +247,11 @@ def test_tracked_run_peak_memory(cfg):
     """The Python-heap peak of a 2,000-step tracked run guards the tracker's
     block length, ``RowTracker.block``.
 
-    Measured (tracemalloc, numpy 2.4.6): 1.27-1.92 MB over these shapes,
-    rows 98-101 1.48 MB in blocks of 81 steps and rows 500-503 at K = 1000
-    the most, in blocks of 17.  Rows 98-101 in blocks of 157 steps reach
-    2.44 MB and in blocks of 320 steps 4.63 MB, and rows 500-503 at
-    K = 1000 in blocks of 18 steps 2.01 MB.
+    Measured (tracemalloc, numpy 2.4.6): 1.09-1.71 MB over these shapes,
+    rows 98-101 1.27 MB in blocks of 81 steps and rows 500-503 at K = 1000
+    the most, in blocks of 17.  Rows 98-101 in blocks of 163 steps reach
+    2.15 MB and in blocks of 327 steps 3.82 MB, and rows 500-503 at
+    K = 1000 in blocks of 18 steps 1.87 MB and of 34 steps 2.83 MB.
     """
     run_experiment(replace(cfg, steps=10))  # first-call caches stay out of the peak
     tracemalloc.start()
