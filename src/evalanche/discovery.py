@@ -17,6 +17,8 @@ matrix cell (r, j) takes the base {j+1..r} and the tails k = r+1..K+1
     steps, with two kernel calls per merge spec; the anchored call scores
     only the steps that change a value it reads, and the whole-suffix cells
     are scored from one column below the smallest cut, under a certificate.
+    A step led by +inf values takes the same calls over a finite stand-in
+    for them, and its cells whose sets hold one are set to +inf after.
 
 ``oracles.brute_force_bound`` evaluates the unrestricted minima over all 2^K
 index sets and certifies the scans at desk scale.
@@ -57,7 +59,9 @@ every mixture with nonnegative weights.  ``RowTracker`` scores these cells
 from a column a on and takes w, a row's minimum through its cut.  If c(a) >
 w + 2 delta, then e(i) >= e(a) > w + delta for every i < a, so no cell left
 of a computes to a value <= w, and the minimum over columns 0..cut carries
-the bits of the one over a..cut.  A minimum of -inf needs no check.
+the bits of the one over a..cut.  A minimum of -inf needs no check, nor
+does one of +inf: the tracker's cell a is +inf only when its tail holds a
++inf value, and then so does the tail of every cell left of a.
 
 Rounding margin.  Let u = 2^-53, t >= 1 the top degree, L = max |finite
 log|, M = t (L + log(K+1)) and W = max |log w| over the spec's weights.  M
@@ -261,8 +265,9 @@ def tail_merges(S, tails, P, Psum, arity, spec: MergeSpec) -> np.ndarray:
     Every cell takes the same elementwise operations either way, so a gathered
     cell, or a cell of a shorter run, carries the bits of its counterpart in
     the full contiguous call.  No set holding a +inf value may reach the
-    kernel (its padding would meet it as inf - inf): callers fill those cells
-    themselves.
+    kernel (its padding would meet it as inf - inf): ``_row_cells`` skips
+    those cells, and ``RowTracker`` scores them over a finite stand-in and
+    sets them to +inf after.
     """
     k = S.shape[-1] - 1
     active, lc, log_tail = _tables(spec, k)
@@ -440,11 +445,21 @@ class RowTracker:
     right-to-left chain, so its columns carry the bits of the whole table's
     columns a..K.  The empty-base cells are scored from column a on, and a
     step is certified by the whole-suffix certificate (module docstring):
-    cell a exceeds every row's minimum by 2 delta, or that minimum is -inf.
+    cell a exceeds every row's minimum by 2 delta, or that minimum is -inf
+    or +inf (the +inf-led steps below).
     The steps it leaves open, such as early steps whose values from a on are
     all tied, score their empty-base cells again from column 0 over the whole
     table.  a is 0 when the smallest cut is at most 1, and when K - a would
     be below the top degree; then every step takes that path.
+
+    A step led by n_inf values of +inf takes the same calls, over a copy of
+    the block that stands 0.0 in for them: no suffix level from column n_inf
+    on reads them, and the fresh mask (below) reads the original bits.
+    Under a spec of positive degree each empty-base cell whose tail starts
+    before n_inf is then set to +inf, and so is each row whose base holds a
+    +inf value (r - w < n_inf); under top degree 0 every set merges to log
+    w_0 already.  Like finite steps, these carry the tracker's bits, which
+    may differ from ``row_bounds``' in the last few places.
 
     The anchored cells read only the values from position c = max(lo-2, 0)
     on (0-based), lo being the smallest tracked row: the suffix levels from
@@ -490,8 +505,7 @@ class RowTracker:
             # last empty-base column of each row (-1: none), the end of the
             # empty-base run, and the anchored arity
             cut = (r - 1 - w)[:, 0]
-            self._specs.append((spec, width, w == 2, cut, int(cut.max(initial=0)) + 1,
-                                np.where(anchored, w, 0)))
+            self._specs.append((spec, w == 2, cut, int(cut.max(initial=0)) + 1, np.where(anchored, w, 0)))
         # the table's first column a (docstring); 0 without rows
         a = min(max(min(int(cut.min(initial=k)) for *_, cut, _, _ in self._specs) - 1, 0), self._c)
         self._a = a if k - a >= self._top and self.rows.size else 0
@@ -503,27 +517,27 @@ class RowTracker:
         """Natural-log (diagonal, subdiagonal) values, shape (2, B, R), of the
         R rows after each of B steps, given a (B, K) block of descending values."""
         out = np.empty((2, len(block), self.rows.size))
-        inf_rows = block[:, 0] == math.inf
-        for b in np.flatnonzero(inf_rows):  # kept out of the kernel: the row bounds themselves
-            out[:, b] = [row_bounds(block[b], self.rows, width, spec) for spec, width, *_ in self._specs]
-        if inf_rows.any():  # a copy only then: the block's copies bound its length
-            block = block[~inf_rows]
         # a step whose values from position c on carry the bits of the step
         # before it takes that step's table from column c on and its anchored minima
         bits = block[:, self._c:].view(np.int64)
         fresh = np.ones(len(block), dtype=bool)
         fresh[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+        n_inf = np.zeros((len(block), 1), dtype=np.int64)  # each step's count of leading +inf values
+        if (block[:, 0] == math.inf).any():  # a copy only then: the block's copies bound its length
+            inf = block == math.inf
+            n_inf, block = inf.sum(axis=1, keepdims=True), np.where(inf, 0.0, block)
         S_fresh, S = self._step_levels(block, fresh)
-        lows, certified = self._empty_base(S, block, self._a)
+        lows, certified = self._empty_base(S, block, self._a, n_inf)
         del S  # the anchored call reads only the fresh steps' table: a lower heap peak
         redo = np.flatnonzero(~certified)
         if redo.size:  # a minimum the certificate leaves open: every column from 0
-            lows[:, redo] = self._empty_base(suffix_esp_levels(block[redo], self._top), block[redo], 0)[0]
+            lows[:, redo] = self._empty_base(suffix_esp_levels(block[redo], self._top), block[redo], 0,
+                                             n_inf[redo])[0]
         # the fresh steps' levels from column c on, as if over K - c values:
         # the kernel reads its tables by set size, and no anchored set holds more
         S_fresh = S_fresh[:, None, :, self._c - self._a:]
         last, prev = block[:, self._last][fresh], block[:, self._prev][fresh]
-        for n, (spec, _, two, _, _, arity) in enumerate(self._specs):
+        for n, (spec, two, cut, _, arity) in enumerate(self._specs):
             # levels e_0, e_1, e_2 and log product of each row's base, {r} or
             # {r-1, r}; a width-1 base's e_2 of -inf is an exact no-op
             pair = prev + last
@@ -531,7 +545,9 @@ class RowTracker:
             levels, prod = (0.0, e1, np.where(two, pair, -np.inf)), np.where(two, pair, last)
             v = tail_merges(S_fresh, self._lo - self._c, levels, prod, arity, spec)
             anchored = np.minimum.reduce(v, axis=-1, where=self._anchored, initial=np.inf)
-            out[n, ~inf_rows] = np.minimum(lows[n], anchored[np.cumsum(fresh) - 1])
+            out[n] = np.minimum(lows[n], anchored[np.cumsum(fresh) - 1])
+            if spec.has_positive_degree:  # a base {r-w+1..r} holding a +inf value: r - w < n_inf
+                out[n, cut + 1 < n_inf] = math.inf
         return out
 
     def _step_levels(self, block: np.ndarray, fresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -555,25 +571,29 @@ class RowTracker:
             S[reused, b, :n + 1] = np.logaddexp.accumulate(chain, axis=1)[:, ::-1]
         return S_fresh, S
 
-    def _empty_base(self, S: np.ndarray, block: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
+    def _empty_base(self, S: np.ndarray, block: np.ndarray, a: int,
+                    n_inf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each row's minimum of the empty-base cells over columns a..cut per
         spec, shape (2, B, R) (+inf for a row with none), from the levels S of
-        the block's values from column a on; and the mask of the steps at
+        the block's values from column a on, each step's n_inf leading +inf
+        values stood in for (shape (B, 1)); and the mask of the steps at
         which it is certified to be the minimum over columns 0..cut (every
         step at a = 0)."""
         lows = np.empty((2, len(block), self.rows.size))
         certified = np.ones(len(block), dtype=bool)
         if a:  # each step's largest |finite log|, for the margin
             big = np.abs(block, out=np.zeros(block.shape), where=np.isfinite(block)).max(axis=-1)
-        for n, (spec, _, _, cut, stop, _) in enumerate(self._specs):
+        for n, (spec, _, cut, stop, _) in enumerate(self._specs):
             cells = tail_merges(S, slice(0, stop - a), (0.0,), 0.0, 0, spec)
+            if spec.has_positive_degree:  # the tails i < n_inf hold a +inf value
+                cells[np.arange(a, stop) < n_inf] = math.inf
             low = np.minimum.accumulate(cells, axis=-1)[:, cut - a]
             lows[n] = np.where(cut < 0, np.inf, low)
             # cell a over every row's minimum through its cut, by 2 delta; at
             # top degree 0 every nonempty set merges to the same bits, log w_0
             if a and spec.max_degree:
                 edge = low + 2.0 * _margin(big, block.shape[1], spec)[:, None]
-                certified &= ((cells[:, :1] > edge) | (low == -math.inf)).all(axis=1)
+                certified &= ((cells[:, :1] > edge) | np.isinf(low)).all(axis=1)
         return lows, certified
 
 

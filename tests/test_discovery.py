@@ -44,6 +44,8 @@ def ranked(*xs):
 
 
 SPECS = (U1, U2, U1_U2_HALF)
+# U_0 alone, top degree 0, merges every set to 1, one holding +inf included
+_U0 = MergeSpec.mixture((1.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +167,22 @@ def _assert_tracked_match_brute_force(values, rows, d, s, diag_spec, sub_spec):
 
 def test_row_tracker_matches_row_bounds():
     """The tracker's per-cell bases reach the same minima as the matrix rows,
-    and the brute-force subset minima."""
+    and the brute-force subset minima; the last 60 steps are led by +inf
+    values, half of them over tied values, and may merge under U_0."""
     rng = np.random.default_rng(21)
-    for trial in range(60):
+    for trial in range(120):
         k = int(rng.integers(1, 13))
         logs = rng.normal(0.0, 6.0, size=k)
         logs[k - int(rng.integers(0, 3)):] = -math.inf  # some values are exactly 0
+        specs = SPECS
+        if trial >= 60:
+            if trial % 2:  # ties of +-0.0, and zeros
+                logs = rng.choice([-math.inf, -2.0, -0.0, 0.0, 1.5], size=k)
+            logs[: int(rng.integers(1, k + 1))] = math.inf
+            specs = SPECS + (_U0,)
         rk = RankedValues.from_logs(logs)
         rows = sorted({1, k, *(int(x) for x in rng.integers(1, k + 1, size=2))})
-        diag_spec, sub_spec = SPECS[trial % 3], SPECS[(trial // 3) % 3]
+        diag_spec, sub_spec = specs[trial % len(specs)], specs[(trial // len(specs)) % len(specs)]
         d, s = RowTracker(k, rows, diag_spec, sub_spec).step(rk.sorted_logs[None])[:, 0]
         for n, r in enumerate(rows):
             assert d[n] == pytest.approx(diagonal_row(rk, r, diag_spec).log_e, abs=1e-12)
@@ -260,7 +269,8 @@ def test_row_tracker_reuse_equals_single_steps(data):
     block = np.array(steps)
     if data.draw(st.booleans(), label="infinite row"):
         block[len(block) // 2, : data.draw(st.integers(1, k), label="n_inf")] = math.inf
-    specs = data.draw(st.tuples(st.sampled_from(SPECS), st.sampled_from(SPECS)), label="specs")
+    spec_pool = st.sampled_from(SPECS + (_U0,))
+    specs = data.draw(st.tuples(spec_pool, spec_pool), label="specs")
     tracker = RowTracker(k, rows, *specs)
     got = tracker.step(block)
     want = np.concatenate([tracker.step(step[None]) for step in block], axis=1)
@@ -289,21 +299,6 @@ def test_row_tracker_scores_only_fresh_steps():
         assert [S.shape[0] for S in anchored] == [3, 3]  # steps 0, 3 and 5
         want = np.concatenate([tracker.step(step[None]) for step in block], axis=1)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-@pytest.mark.parametrize("n_rows", [4, 8])
-def test_row_tracker_infinite_step_builds_one_table_per_spec(n_rows):
-    """A +inf-led step scores all its rows through one ``row_bounds`` call per
-    spec, so it builds one table of suffix levels over the whole step per
-    spec, whatever the number of rows; a u2 row's own prefix levels, over
-    fewer than K values, are not counted."""
-    k = 20
-    logs = np.sort(np.random.default_rng(3).normal(0.0, 3.0, k))[::-1]
-    logs[0] = math.inf
-    tracker = RowTracker(k, range(3, 3 + n_rows), U1, U2)
-    with mock.patch.object(discovery, "suffix_esp_levels", wraps=discovery.suffix_esp_levels) as spy:
-        tracker.step(logs[None])
-    assert [np.shape(c.args[0]) for c in spy.call_args_list].count((k,)) == 2
 
 
 _U5 = MergeSpec.nesp(5)
@@ -345,8 +340,8 @@ def test_row_tracker_suffix_start_keeps_every_bit():
         block = np.array(block)
         if data.draw(st.booleans(), label="infinite row"):
             block[len(block) // 2, : data.draw(st.integers(1, k), label="n_inf")] = math.inf
-        specs = data.draw(st.tuples(st.sampled_from(SPECS + (_U5,)), st.sampled_from(SPECS + (_U5,))),
-                          label="specs")
+        spec_pool = st.sampled_from(SPECS + (_U5, _U0))
+        specs = data.draw(st.tuples(spec_pool, spec_pool), label="specs")
         tracker = RowTracker(k, rows, *specs)
         with mock.patch.object(RowTracker, "_empty_base", autospec=True,
                                side_effect=RowTracker._empty_base) as spy:
@@ -356,7 +351,7 @@ def test_row_tracker_suffix_start_keeps_every_bit():
         if tracker._a:  # the steps scored again from column 0
             opened = sum(len(c.args[2]) for c in spy.call_args_list if c.args[3] == 0)
             seen["open"] += opened
-            seen["certified"] += int((block[:, 0] < math.inf).sum()) - opened
+            seen["certified"] += len(block) - opened
         for b, logs in enumerate(block):
             _assert_tracked_match_brute_force([LogValue(x) for x in logs], rows, *got[:, b], *specs)
 
@@ -364,14 +359,25 @@ def test_row_tracker_suffix_start_keeps_every_bit():
     assert seen["certified"] > 0 and seen["open"] > 0, seen
 
 
+def test_row_tracker_whole_suffix_minima_under_u0_stay_finite():
+    """U_0 merges a set holding +inf to 1 too, so a +inf-led step's
+    empty-base minima under U_0 read 0.0, though its tails before n_inf hold
+    +inf values (stood in for by 0.0); the anchored cells, all 0.0, would
+    hide a +inf there from the row values."""
+    block = np.array([[0.0, 0.0, 0.0, 1.0, 0.5, -1.0]])  # three leading +inf values stood in for
+    tracker = RowTracker(6, [4, 6], _U0, _U0)  # cuts 2 and 4, then 1 and 3
+    lows, _ = tracker._empty_base(merging.suffix_esp_levels(block, 0), block, 0, np.array([[3]]))
+    assert (lows == 0.0).all()
+
+
 def test_row_tracker_builds_its_table_from_column_a():
     """A finite K = 200 step tracking rows 98-101 builds one table of suffix
     levels, over the values from column a = 94 on (K - a + 1 = 107 columns),
-    and a block builds it over its fresh steps only; an all-tied block, one
-    fresh step, builds it too, then the whole table of every step for its
-    whole-suffix cells, with the bits of the tracker at a = 0, but U_0's
-    cells, all tied, need no second table.  Rows whose smallest cut is at
-    most 0 build the whole table at once."""
+    and a block builds it over its fresh steps only, +inf-led steps as
+    finite ones; an all-tied block, one fresh step, builds it too, then the
+    whole table of every step for its whole-suffix cells, with the bits of
+    the tracker at a = 0, but U_0's cells, all tied, need no second table.
+    Rows whose smallest cut is at most 0 build the whole table at once."""
     k = 200
     logs = np.sort(np.random.default_rng(5).normal(0.0, 3.0, k))[::-1]
     real = discovery.suffix_esp_levels
@@ -398,8 +404,13 @@ def test_row_tracker_builds_its_table_from_column_a():
     other = np.sort(np.random.default_rng(6).normal(0.0, 3.0, k))[::-1]
     assert tables(range(98, 102), np.array([logs, logs, head, other])) == [(2, 3, 107)]
     assert tables(range(98, 102), np.zeros((3, k))) == [(1, 3, 107), (3, 3, k + 1)]
+    # +inf-led steps, 3 values before a and 150 past every row, and a repeat,
+    # build the same one table over their fresh steps, the +inf values stood in for
+    lead, past = logs.copy(), logs.copy()
+    lead[:3], past[:150] = math.inf, math.inf
+    assert tables(range(98, 102), np.array([lead, past, past])) == [(2, 3, 107)]
     # U_0 alone merges every nonempty set to 1: its tied cells need no certificate
-    assert tables(range(98, 102), logs[None], MergeSpec.mixture((1.0,))) == [(1, 3, 107)]
+    assert tables(range(98, 102), logs[None], _U0) == [(1, 3, 107)]
     assert tables((2, 100), logs[None]) == [(1, 3, k + 1)]  # row 2's diagonal cut is 0
     assert tables((3, 100), logs[None]) == [(1, 3, k + 1)]  # row 3's subdiagonal cut is 0
 

@@ -880,6 +880,22 @@ def test_tracked_blocks_bundle_matches_golden_bytes(tmp_path):
     _assert_golden_bundle(cfg, run, "tracked_blocks", tmp_path)
 
 
+def test_tracked_inf_rows_bundle_matches_golden_bytes(tmp_path):
+    """Null sd 1e-160 sends each false null to +inf at its first test, so
+    all 200 steps tracking rows 2, 6 and 12 of 12 are +inf-led, 185 of them
+    with six +inf values.  They go through the tracker's kernel calls, as
+    finite steps do, not through the row scans; the bundle, written when
+    they went through the row scans, is pinned byte for byte."""
+    cfg = golden_config("tracked_inf_rows")
+    with mock.patch.object(RowTracker, "step", autospec=True, side_effect=RowTracker.step) as spy, \
+            mock.patch.object(discovery, "row_bounds", wraps=discovery.row_bounds) as scans:
+        run = run_experiment(cfg)
+    block = np.concatenate([c.args[1] for c in spy.call_args_list])
+    assert (block[:, 0] == math.inf).all() and ((block == math.inf).sum(axis=1) == 6).sum() == 185
+    assert not scans.called
+    _assert_golden_bundle(cfg, run, "tracked_inf_rows", tmp_path)
+
+
 def test_bundle_from_repeated_unsorted_rows_matches_golden_bytes(tmp_path):
     """Tracked rows given out of order and with a repeat write the bundle of
     the sorted, distinct rows."""

@@ -242,16 +242,21 @@ _PAPER_2000 = paper_experiment_config(steps=2_000, checkpoints=())
     replace(_PAPER_2000, tracked_rows=(10, 190)),
     replace(_PAPER_2000, merge_subdiagonal=MergeSpec.nesp(5)),
     replace(_PAPER_2000, k=1_000, tracked_rows=(500, 501, 502, 503)),
-], ids=["rows-98-101", "row-100", "rows-1-2", "rows-10-190", "u5-subdiagonal", "k1000-rows-500-503"])
+    replace(_PAPER_2000, null_dist=(0.0, 1e-160)),
+], ids=["rows-98-101", "row-100", "rows-1-2", "rows-10-190", "u5-subdiagonal", "k1000-rows-500-503",
+        "null-sd-1e-160"])
 def test_tracked_run_peak_memory(cfg):
     """The Python-heap peak of a 2,000-step tracked run guards the tracker's
     block length, ``RowTracker.block``.
 
     Measured (tracemalloc, numpy 2.4.6): 1.09-1.71 MB over these shapes,
-    rows 98-101 1.27 MB in blocks of 81 steps and rows 500-503 at K = 1000
+    rows 98-101 1.28 MB in blocks of 81 steps and rows 500-503 at K = 1000
     the most, in blocks of 17.  Rows 98-101 in blocks of 163 steps reach
     2.15 MB and in blocks of 327 steps 3.82 MB, and rows 500-503 at
-    K = 1000 in blocks of 18 steps 1.87 MB and of 34 steps 2.83 MB.
+    K = 1000 in blocks of 18 steps 1.87 MB and of 34 steps 2.83 MB.  Null
+    sd 1e-160 makes all 2,000 steps +inf-led, and each block of them takes
+    a finite stand-in copy: 1.42 MB in blocks of 81 steps, 2.34 MB in blocks
+    of 163.
     """
     run_experiment(replace(cfg, steps=10))  # first-call caches stay out of the peak
     tracemalloc.start()
