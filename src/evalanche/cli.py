@@ -7,7 +7,8 @@ through its flag's ``type``, so a command only computes and emits; every
 files; diagnostics go to stderr.  Exit codes: 0 success, 1 usage error (bad
 flags, unreadable or malformed input file, unwritable output), 2 numerical
 or domain error or a failed ``oracle-check`` row.  A stdout closed early by
-its reader ends the output, with exit 0.
+its reader ends the output, with exit 0.  ``simulate`` makes its ``--out``
+directory before the run, so an unusable one exits 1 at once.
 """
 
 from __future__ import annotations
@@ -109,7 +110,16 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         with _as_usage_error("bad --seed"):
             cfg = replace(cfg, seed=args.seed)
-    bundle = formats.write_bundle(cfg, run_experiment(cfg), args.out)
+    out = Path(args.out)
+    made = [p for p in (out, *out.parents) if not p.exists()]  # leaf first
+    out.mkdir(parents=True, exist_ok=True)  # an unusable --out fails here, before the run
+    try:
+        run = run_experiment(cfg)
+    except BaseException:
+        for p in made:  # a failed run writes nothing
+            p.rmdir()
+        raise
+    bundle = formats.write_bundle(cfg, run, out)
     _emit([f"{bundle['manifest.json']}\n"], None)
     return 0
 

@@ -27,11 +27,12 @@ line by line (``_matrix_row_error``) to name its first bad line, so a text
 with one fault gets the message a line-at-a-time reader would give.
 
 A value is converted once per column run: a matrix cell with the bits of the
-cell above it reuses that cell's repr, a series value with the bits of its
-series' value one step earlier reuses that line's value text, and the parser
-reuses the float of a token with the text of the token above it.  Bits, not
-``==``: 0.0 and -0.0 differ, and a NaN never repeats.  On the seed-42 inputs
-64-68% of matrix cells and 57% of the paper study's series values repeat.
+cell above it reuses that cell's repr, the parser reuses the float of a token
+with the text of the token above it, and the series CSV and SVG writers
+format a column's value only where its bits change (``_runs``).  Bits, not
+``==``: 0.0 and -0.0 differ, and a NaN after any other value starts a run,
+so ``linear_cell`` raises on it.  On the seed-42 inputs 64-68% of matrix
+cells and 57% of the paper study's series values repeat.
 """
 
 from __future__ import annotations
@@ -195,26 +196,48 @@ _SERIES_KINDS = ("diagonal", "subdiagonal")
 _CHUNK_LINES = 4096
 
 
-def _series_blocks(run: RunResult) -> Iterator[list[tuple[int, int, str, float]]]:
-    """``series_records(run)`` about 4,096 records at a time, each block made
-    from a slice of steps of the tracked series."""
-    rows = sorted(run.diagonal_series)
-    keys = [(row, kind) for row in rows for kind in _SERIES_KINDS]
-    columns = [series[row].log10_values for row in rows
-               for series in (run.diagonal_series, run.subdiagonal_series)]
-    steps = max(1, _CHUNK_LINES // max(1, len(keys)))
-    for a in range(0, len(columns[0]) if columns else 0, steps):
-        yield [(step, row, kind, l10)
-               for step, values in enumerate(zip(*[c[a:a + steps].tolist() for c in columns]),
-                                             start=a + 1)
-               for (row, kind), l10 in zip(keys, values)]
+def _series_columns(run: RunResult) -> list[tuple[int, str, np.ndarray]]:
+    """(row, kind, log10 values) of each tracked series, in series CSV column
+    order: by row, diagonal before subdiagonal."""
+    return [(row, kind, by_row[row].log10_values) for row in sorted(run.diagonal_series)
+            for kind, by_row in zip(_SERIES_KINDS, (run.diagonal_series, run.subdiagonal_series))]
 
 
 def series_records(run: RunResult) -> list[tuple[int, int, str, float]]:
     """One (step, row, kind, log10_value) per series CSV line, ordered by step, row,
     then diagonal before subdiagonal.  Every tracked row must have both series,
     all of one length, as ``run_experiment`` makes them; an untracked run gives []."""
-    return list(itertools.chain.from_iterable(_series_blocks(run)))
+    columns = _series_columns(run)
+    return [(step, row, kind, l10)
+            for step, values in enumerate(zip(*[c.tolist() for *_, c in columns]), start=1)
+            for (row, kind, _), l10 in zip(columns, values)]
+
+
+def _runs(values: np.ndarray, text) -> np.ndarray:
+    """``text(x)`` of each value as an object array, made for the first value
+    and each whose bits differ from the value before it, reused down its run."""
+    bits = values.view(np.int64)
+    fresh = np.ones(bits.size, bool)
+    fresh[1:] = bits[1:] != bits[:-1]
+    texts = np.array([text(x) for x in values[fresh].tolist()], object)
+    return texts[np.cumsum(fresh) - 1]
+
+
+def series_csv_columns(run: RunResult) -> Iterator[str]:
+    """``series_csv_chunks(series_records(run))`` from the series columns, with
+    no record made: ``_CHUNK_LINES // columns`` steps a chunk, one object array
+    of step texts and each column's ``_runs`` of line tails, joined once."""
+    yield f"{SERIES_HEADER}\n"
+    columns = _series_columns(run)
+    n = len(columns[0][2]) if columns else 0
+    steps = max(1, _CHUNK_LINES // max(1, len(columns)))
+    for a in range(0, n, steps):
+        b = min(a + steps, n)
+        out = np.empty((b - a, 2 * len(columns)), object)
+        out[:, 0::2] = np.array(list(map(str, range(a + 1, b + 1))), object)[:, None]
+        for c, (row, kind, values) in enumerate(columns):
+            out[:, 2 * c + 1] = _runs(values[a:b], lambda x: f",{row},{kind},{x!r},{linear_cell(x)}\n")
+        yield "".join(out.ravel().tolist())
 
 
 def series_csv_chunks(records: Iterable[tuple[int, int, str, float]]) -> Iterator[str]:
@@ -447,8 +470,10 @@ def heatmap_svg(m: DiscoveryMatrix) -> str:
 _LINE_COLORS = ("#2ca02c", "#ff7f0e", "#1f77b4", "#d62728", "#9467bd", "#8c564b")
 
 
-def series_svg(series: Sequence[DiagonalSeries]) -> str:
-    """Log-scale 640 x 400 line chart of tracked bounds over steps."""
+def series_svg_chunks(series: Sequence[DiagonalSeries]) -> Iterator[str]:
+    """Log-scale 640 x 400 line chart of tracked bounds over steps, a polyline
+    a chunk.  Point i of every series has x = i / n * width, so the x texts are
+    made once, for the longest series; the y texts are ``_runs``."""
     width, height = 640, 400
     logs = np.concatenate([np.empty(0), *(s.log10_values for s in series)])
     finite = logs[np.isfinite(logs)]
@@ -456,24 +481,28 @@ def series_svg(series: Sequence[DiagonalSeries]) -> str:
     hi = (float(finite.max()) if finite.size else 1.0) + 0.5
     span = hi - lo if hi > lo else 1.0
     n = max((len(s) for s in series), default=1)
-    lines = []
-    if lo < 0.0 < hi:
-        y0 = height - (0.0 - lo) / span * height
-        lines.append(
-            f'<line x1="0" y1="{y0:.2f}" x2="{width}" y2="{y0:.2f}" '
-            f'stroke="#cccccc" stroke-width="1"/>\n'
-        )
-    for idx, s in enumerate(sorted(series, key=lambda s: (s.kind, s.row))):
-        color = _LINE_COLORS[idx % len(_LINE_COLORS)]
-        v = np.nan_to_num(s.log10_values, nan=hi, posinf=hi, neginf=lo)  # pinned to the frame
-        x = np.arange(1, len(s) + 1) / n * width
-        y = height - (v - lo) / span * height
-        xy = np.column_stack((x, y)).ravel().tolist()
-        points = " ".join(["%.2f,%.2f"] * len(s)) % tuple(xy)  # one format call, no per-point loop
-        lines.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>\n'
-        )
-    return "".join(_svg(width, height, lines))
+    x_texts = np.array(list(map("%.2f,".__mod__, (np.arange(1, n + 1) / n * width).tolist())), object)
+
+    def lines():
+        if lo < 0.0 < hi:
+            y0 = height - (0.0 - lo) / span * height
+            yield (f'<line x1="0" y1="{y0:.2f}" x2="{width}" y2="{y0:.2f}" '
+                   f'stroke="#cccccc" stroke-width="1"/>\n')
+        for idx, s in enumerate(sorted(series, key=lambda s: (s.kind, s.row))):
+            color = _LINE_COLORS[idx % len(_LINE_COLORS)]
+            v = np.nan_to_num(s.log10_values, nan=hi, posinf=hi, neginf=lo)  # pinned to the frame
+            points = np.empty(2 * len(s), object)  # x, then y and a space, per point
+            points[0::2] = x_texts[:len(s)]
+            points[1::2] = _runs(height - (v - lo) / span * height, "%.2f ".__mod__)
+            if len(s):
+                points[-1] = points[-1][:-1]  # no space after the last point
+            yield (f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'
+                   f'{"".join(points.tolist())}"/>\n')
+    return _svg(width, height, lines())
+
+
+def series_svg(series: Sequence[DiagonalSeries]) -> str:
+    return "".join(series_svg_chunks(series))
 
 
 # ---------------------------------------------------------------------------
@@ -709,8 +738,8 @@ def write_bundle(cfg: ExperimentConfig, run: RunResult, out_dir: str | Path) -> 
         series = [*run.diagonal_series.values(), *run.subdiagonal_series.values()]
         if any(np.isnan(s.log10_values).any() for s in series):  # linear_cell's error, before a file opens
             raise DomainError("log10 value cannot be NaN")
-        write("series.csv", series_csv_chunks(itertools.chain.from_iterable(_series_blocks(run))))
-        write("series.svg", [series_svg(series)])
+        write("series.csv", series_csv_columns(run))
+        write("series.svg", series_svg_chunks(series))
     for step, raw in sorted(run.matrices.items()):
         reg = regularize(raw)  # the one regularized copy, dropped once written
         write(f"matrix_{step}.csv", matrix_csv_chunks(raw))

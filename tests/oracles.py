@@ -10,7 +10,9 @@ edges, where the library compares the cell with log10 edges.  The linear
 value oracle goes through ``LogValue``, which ``formats.linear_value`` skips.
 The matrix and series CSV writer oracles format every cell and line afresh,
 where the library reuses the text of a value equal bit for bit to the one
-before it in its column; the matrix JSON oracle dumps the whole report at
+before it in its column; the series SVG oracle formats every point's x and y
+in one format call per series, where the library shares x texts across
+series and reuses y texts down runs; the matrix JSON oracle dumps the whole report at
 once, where the library streams it a row at a time.  The two-table tail-merge
 kernel is the library's earlier ``tail_merges``, which read each tail's
 product from a second table of suffix log products; the library now reads
@@ -29,8 +31,8 @@ from evalanche import LogValue, MergeSpec
 from evalanche.discovery import DiscoveryMatrix, _tables
 from evalanche.errors import DomainError
 from evalanche.formats import (
-    _BUCKET_NAMES, MATRIX_HEADER, SERIES_HEADER, _data_lines, _json_float_out, bucket_indexes,
-    json_text, linear_cell,
+    _BUCKET_NAMES, _LINE_COLORS, MATRIX_HEADER, SERIES_HEADER, _data_lines, _json_float_out, _svg,
+    bucket_indexes, json_text, linear_cell,
 )
 from evalanche.logvalue import LN10
 
@@ -118,6 +120,36 @@ def series_csv_oracle(records) -> str:
     for step, row, kind, l10 in records:
         lines.append(f"{step},{row},{kind},{l10!r},{linear_cell(l10)}\n")
     return "".join(lines)
+
+
+def series_svg_oracle(series) -> str:
+    """``formats.series_svg`` with each series' points made in one format call
+    of all its x and y values."""
+    width, height = 640, 400
+    logs = np.concatenate([np.empty(0), *(s.log10_values for s in series)])
+    finite = logs[np.isfinite(logs)]
+    lo = (float(finite.min()) if finite.size else -1.0) - 0.5
+    hi = (float(finite.max()) if finite.size else 1.0) + 0.5
+    span = hi - lo if hi > lo else 1.0
+    n = max((len(s) for s in series), default=1)
+    lines = []
+    if lo < 0.0 < hi:
+        y0 = height - (0.0 - lo) / span * height
+        lines.append(
+            f'<line x1="0" y1="{y0:.2f}" x2="{width}" y2="{y0:.2f}" '
+            f'stroke="#cccccc" stroke-width="1"/>\n'
+        )
+    for idx, s in enumerate(sorted(series, key=lambda s: (s.kind, s.row))):
+        color = _LINE_COLORS[idx % len(_LINE_COLORS)]
+        v = np.nan_to_num(s.log10_values, nan=hi, posinf=hi, neginf=lo)
+        x = np.arange(1, len(s) + 1) / n * width
+        y = height - (v - lo) / span * height
+        xy = np.column_stack((x, y)).ravel().tolist()
+        points = " ".join(["%.2f,%.2f"] * len(s)) % tuple(xy)
+        lines.append(
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>\n'
+        )
+    return "".join(_svg(width, height, lines))
 
 
 def parse_matrix_csv_oracle(text: str) -> DiscoveryMatrix:

@@ -23,8 +23,9 @@ from evalanche import (
     discovery_matrix,
     regularize,
 )
-from evalanche import formats, oracles
+from evalanche import cli, formats, oracles
 from evalanche.cli import main
+from evalanche.errors import DomainError
 from evalanche.discovery import DiscoveryMatrix
 from evalanche.merging import MAX_DEGREE
 from evalanche.simulate import MAX_K, MAX_STEPS
@@ -343,6 +344,31 @@ def test_simulate_seed_override_and_reproducibility(tmp_path, capsys):
     assert (a / "matrix_25.csv").read_bytes() == (b / "matrix_25.csv").read_bytes()
     assert (a / "series.csv").read_bytes() != (c / "series.csv").read_bytes()
     assert json.loads((a / "manifest.json").read_text())["seed"] == 9
+
+
+def test_simulate_unusable_out_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    """An ``--out`` that is a file, or under one, exits 1 with one error line
+    before ``run_experiment`` is called; a run that fails removes the
+    directories made for it."""
+    _, config_path = write_config(tmp_path)
+    calls = []
+
+    def spy(cfg):
+        calls.append(cfg)
+        raise DomainError("the run failed")
+
+    monkeypatch.setattr(cli, "run_experiment", spy)
+    file = tmp_path / "file"
+    file.write_text("kept")
+    for out in (file, file / "sub"):
+        code, stdout, err = run_cli(capsys, "simulate", "--config", str(config_path), "--out", str(out))
+        assert (code, stdout) == (1, ""), out
+        assert err.startswith("error:") and err.count("\n") == 1, out
+    assert calls == [] and file.read_text() == "kept"
+    code, stdout, err = run_cli(capsys, "simulate", "--config", str(config_path),
+                                "--out", str(tmp_path / "a" / "b"))
+    assert (code, stdout, err) == (2, "", "error: the run failed\n")
+    assert len(calls) == 1 and not (tmp_path / "a").exists()
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):

@@ -24,13 +24,15 @@ from evalanche import (
     run_experiment,
 )
 from evalanche import cli, discovery, formats
-from evalanche.discovery import DiscoveryMatrix, RowTracker
+from evalanche.discovery import DiagonalSeries, DiscoveryMatrix, RowTracker
 from evalanche.errors import DomainError
 from evalanche.logvalue import LN10
+from evalanche.martingales import MartingaleTable
 from evalanche.polynomials import MultiaffinePoly
+from evalanche.simulate import RunResult
 from oracles import (
     bucket_oracle, linear_value_oracle, matrix_csv_oracle, matrix_json_oracle,
-    parse_matrix_csv_oracle, series_csv_oracle,
+    parse_matrix_csv_oracle, series_csv_oracle, series_svg_oracle,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -233,6 +235,99 @@ def test_series_csv_nan_after_a_run_raises():
         for writer in (formats.series_csv, series_csv_oracle):
             with pytest.raises(DomainError):
                 writer(records)
+
+
+def _tracked_run(rows, columns) -> RunResult:
+    """A run tracking ``rows``, whose series CSV columns (row by row, diagonal
+    first) hold ``columns``."""
+    series = {kind: {row: DiagonalSeries(row=row, kind=kind, log10_values=np.asarray(c, float))
+                     for row, c in zip(rows, columns[i::2])}
+              for i, kind in enumerate(("diagonal", "subdiagonal"))}
+    return RunResult(final_table=MartingaleTable.fresh(1), diagonal_series=series["diagonal"],
+                     subdiagonal_series=series["subdiagonal"], matrices={},
+                     ground_truth=frozenset())
+
+
+# the edges, 308.0 just inside the linear range, and values with a blank linear cell
+_COLUMN_POOL = np.array([*_SERIES_EDGES, 308.0, 309.0, -330.0, 3e300, -3e300])
+
+
+@st.composite
+def _tracked_columns(draw):
+    """1-3 tracked rows of one length: 0, 1, or up to two chunk edges past
+    (``_CHUNK_LINES // columns`` steps a chunk), each column runs of pool and
+    normal values; at each chunk start a column's run goes on over the edge,
+    flips 0.0 to -0.0 (or back), or is left as drawn."""
+    rows = sorted(draw(st.sets(st.integers(1, 300), min_size=1, max_size=3)))
+    steps = formats._CHUNK_LINES // (2 * len(rows))
+    n = draw(st.sampled_from([0, 1, 2, steps - 1, steps, steps + 1, 2 * steps + 2])
+             | st.integers(0, 2 * steps + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns = []
+    for _ in range(2 * len(rows)):
+        fresh = rng.random(n) < draw(st.sampled_from([0.05, 0.5, 1.0]))
+        fresh[:1] = True
+        picks = np.where(rng.random(n) < 0.5, _COLUMN_POOL[rng.integers(_COLUMN_POOL.size, size=n)],
+                         rng.normal(0.0, 5.0, n))
+        column = picks[np.maximum.accumulate(np.where(fresh, np.arange(n), 0))]
+        for a in range(steps, n, steps):
+            edge = draw(st.sampled_from(["span", "flip", "as drawn"]))
+            if edge == "span":
+                column[a] = column[a - 1]
+            elif edge == "flip":
+                column[a - 1], column[a] = draw(st.sampled_from([(0.0, -0.0), (-0.0, 0.0)]))
+        columns.append(column)
+    return rows, columns
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tracked_columns())
+def test_series_csv_columns_match_record_writers(tracked):
+    """The column writer, which makes each column's line tail once per run of
+    equal bits within a chunk of steps, writes the bytes of the record writer
+    and of the per-line writer."""
+    run = _tracked_run(*tracked)
+    records = formats.series_records(run)
+    text = "".join(formats.series_csv_columns(run))
+    assert text == formats.series_csv(records)
+    assert text == series_csv_oracle(records)
+
+
+def test_series_csv_columns_nan_raises():
+    """A NaN after a run, after a NaN, or at a chunk's first step starts a run,
+    so ``linear_cell`` raises on it."""
+    steps = formats._CHUNK_LINES // 2
+    for tail in ([math.nan], [math.nan, math.nan]):
+        run = _tracked_run([1], [[2.0, 2.0, *tail], [0.0] * (2 + len(tail))])
+        with pytest.raises(DomainError):
+            "".join(formats.series_csv_columns(run))
+    column = [2.0] * (steps + 2)
+    column[steps:] = [math.nan] * 2
+    run = _tracked_run([1], [[1.0] * (steps + 2), column])
+    chunks = formats.series_csv_columns(run)
+    next(chunks), next(chunks)  # the header and the first chunk hold no NaN
+    with pytest.raises(DomainError):
+        next(chunks)
+
+
+_SVG_POOL = (0.0, -0.0, 1.0, -3.5, 250.0, math.inf, -math.inf, math.nan)
+
+
+# a series of runs: each value drawn, then repeated 1-5 times
+_svg_series = st.lists(st.tuples(st.sampled_from(_SVG_POOL) | st.floats(-50.0, 50.0), st.integers(1, 5)),
+                       max_size=12).map(lambda runs: [x for x, times in runs for _ in range(times)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_svg_series, max_size=5).map(lambda columns: [*columns, [], [7.0]]))
+def test_series_svg_matches_one_format_call(columns):
+    """The SVG writer, which shares x texts across series and makes a y text
+    once per run of equal bits, writes the bytes of one format call per
+    series, on series of unequal lengths, a zero-length and a one-point one."""
+    series = [DiagonalSeries(row=i, kind=("diagonal", "subdiagonal")[i % 2],
+                             log10_values=np.array(c, float))
+              for i, c in enumerate(columns)]
+    assert formats.series_svg(series) == series_svg_oracle(series)
 
 
 @pytest.mark.parametrize(
@@ -596,8 +691,10 @@ def paper_run():
 def test_write_bundle_peak_memory(paper_run, tmp_path):
     """``write_bundle`` on the paper study (an 80,000-line series.csv, K = 200
     matrices) peaks below 6 MB of heap: every big artifact is written a chunk
-    at a time.  Measured on Python 3.11.7, numpy 2.4.6: 4.7 MB; writing each
-    whole text peaked at 17.9 MB."""
+    at a time.  Measured on Python 3.11.7, numpy 2.4.6: 2.3 MB, with the
+    series CSV written from the columns and the SVG a polyline at a time;
+    4.7 MB with the SVG made as one string, and writing each whole text
+    peaked at 17.9 MB."""
     cfg, run = paper_run
     peak, _ = _peak(lambda out: formats.write_bundle(cfg, run, out), tmp_path)
     assert peak <= 6e6, peak
