@@ -178,7 +178,8 @@ def _cmd_oracle_check(args) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="evalanche", description=__doc__)
+    parser = _Parser(prog="evalanche", description="Multiple hypothesis testing with merged test martingales: "
+                     "discovery bounds, confidence regions and the seeded simulation study.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     # the flags several commands share, each defined once in a parent parser
     values, fmt, out = (_Parser(add_help=False) for _ in range(3))

@@ -16,7 +16,11 @@ series and reuses y texts down runs; the matrix JSON oracle dumps the whole repo
 once, where the library streams it a row at a time.  The two-table tail-merge
 kernel is the library's earlier ``tail_merges``, which read each tail's
 product from a second table of suffix log products; the library now reads
-it from the suffix levels' top level, and must carry the same bits.
+it from the suffix levels' top level, and must carry the same bits.  The
+full-kernel oracle does call the library's ``tail_merges``, but over every
+tail of every matrix cell, with neither the threshold walk nor the
+tail-block bound: it certifies what those skip, while the kernel itself is
+certified by the two-table oracle and by brute force.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from evalanche import LogValue, MergeSpec
+from evalanche import discovery
 from evalanche.discovery import DiscoveryMatrix, _tables
 from evalanche.errors import DomainError
 from evalanche.formats import (
@@ -233,4 +238,27 @@ def tail_merges_oracle(S, T, tails, P, Psum, arity, spec: MergeSpec) -> np.ndarr
         carry = size <= top
         at = np.where(carry, tails - first, -1)
         np.logaddexp(out, log_tail[m] + (Psum + T[..., at]), out=out, where=carry)
+    return out
+
+
+def full_kernel_oracle(logs: np.ndarray, spec: MergeSpec) -> np.ndarray:
+    """Natural-log raw cells of every row of the descending logs, a (K, K+1)
+    array with NaN above the diagonal: each cell the minimum of
+    ``discovery.tail_merges`` over every tail of its base, called on the
+    row's own prefix levels for a chunk of the row's columns at a time, at
+    most ``TRACK_BLOCK_CELLS * 64`` cells x tails."""
+    k, top = logs.size, spec.max_degree
+    S = discovery.suffix_esp_levels(logs, top)
+    n_inf = int(np.isposinf(logs).sum())
+    out = np.full((k, k + 1), np.nan)
+    for r in range(1, k + 1):
+        lo, i0 = min(n_inf, r), max(r, n_inf)  # bases of the columns j < lo hold a +inf value
+        out[r - 1, :lo] = math.inf if spec.has_positive_degree else 0.0
+        levels = discovery.suffix_esp_levels(logs[:r], top)
+        cols = np.arange(lo, r + 1)
+        step = max(1, discovery.TRACK_BLOCK_CELLS * 64 // (k + 1 - i0))  # columns per call
+        for j in (cols[c:c + step] for c in range(0, cols.size, step)):
+            cells = discovery.tail_merges(S, i0, levels[:, j, None], levels[np.minimum(r - j, top), j, None],
+                                          (r - j)[:, None], spec, k)
+            out[r - 1, j] = cells.min(axis=1)
     return out

@@ -196,6 +196,19 @@ def test_edge_values_golden_bytes(capsys, argv, golden):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
+@pytest.mark.parametrize("merge, golden", [
+    ("u2", "prune_matrix_u2.csv"), ("u5", "prune_matrix_u5.csv"), ("mix:0.2,0.3,0.5", "prune_matrix_mix.csv"),
+])
+def test_prune_values_golden_bytes(capsys, merge, golden):
+    """120 values with a leading +inf, ties of 0.0 and -0.0 and five values of
+    exactly zero, enough tails for the full-tail scorer to skip tail blocks:
+    each matrix matches its golden file, written before the block bound was
+    added, byte for byte."""
+    code, out, err = run_cli(capsys, "matrix", "--merge", merge, "--values", str(GOLDEN / "prune_values.csv"))
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
 def test_matrix_regularize_and_json(capsys):
     code, out, _ = run_cli(
         capsys, "matrix", "--values", "8,4,1", "--merge", "u1",
@@ -560,6 +573,20 @@ def test_entry_point_help(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def test_top_level_help_is_a_summary_for_users(capsys, monkeypatch):
+    """``evalanche --help`` exits 0, shows a one-line summary and one line for
+    each subcommand, and prints none of the module docstring's RST marks."""
+    monkeypatch.setenv("COLUMNS", "200")  # each subcommand and its help on one line
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "``" not in out
+    for command in ("simulate", "diagonal", "subdiag", "matrix", "region", "merge", "validate-poly",
+                    "oracle-check"):
+        assert re.search(rf"^    {command}  +\S", out, re.M), command
 
 
 def test_shared_flags_show_one_help_text(capsys, monkeypatch):

@@ -32,7 +32,7 @@ from evalanche.discovery import DiagonalSeries, DiscoveryMatrix, RowTracker
 from evalanche.errors import DomainError
 from evalanche.formats import bucket_indexes
 from evalanche.logvalue import MAX_ABS_LOG
-from oracles import subset_min_oracle, suffix_logsums_oracle, tail_merges_oracle
+from oracles import full_kernel_oracle, subset_min_oracle, suffix_logsums_oracle, tail_merges_oracle
 
 
 def lv(*xs):
@@ -418,9 +418,11 @@ def test_row_tracker_builds_its_table_from_column_a():
 def test_step_levels_carry_the_bits_of_the_whole_table():
     """``RowTracker._step_levels`` builds the table of the fresh steps only: a
     reused step takes its fresh step's row from column c on and computes its
-    columns a..c-1 itself.  Every step's row carries the int64 bits of
-    ``suffix_esp_levels(block[:, a:], top)``, and the tracker over such blocks
-    matches brute force and, bit for bit, the same tracker at a = 0.  Steps
+    columns a..c-1 itself.  Every step's row, cut to the columns that the
+    empty-base call and the reused steps read, carries the int64 bits of
+    those columns of ``suffix_esp_levels(block[:, a:], top)``, and the
+    tracker over such blocks matches brute force and, bit for bit, the same
+    tracker at a = 0.  Steps
     repeat their tails while the values before c move, flip zeros on either
     side of c and hold -inf values; the rows reach a == c (rows 1 and 2) and
     K, where a top degree above K - a (U_5 or U_9) puts a at 0, far below c."""
@@ -458,7 +460,10 @@ def test_step_levels_carry_the_bits_of_the_whole_table():
         fresh[1:] = (bits[1:] != bits[:-1]).any(axis=1)
         S_fresh, S = tracker._step_levels(block, fresh)
         want = discovery.suffix_esp_levels(block[:, a:], tracker._top)
-        assert np.array_equal(S.view(np.int64), want.view(np.int64))
+        # every step's table holds only the columns the empty-base call and the reused steps read
+        width = max(max(stop for *_, stop, _ in tracker._specs) - a, c - a + 1)
+        assert S.shape == want.shape[:-1] + (width,)
+        assert np.array_equal(S.view(np.int64), want[..., :width].view(np.int64))
         assert np.array_equal(S_fresh.view(np.int64), want[fresh].view(np.int64))
         got = tracker.step(block)
         assert np.array_equal(got.view(np.int64), _suffix_start(tracker, 0).step(block).view(np.int64))
@@ -528,7 +533,7 @@ def test_tail_merges_carries_the_two_table_bits(data):
     T = suffix_logsums_oracle(logs[..., k - data.draw(st.integers(min(top, k), k), label="t"):])
     for tails in calls:
         want = tail_merges_oracle(S, T, tails, P, column(sums), size, spec)
-        got = discovery.tail_merges(S, tails, P, column(prod), size, spec)
+        got = discovery.tail_merges(S, tails, P, column(prod), size, spec, k)
         assert got.shape == want.shape
         assert _same_bits(got, want)
 
@@ -554,14 +559,14 @@ def test_tail_merges_reads_only_the_product_columns(data):
     base = np.sort(np.array(base))[::-1]
     levels = tuple(discovery.suffix_esp_levels(base, top)[:, 0])
     base_args = (levels, float(base.sum()), base.size)
-    want = discovery.tail_merges(S, start, *base_args, spec)
-    got = discovery.tail_merges(S, slice(start, stop), *base_args, spec)
+    want = discovery.tail_merges(S, start, *base_args, spec, k)
+    got = discovery.tail_merges(S, slice(start, stop), *base_args, spec, k)
     assert got.shape == batch + (stop - start,)
     assert _same_bits(got, want[..., : stop - start])
     if not batch:
         tails = np.array(data.draw(st.lists(st.integers(start, k), min_size=1, max_size=6),
                                    label="tails"))
-        gathered = discovery.tail_merges(S, tails, *base_args, spec)
+        gathered = discovery.tail_merges(S, tails, *base_args, spec, k)
         assert _same_bits(gathered, want[tails - start])
 
 
@@ -661,19 +666,6 @@ def test_logs_at_the_bound_run_without_overflow(k):
 # the threshold walk against the full kernel
 
 
-def _full_kernel(rk, spec):
-    """Natural-log raw cells of every row, each cell scored over all its tails."""
-    logs = rk.sorted_logs
-    S = discovery.suffix_esp_levels(logs, spec.max_degree)
-    n_inf = int(np.isposinf(logs).sum())
-    out = np.full((rk.k, rk.k + 1), np.nan)
-    for r in range(1, rk.k + 1):
-        lo = min(n_inf, r)  # bases of the columns j < lo hold a +inf value
-        out[r - 1, :lo] = math.inf
-        out[r - 1, lo : r + 1] = discovery._row_cells(logs, S, r, np.arange(lo, r + 1), spec)
-    return out
-
-
 def _same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
@@ -703,9 +695,8 @@ def _walk_logs(draw):
 
 
 def _tail_calls(calls):
-    """Cells handed to the full-scan fallback: tail_merges calls with a
-    contiguous tail start, one per base."""
-    return sum(np.size(c.args[4]) for c in calls if np.ndim(c.args[1]) == 0)
+    """Cells handed to the full-tail scorer: the columns of its calls."""
+    return sum(np.size(c.args[3]) for c in calls)
 
 
 def test_u1_walk_matches_full_kernel():
@@ -718,8 +709,8 @@ def test_u1_walk_matches_full_kernel():
     @settings(max_examples=120, deadline=None)
     def check(logs, spec, data):
         rk = RankedValues.from_logs(logs)
-        want = _full_kernel(rk, spec)
-        with mock.patch.object(discovery, "tail_merges", wraps=discovery.tail_merges) as spy:
+        want = full_kernel_oracle(rk.sorted_logs, spec)
+        with mock.patch.object(discovery, "_row_cells", wraps=discovery._row_cells) as spy:
             got = discovery_matrix(rk, spec)
         assert _same_bits(got.log10, want / math.log(10.0))
         n_inf = int(np.isposinf(logs).sum())
@@ -744,7 +735,7 @@ def test_row_bounds_keep_every_bit(logs, spec, data):
     the full kernel's rows, in the order given; ``diagonal_row`` and
     ``subdiagonal_row`` are one-row calls."""
     rk = RankedValues.from_logs(logs)
-    reg = np.minimum.accumulate(_full_kernel(rk, spec), axis=1)
+    reg = np.minimum.accumulate(full_kernel_oracle(rk.sorted_logs, spec), axis=1)
     rows = data.draw(st.lists(st.integers(1, rk.k), min_size=1, max_size=12), label="rows")
     cells = data.draw(st.integers(1, 4 * (rk.k + 1)), label="TRACK_BLOCK_CELLS")  # 1-4 rows a block
     for width in (1, 2):
@@ -758,9 +749,76 @@ def test_row_bounds_keep_every_bit(logs, spec, data):
             assert np.float64(fn(rk, r, spec).log_e).view(np.int64) == one.view(np.int64)[0]
 
 
+# the specs of top degree >= 2 that the full-tail scorer serves, one with a U_0 weight
+_BLOCK_SPECS = (U2, _U5, U1_U2_HALF, MergeSpec.mixture((0.25, 0.0, 0.25, 0.5)))
+
+
+@st.composite
+def _block_logs(draw):
+    """Descending logs, K up to 150, built to stress the tail blocks: ties,
+    all-equal values, spreads near delta (1e-13 to 1e-8 wide), logs near
+    +-700, leading +inf and trailing -inf values."""
+    k = draw(st.integers(1, 150), label="k")
+    kind = draw(st.sampled_from(["ties", "equal", "wide", "narrow", "normal"]), label="kind")
+    center = draw(st.floats(-700.0, 700.0), label="center")
+    if kind == "equal":
+        logs = [center] * k
+    else:
+        width = 10.0 ** draw(st.floats(-13.0, -8.0), label="width")
+        value = {
+            "ties": st.sampled_from([-math.inf, -2.0, 0.0, -0.0, 1.5, 3.0]),
+            "wide": st.one_of(st.floats(-700.0, 700.0), st.floats(690.0, 700.0), st.floats(-700.0, -690.0)),
+            "narrow": st.floats(center, center + width),
+            "normal": st.floats(-5.0, 5.0),
+        }[kind]
+        logs = draw(st.lists(value, min_size=k, max_size=k), label="logs")
+    logs = np.sort(np.array(logs, dtype=float))[::-1]
+    logs[k - draw(st.integers(0, 3), label="zeros"):] = -math.inf
+    logs[: draw(st.integers(0, 3), label="n_inf")] = math.inf
+    return logs
+
+
+def test_tail_blocks_keep_every_bit():
+    """The matrix and the row bounds (widths 1 and 2) scored by tail blocks
+    carry the bits, sign bits included, of the unpruned oracle, which scores
+    every tail of every cell; pruned tails, blocks scored tail by tail and
+    cells that keep every block (one contiguous call) are all exercised."""
+    seen = {"pruned": 0, "scored": 0, "dense": 0}
+
+    @given(_block_logs(), st.sampled_from(_BLOCK_SPECS))
+    @settings(max_examples=80, deadline=None)
+    def check(logs, spec):
+        k, top = logs.size, spec.max_degree
+        rk = RankedValues.from_logs(logs)
+        want = full_kernel_oracle(logs, spec)
+        with mock.patch.object(discovery, "tail_merges", wraps=discovery.tail_merges) as kernel, \
+                mock.patch.object(discovery, "_row_cells", wraps=discovery._row_cells) as rows:
+            got = discovery_matrix(rk, spec)
+        assert _same_bits(got.log10, want / math.log(10.0))
+        reg = np.minimum.accumulate(want, axis=1)
+        r = np.arange(1, k + 1)
+        for width in (1, 2):
+            bounds = discovery.row_bounds(logs, r, width, spec)
+            assert _same_bits(bounds, reg[r - 1, np.maximum(r - width, 0)])
+        # body tails (before the last top + 1) of the cells scored, against the
+        # body cells scored exactly: each block's last cell, and single tails
+        n_inf = int(np.isposinf(logs).sum())
+        body = sum(np.maximum(k - top - np.maximum(np.broadcast_to(c.args[2], c.args[3].shape), n_inf), 0).sum()
+                   for c in rows.call_args_list)
+        gathered = [c.args for c in kernel.call_args_list if np.ndim(c.args[1])]
+        exact = sum(np.count_nonzero(a[1] < k - top) for a in gathered)
+        seen["pruned"] += exact < body
+        seen["scored"] += sum(np.count_nonzero(a[1] < k - top) for a in gathered if a[7] is None) > 0
+        seen["dense"] += any(isinstance(c.args[1], slice) for c in kernel.call_args_list)
+
+    check()
+    assert min(seen.values()) > 0, seen
+
+
 def _check_margin(logs, rows):
     """Every cell scored for the given rows lies within delta/4 of its exact
-    log-mean, computed with mpmath."""
+    log-mean, computed with mpmath, and so does every tail-block bound, the
+    set's sum over the size of the block's first set."""
     k = logs.size
     delta = discovery._margin(np.abs(logs[np.isfinite(logs)]).max(initial=0.0), k, U1)
     x = [mpmath.exp(mpmath.mpf(float(v))) for v in logs]
@@ -775,18 +833,18 @@ def _check_margin(logs, rows):
         results = []
         real = discovery.tail_merges
 
-        def spy(S, tails, P, Psum, arity, spec):
-            out = real(S, tails, P, Psum, arity, spec)
+        def spy(S, tails, P, Psum, arity, spec, k, comb_size=None):
+            out = real(S, tails, P, Psum, arity, spec, k, comb_size)
             i = tails + np.arange(out.shape[-1]) if np.ndim(tails) == 0 else tails
-            results.append(np.broadcast_arrays(r - arity, i, out))
+            size = arity + (k - i) if comb_size is None else comb_size  # the divisor C(size, 1)
+            results.append(np.broadcast_arrays(r - arity, i, size, out))
             return out
 
         with mock.patch.object(discovery, "tail_merges", spy):
             diagonal_row(RankedValues.from_logs(logs), r, U1)
-        for js, iss, cs in results:
-            for j, i, c in {(int(j), int(i), float(c)) for j, i, c in
-                            zip(js.ravel(), iss.ravel(), cs.ravel())}:
-                m = (r - j) + (k - i)
+        for js, iss, ms, cs in results:
+            for j, i, m, c in {(int(j), int(i), int(m), float(c)) for j, i, m, c in
+                               zip(js.ravel(), iss.ravel(), ms.ravel(), cs.ravel())}:
                 exact = mpmath.log((base[j] + tail[i]) / m) if m else mpmath.mpf(0)
                 err = float(abs(c - exact))
                 worst = max(worst, math.inf if math.isnan(err) else err)  # max() drops a NaN
@@ -843,7 +901,7 @@ def test_margin_is_sound_over_whole_suffix_cells(spec):
         for logs in _margin_inputs(np.random.default_rng(8)):
             k = logs.size
             delta = discovery._margin(np.abs(logs[np.isfinite(logs)]).max(), k, spec)
-            cells = discovery.tail_merges(discovery.suffix_esp_levels(logs, top), 0, (0.0,), 0.0, 0, spec)
+            cells = discovery.tail_merges(discovery.suffix_esp_levels(logs, top), 0, (0.0,), 0.0, 0, spec, k)
             x = [mpmath.exp(mpmath.mpf(float(v))) for v in logs]
             e = [[mpmath.mpf(1)] * (k + 1)] + [[mpmath.mpf(0)] * (k + 1) for _ in range(top)]
             for i in range(k - 1, -1, -1):
@@ -858,13 +916,58 @@ def test_margin_is_sound_over_whole_suffix_cells(spec):
             assert worst <= delta / 4, (worst, delta)
 
 
+@pytest.mark.parametrize("spec", [U2, _U5, U1_U2_HALF])
+def test_margin_is_sound_over_tail_block_bounds(spec):
+    """delta bounds the rounding error of the tail blocks' kernel cells with a
+    factor 4 to spare: each block's last cell and its bound, the same cell
+    with log C(m, n) read at the size m of the block's first set, against an
+    mpmath evaluation of sum_n w_n e_n(set) / C(m, n) over the exact values
+    of the stored doubles (at most 400 of each row's, spread over the row)."""
+    top, weights = spec.max_degree, spec.weight_vector()
+    real = discovery.tail_merges
+    with mpmath.workprec(96):
+        for logs in _margin_inputs(np.random.default_rng(8)):
+            k = logs.size
+            delta = discovery._margin(np.abs(logs[np.isfinite(logs)]).max(), k, spec)
+            x = [mpmath.exp(mpmath.mpf(float(v))) for v in logs]
+            tail = [[mpmath.mpf(1)] * (k + 1)] + [[mpmath.mpf(0)] * (k + 1) for _ in range(top)]
+            for i in range(k - 1, -1, -1):
+                for b in range(1, top + 1):
+                    tail[b][i] = tail[b][i + 1] + x[i] * tail[b - 1][i + 1]
+            r = k // 3
+            base = [[mpmath.mpf(1)] * (r + 1)] + [[mpmath.mpf(0)] * (r + 1) for _ in range(top)]
+            for j in range(r - 1, -1, -1):
+                for b in range(1, top + 1):
+                    base[b][j] = base[b][j + 1] + x[j] * base[b - 1][j + 1]
+            found = set()
+
+            def spy(S, tails, P, Psum, arity, spec, k, comb_size=None):
+                out = real(S, tails, P, Psum, arity, spec, k, comb_size)
+                if comb_size is not None:  # (last cells, bounds): sets {j+1..r} + {e+1..K}, sizes m
+                    found.update(zip(*(a.ravel().tolist() for a in np.broadcast_arrays(
+                        r - arity, tails, comb_size, out))))
+                return out
+
+            with mock.patch.object(discovery, "tail_merges", spy):
+                discovery.row_bounds(logs, [r], 1, spec)
+            cells = sorted(found)
+            assert cells
+            worst = 0.0
+            for j, e, m, c in cells[:: -(-len(cells) // 400)]:
+                exact = mpmath.log(mpmath.fsum(
+                    w * mpmath.fsum(base[a][j] * tail[n - a][e] for a in range(n + 1)) / mpmath.binomial(m, n)
+                    for n, w in enumerate(weights) if w > 0.0))
+                worst = max(worst, 0.0 if c == exact else float(abs(c - exact)))
+            assert worst <= delta / 4, (worst, delta)
+
+
 def test_walk_peak_memory():
     """The walk's Python-heap peak at K = 500 stays within 1 MB of the full
     kernel's, so the matrix_scan benchmark's peak RSS does not grow."""
     rk = RankedValues.from_logs(np.random.default_rng(42).normal(0.0, 5.0, 500))
     discovery_matrix(rk, U1)  # first-call caches stay out of the peak
     peaks = []
-    for build in (lambda: discovery_matrix(rk, U1), lambda: _full_kernel(rk, U1)):
+    for build in (lambda: discovery_matrix(rk, U1), lambda: full_kernel_oracle(rk.sorted_logs, U1)):
         tracemalloc.start()
         try:
             build()

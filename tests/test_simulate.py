@@ -249,14 +249,15 @@ def test_tracked_run_peak_memory(cfg):
     """The Python-heap peak of a 2,000-step tracked run guards the tracker's
     block length, ``RowTracker.block``.
 
-    Measured (tracemalloc, numpy 2.4.6): 1.09-1.71 MB over these shapes,
-    rows 98-101 1.28 MB in blocks of 81 steps and rows 500-503 at K = 1000
-    the most, in blocks of 17.  Rows 98-101 in blocks of 163 steps reach
-    2.15 MB and in blocks of 327 steps 3.82 MB, and rows 500-503 at
-    K = 1000 in blocks of 18 steps 1.87 MB and of 34 steps 2.83 MB.  Null
-    sd 1e-160 makes all 2,000 steps +inf-led, and each block of them takes
-    a finite stand-in copy: 1.42 MB in blocks of 81 steps, 2.34 MB in blocks
-    of 163.
+    Measured (tracemalloc, numpy 2.4.6): 0.91-1.50 MB over these shapes,
+    rows 98-101 1.15 MB in blocks of 81 steps, row 100 the least (its
+    every-step table holds only the columns the empty-base call reads) and
+    rows 500-503 at K = 1000 the most, in blocks of 17.  Rows 98-101 in
+    blocks of 163 steps reach 1.90 MB and in blocks of 327 steps 3.36 MB,
+    and rows 500-503 at K = 1000 in blocks of 18 steps 1.64 MB and of 37
+    steps 2.75 MB.  Null sd 1e-160 makes all 2,000 steps +inf-led, and each
+    block of them takes a finite stand-in copy: 1.30 MB in blocks of 81
+    steps, 2.11 MB in blocks of 163.
     """
     run_experiment(replace(cfg, steps=10))  # first-call caches stay out of the peak
     tracemalloc.start()
