@@ -40,19 +40,19 @@ sit at the ends of the valley, no unscored tail computes to a value <= w,
 and the stored minimum carries the bits of the minimum over all tails.  A
 window holding a set of zeros (w = -inf) needs no check.
 
-Per block of rows a vectorised binary search places each cell's valley at
-the first k with S^k (a + D_k) <= the base's sum, where a is the base's size
-and D_k the sum of 1 - S^t / S^k over the tail {k..K}.  The walk scores the
-tails within 2 of it, and the two product-term columns (tail sizes 1 and 0),
-through ``tail_merges``.  A cell whose window fails the check (flat stretches
-such as ties, all-equal values or spreads near delta) goes to ``_row_cells``,
-the full-tail scorer below.  The search only places the window; correctness
-rests on the check.
+``_row_cells`` runs the walk over the cells of each call, a block of rows: a
+vectorised binary search places each cell's valley at the first k with
+S^k (a + D_k) <= the base's sum, where a is the base's size and D_k the sum
+of 1 - S^t / S^k over the tail {k..K}.  The walk scores the tails within 2
+of it, and the two product-term columns (tail sizes 1 and 0), through
+``tail_merges``.  A cell whose window fails the check (flat stretches such
+as ties, all-equal values or spreads near delta) goes on to the tail blocks
+below.  The search only places the window; correctness rests on the check.
 
 Tail-block bound.  Every cell under a spec of top degree t >= 2 (u2, u5, the
-mixtures), and every cell the walk leaves uncertified, goes to the full-tail
-scorer ``_row_cells``, which skips blocks of tails under a bound that needs
-no valley.  For tail starts s <= i <= e the sets are nested: base + {e+1..K}
+mixtures), and every cell the walk leaves uncertified, is scored by tail
+blocks (``_tail_minima``), which skip tails under a bound that needs no
+valley.  For tail starts s <= i <= e the sets are nested: base + {e+1..K}
 lies in base + {i+1..K}, which lies in base + {s+1..K}, of sizes m(e) <= m(i)
 <= m(s).  Each e_n grows with the set (the values are nonnegative) and
 C(m, n) grows with m, so when m(e) > t, F(set(i)) = sum_n w_n e_n(set(i)) /
@@ -291,7 +291,7 @@ def tail_merges(S, tails, P, Psum, arity, spec: MergeSpec, k: int, comb_size=Non
     Every cell takes the same elementwise operations either way, so a gathered
     cell, or a cell of a shorter run, carries the bits of its counterpart in
     the full contiguous call.  No set holding a +inf value may reach the
-    kernel (its padding would meet it as inf - inf): ``_row_cells`` skips
+    kernel (its padding would meet it as inf - inf): ``_row_blocks`` skips
     those cells, and ``RowTracker`` scores them over a finite stand-in and
     sets them to +inf after.
     """
@@ -343,12 +343,13 @@ TAIL_BLOCKS = (16, 4, 1)
 def _row_cells(logs: np.ndarray, S: np.ndarray, r, cols: np.ndarray, spec: MergeSpec) -> np.ndarray:
     """Raw cells (r, j) of the columns j in ``cols`` in natural log, r one row
     or one per column, in ascending order, each the minimum over all tails of
-    its base {j+1..r}, which must hold no +inf value, scored by tail blocks
-    (``_tail_minima``).
+    its base {j+1..r}, which must hold no +inf value.  Under top degree 1
+    the threshold walk (``_walk``) certifies most cells; the rest, and every
+    cell under a higher top degree, go by tail blocks (``_tail_minima``).
 
-    The cells go in chunks of consecutive cells, so the heap stays flat in
-    K.  A chunk's work is its cells x tails, with each cell's top + 1 product
-    tails counted four times over (their call holds about four times the
+    Those go in chunks of consecutive cells, so the heap stays flat in K.  A
+    chunk's work is its cells x tails, with each cell's top + 1 product tails
+    counted four times over (their call holds about four times the
     temporaries per tail of the blocked calls), and since the temporaries
     grow with the degree a chunk holds at most TRACK_BLOCK_CELLS * 144 //
     (top + 1)^2 of it (``TRACK_BLOCK_CELLS * 16`` at top degree 2), and at
@@ -357,40 +358,56 @@ def _row_cells(logs: np.ndarray, S: np.ndarray, r, cols: np.ndarray, spec: Merge
     r = np.broadcast_to(r, cols.shape)
     i0 = np.maximum(r, np.count_nonzero(np.isposinf(logs)))  # tails hold no +inf value
     edge = 2.0 * _margin(np.abs(logs[np.isfinite(logs)]).max(initial=0.0), k, spec)
+    if top == 1:  # the walk certifies most cells, the tail blocks score the rest
+        out, certified = _walk(logs, S, r, cols, i0, edge, spec)
+        todo = np.flatnonzero(~certified)
+    else:
+        out, todo = np.empty(cols.size), slice(None)
+    r, cols, i0, cells = r[todo], cols[todo], i0[todo], out[todo]  # at top >= 2, views of every cell
     work = np.cumsum(k + 1 - i0 + 4 * (top + 1))
     budget = TRACK_BLOCK_CELLS * 144 // (top + 1) ** 2
-    out, start = np.empty(cols.size), 0
+    start = 0
     while start < cols.size:
         stop = max(int(np.searchsorted(work, (work[start - 1] if start else 0) + budget, side="right")), start + 1)
-        out[start:stop] = _tail_minima(logs, S, r[start:stop], cols[start:stop], i0[start:stop], spec, edge)
+        cells[start:stop] = _tail_minima(logs, S, r[start:stop], cols[start:stop], i0[start:stop], spec, edge)
         start = stop
+    out[todo] = cells  # at top >= 2, out itself
     return out
+
+
+def _bases(logs: np.ndarray, r: np.ndarray, j: np.ndarray, top: int):
+    """The bases {j+1..r} of the cells (r, j), r ascending: their log esp
+    levels 1..top (shape (top, cells); level 0 is 0.0), log products and
+    sizes.
+
+    Each base's levels come from its row's prefix, padded with -inf past r:
+    an exact identity of the suffix ``logaddexp``, so every base carries the
+    bits of its row's own prefix levels, whose top level holds the product of
+    a base of at most top values."""
+    first = np.diff(r, prepend=-1) != 0  # each row's first cell
+    levels = suffix_esp_levels(np.where(np.arange(r[-1]) >= r[first, None], -np.inf, logs[:r[-1]]), top)
+    at = (np.cumsum(first) - 1) * levels[0].size + j  # each base's level 0 in the flat table
+    width, arity = levels.shape[-1], r - j
+    E = levels.take(at + width * np.arange(1, top + 1)[:, None])
+    return E, levels.take(at + width * np.minimum(arity, top)), arity
 
 
 def _tail_minima(logs, S, r, j, i0, spec: MergeSpec, edge: float) -> np.ndarray:
     """The cells (r, j) of one chunk over the tails i0..K, by tail blocks
     (module docstring).
 
-    Each base's levels come from its row's prefix, padded with -inf past r:
-    an exact identity of the suffix ``logaddexp``, so every base carries the
-    bits of its row's own prefix levels, whose top level holds the product of
-    a base of at most top values.  The last top + 1 tails carry the product
-    term and are always scored.  The others go in blocks of ``TAIL_BLOCKS``
-    tails: each level scores its blocks' last cells and bounds in one call
-    and passes on the rest of each block whose bound is not above the cell's
-    best by ``edge`` (2 delta); the last level scores single tails.  A cell
-    that keeps every block of the first level scores its tails in one
-    contiguous call per tail start instead, which costs less per tail."""
+    The last top + 1 tails carry the product term and are always scored.  The
+    others go in blocks of ``TAIL_BLOCKS`` tails: each level scores its
+    blocks' last cells and bounds in one call and passes on the rest of each
+    block whose bound is not above the cell's best by ``edge`` (2 delta); the
+    last level scores single tails.  A cell that keeps every block of the
+    first level scores its tails in one contiguous call per tail start
+    instead, which costs less per tail."""
     k, top = logs.size, spec.max_degree
-    first = np.diff(r, prepend=-1) != 0  # each row's first cell (r ascends)
-    rows, row = r[first], np.cumsum(first) - 1
-    levels = suffix_esp_levels(np.where(np.arange(rows[-1]) >= rows[:, None], -np.inf, logs[:rows[-1]]), top)
-    arity = r - j
-    P = levels[row, :, j].T  # each base's levels, (top+1, cells)
-    prod = P[np.minimum(arity, top), np.arange(j.size)]
+    E, prod, arity = _bases(logs, r, j, top)
 
     def score(cell, tails, comb_size=None):
-        return tail_merges(S, tails, P[:, cell], prod[cell], arity[cell], spec, k, comb_size)
+        return tail_merges(S, tails, (0.0, *E[:, cell]), prod[cell], arity[cell], spec, k, comb_size)
 
     best = score(np.arange(j.size)[:, None], np.maximum(k - top + np.arange(top + 1), i0[:, None])).min(axis=1)
     # live blocks: a cell and its tails lo..hi, at first every tail before the product tails
@@ -430,63 +447,61 @@ def _margin(big, k: int, spec: MergeSpec):
     return 2.0 ** -50 * top * (k + 8) * (scale + 4.0)
 
 
-def _walk(logs: np.ndarray, S: np.ndarray, r: np.ndarray, n_inf: int,
+def _walk(logs: np.ndarray, S: np.ndarray, r: np.ndarray, j: np.ndarray, i0: np.ndarray, edge: float,
           spec: MergeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The threshold walk (module docstring) over the rows r, a column, under a
-    spec of top degree 1: the cells of columns 0..max(r) and the mask of those
-    it certified, each of which carries the bits of ``_row_cells``.  The
-    product term reads a base's product only when it holds at most one
-    value: 0.0 for the empty base, else its e_1 level, the value itself."""
+    """The threshold walk (module docstring) over the cells (r, j), r
+    ascending, whose tails start at i0, under a spec of top degree 1, with
+    ``edge`` its 2 delta: the cells and the mask of those it certified, each
+    of which carries the bits of the tail blocks'.  The product term reads a
+    base's product only when it holds at most one value: 0.0 for the empty
+    base, else its e_1 level, the value itself."""
     k = logs.size
-    r1 = int(r[-1, 0])
-    jc = np.clip(np.arange(r1 + 1), np.minimum(n_inf, r), r)  # outside lo..r: a row cell's copy
-    # each row's bases {j+1..r} from its own padded prefix: -inf is an exact
-    # identity of the suffix logaddexp, so every base carries the bits of the
-    # row's unpadded suffix levels
-    pad = np.arange(r1) >= r
-    levels = suffix_esp_levels(np.where(pad, -np.inf, logs[:r1]), 1)
-    base_sum = np.take_along_axis(levels[:, 1], jc, axis=1)  # log of the base's sum
-    arity = r - jc
-    prod = np.where(arity == 0, 0.0, base_sum)  # read for bases of at most one value
+    (e1,), prod, arity = _bases(logs, r, j, 1)
 
     def score(tails):
-        return tail_merges(S, tails, (0.0, base_sum), prod, arity, spec, k)
+        return tail_merges(S, tails, (0.0, e1), prod, arity, spec, k)
 
-    # the valley runs over the tail starts i0..hi; the base-alone end i = K is
-    # a mean only for a nonempty base
-    i0 = np.maximum(r, n_inf)
+    # the two product-term columns, tail sizes 1 and 0
+    ends = np.minimum(score(np.maximum(k - 1, i0)), score(np.full_like(i0, k)))
+    left, right, closed = _window(logs, S, e1, arity, i0)
+    first = low = score(left)
+    for t in range(1, 5):
+        last = score(np.minimum(left + t, right))
+        low = np.minimum(low, last)
+    certified = (closed[0] | (first > low + edge)) & (closed[1] | (last > low + edge))
+    certified |= low == -math.inf  # a set of zeros: nothing computes lower
+    return np.minimum(low, ends), certified
+
+
+def _window(logs: np.ndarray, S: np.ndarray, base_sum: np.ndarray, arity: np.ndarray, i0: np.ndarray):
+    """The walk's window [left, right] of the five tails within 2 of each
+    cell's valley, and whether each edge sits at an end of the valley, which
+    runs over the tail starts i0..hi (the base-alone end i = K is a mean only
+    for a nonempty base); its own function, so the search's temporaries are
+    freed before the window is scored."""
+    k = logs.size
     hi = np.maximum(np.where(arity == 0, k - 1, k), i0)
     # place each valley: the first i with x_i (a + D_i) <= the base's sum,
     # where D_i is the sum of 1 - x_t / x_i over t >= i
     finite = np.where(np.isfinite(logs), logs, 0.0)
     dev = np.maximum(np.arange(k, 0, -1) - np.exp(S[1, :k] - finite), 0.0)
-    a, b = np.broadcast_to(i0, hi.shape), hi
+    a, b = i0, hi
     with np.errstate(divide="ignore"):  # log 0 for an empty base over tied values
         while (a < b).any():
             mid = np.minimum((a + b) // 2, k - 1)
             falls = logs[mid] + np.log(arity + dev[mid]) > base_sum
             a, b = np.where((a < b) & falls, mid + 1, a), np.where((a < b) & ~falls, mid, b)
-    # score the window [left, right] of the five tails within 2 of the valley
     left = np.maximum(i0, np.minimum(a - 2, hi - 4))
     right = np.minimum(left + 4, hi)
-    first = low = score(left)
-    for t in range(1, 5):
-        last = score(np.minimum(left + t, right))
-        low = np.minimum(low, last)
-    edge = low + 2.0 * _margin(np.abs(logs[np.isfinite(logs)]).max(initial=0.0), k, spec)
-    certified = ((left == i0) | (first > edge)) & ((right == hi) | (last > edge))
-    certified |= low == -math.inf  # a set of zeros: nothing computes lower
-    # the two product-term columns, tail sizes 1 and 0
-    cells = np.minimum(low, np.minimum(score(np.maximum(k - 1, i0)), score(np.full_like(i0, k))))
-    return cells, certified
+    return left, right, (left == i0, right == hi)
 
 
 def _row_blocks(logs: np.ndarray, rows: np.ndarray, spec: MergeSpec):
     """Yields (r, cells) for each block of ``max(1, TRACK_BLOCK_CELLS // (K+1))``
     of the ascending rows, all over one table of suffix levels: the rows and
-    their raw cells in natural log, NaN above the diagonal, the cells the walk
-    certifies under a spec of top degree 1 and every other cell through the
-    full-tail scorer, in one call per block."""
+    their raw cells in natural log, NaN above the diagonal, the in-row cells
+    whose bases hold no +inf value scored by ``_row_cells`` in one call per
+    block."""
     S = suffix_esp_levels(logs, spec.max_degree)
     n_inf = int(np.count_nonzero(np.isposinf(logs)))
     size = max(1, TRACK_BLOCK_CELLS // (logs.size + 1))
@@ -494,17 +509,11 @@ def _row_blocks(logs: np.ndarray, rows: np.ndarray, spec: MergeSpec):
         r = rows[b : b + size, None]
         j = np.arange(r[-1, 0] + 1)
         lo = np.minimum(n_inf, r)  # bases of the columns j < lo hold a +inf value
+        cells = np.where(j < lo, math.inf if spec.has_positive_degree else 0.0, math.nan)
         todo = (j >= lo) & (j <= r)  # in-row cells whose bases hold no +inf value
-        if spec.max_degree == 1:
-            cells, certified = _walk(logs, S, r, n_inf, spec)
-            todo &= ~certified
-        else:
-            cells = np.empty(todo.shape)
-        n, cols = np.nonzero(todo)
-        if cols.size:
-            cells[n, cols] = _row_cells(logs, S, r[n, 0], cols, spec)
-        cells[j < lo] = math.inf if spec.has_positive_degree else 0.0
-        cells[j > r] = math.nan
+        if todo.any():  # each cell's row and column, in row order
+            rr, jj = (np.broadcast_to(x, todo.shape)[todo] for x in (r, j))
+            cells[todo] = _row_cells(logs, S, rr, jj, spec)
         yield r[:, 0], cells
 
 

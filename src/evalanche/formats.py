@@ -242,22 +242,11 @@ def series_csv_columns(run: RunResult) -> Iterator[str]:
 
 def series_csv_chunks(records: Iterable[tuple[int, int, str, float]]) -> Iterator[str]:
     """The header, then the lines 4,096 at a time.  The ``value`` column is
-    derived here, by ``linear_cell``.  A value with the bits of its (row, kind)
-    series' value before it reuses that value's text."""
+    derived here, by ``linear_cell``."""
     yield f"{SERIES_HEADER}\n"
-    last: dict[tuple[int, str], tuple[float, str]] = {}  # (row, kind) -> (value, its text)
     records = iter(records)
-    while True:
-        lines = []
-        for step, row, kind, l10 in itertools.islice(records, _CHUNK_LINES):
-            before, text = last.get((row, kind), (None, ""))
-            # a bit test: == but for the sign of zero; a NaN fails ==, and linear_cell raises
-            if before != l10 or (l10 == 0.0 and math.copysign(1.0, l10) != math.copysign(1.0, before)):
-                text = f"{l10!r},{linear_cell(l10)}"
-                last[row, kind] = l10, text
-            lines.append(f"{step},{row},{kind},{text}\n")
-        if not lines:
-            return
+    while lines := [f"{step},{row},{kind},{l10!r},{linear_cell(l10)}\n"
+                    for step, row, kind, l10 in itertools.islice(records, _CHUNK_LINES)]:
         yield "".join(lines)
 
 

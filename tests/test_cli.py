@@ -198,12 +198,15 @@ def test_edge_values_golden_bytes(capsys, argv, golden):
 
 @pytest.mark.parametrize("merge, golden", [
     ("u2", "prune_matrix_u2.csv"), ("u5", "prune_matrix_u5.csv"), ("mix:0.2,0.3,0.5", "prune_matrix_mix.csv"),
+    ("mix:0.25,0.75", "prune_matrix_mix_0.25_0.75.csv"),
 ])
 def test_prune_values_golden_bytes(capsys, merge, golden):
     """120 values with a leading +inf, ties of 0.0 and -0.0 and five values of
     exactly zero, enough tails for the full-tail scorer to skip tail blocks:
     each matrix matches its golden file, written before the block bound was
-    added, byte for byte."""
+    added (the top-degree-1 mixture's before the walk moved into the cell
+    scorer), byte for byte.  Under that mixture the walk certifies 7,146
+    cells and leaves 114 to the tail blocks, so both rules are pinned."""
     code, out, err = run_cli(capsys, "matrix", "--merge", merge, "--values", str(GOLDEN / "prune_values.csv"))
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / golden).read_bytes()
@@ -638,6 +641,25 @@ def test_closed_stdout_ends_output_quietly(argv, head):
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 0, err
     assert err == b""
+
+
+def test_scans_leave_numpy_ma_unimported():
+    """``matrix``, ``diagonal`` and ``subdiag`` never import ``numpy.ma``, as a
+    float ``np.unique`` would (numpy 2.4), adding about 1.3 MB to the peak
+    RSS of each run; ``row_bounds`` takes ``np.unique`` of int64 rows only."""
+    env = {**os.environ, "PYTHONPATH": str(Path(evalanche.__file__).resolve().parents[1])}
+    code = (
+        "import contextlib, io, sys\n"
+        "from evalanche.cli import main\n"
+        "for argv in (['matrix', '--merge', 'u1'], ['matrix', '--merge', 'u2'],\n"
+        "             ['diagonal', '--rows', '3,1,3'], ['subdiag', '--merge', 'u2']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main([*argv, '--values', sys.argv[1]]) == 0, argv\n"
+        "    assert 'numpy.ma' not in sys.modules, argv\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(GOLDEN / "prune_values.csv")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- fuzzing the input parsers through the CLI -------------------------------

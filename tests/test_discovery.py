@@ -695,7 +695,8 @@ def _walk_logs(draw):
 
 
 def _tail_calls(calls):
-    """Cells handed to the full-tail scorer: the columns of its calls."""
+    """Cells the walk leaves to the tail blocks: the columns of the
+    ``_tail_minima`` calls."""
     return sum(np.size(c.args[3]) for c in calls)
 
 
@@ -710,7 +711,7 @@ def test_u1_walk_matches_full_kernel():
     def check(logs, spec, data):
         rk = RankedValues.from_logs(logs)
         want = full_kernel_oracle(rk.sorted_logs, spec)
-        with mock.patch.object(discovery, "_row_cells", wraps=discovery._row_cells) as spy:
+        with mock.patch.object(discovery, "_tail_minima", wraps=discovery._tail_minima) as spy:
             got = discovery_matrix(rk, spec)
         assert _same_bits(got.log10, want / math.log(10.0))
         n_inf = int(np.isposinf(logs).sum())
@@ -996,21 +997,21 @@ def test_full_tail_peak_memory():
 
 def test_row_cells_heap_is_flat_in_k():
     """The middle row under u2 at K = 2000 scores 1001 x 1001 cells x tails,
-    8 MB a kernel temporary in one call (a 32 MB peak); scored in chunks of
-    ``TRACK_BLOCK_CELLS * 64`` cells x tails it peaks within five chunks'
-    bytes (21 MB), a bound that does not grow with K."""
-    k = 2000
-    logs = RankedValues.from_logs(np.random.default_rng(42).normal(0.0, 5.0, k)).sorted_logs
-    S = discovery.suffix_esp_levels(logs, U2.max_degree)
-    cols = np.arange(k // 2 + 1)
-    discovery._row_cells(logs, S, k // 2, cols, U2)  # first-call caches stay out of the peak
-    tracemalloc.start()
-    try:
-        discovery._row_cells(logs, S, k // 2, cols, U2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5 * discovery.TRACK_BLOCK_CELLS * 64 * 8, peak
+    8 MB a kernel temporary in one call; scored in chunks of at most
+    ``TRACK_BLOCK_CELLS * 16`` cells x tails (the u2 budget) it peaks within
+    five chunks' bytes (5.2 MB), at K = 2000 and at K = 4000 alike."""
+    for k in (2000, 4000):
+        logs = RankedValues.from_logs(np.random.default_rng(42).normal(0.0, 5.0, k)).sorted_logs
+        S = discovery.suffix_esp_levels(logs, U2.max_degree)
+        cols = np.arange(k // 2 + 1)
+        discovery._row_cells(logs, S, k // 2, cols, U2)  # first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            discovery._row_cells(logs, S, k // 2, cols, U2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * discovery.TRACK_BLOCK_CELLS * 16 * 8, (k, peak)
 
 
 @pytest.mark.parametrize("spec", [U1, U2, U1_U2_HALF, MergeSpec.nesp(5)])
@@ -1025,7 +1026,7 @@ def test_row_cells_chunks_keep_every_bit(monkeypatch, spec):
         cols = np.arange(2, r + 1)  # the bases past the two +inf values
         whole = discovery._row_cells(logs, S, r, cols, spec)  # one call at this size
         with monkeypatch.context() as m:
-            m.setattr(discovery, "TRACK_BLOCK_CELLS", 1)  # 64 cells x tails a call
+            m.setattr(discovery, "TRACK_BLOCK_CELLS", 1)  # at most 144 // (top+1)^2 cells x tails a call
             assert _same_bits(discovery._row_cells(logs, S, r, cols, spec), whole), r
 
 
