@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import os
 import sys
 from dataclasses import replace
@@ -51,22 +52,28 @@ def _as_usage_error(context: str):
 
 
 def _read(path: str, what: str, parse):
-    """``parse`` of the file's text; an unreadable or malformed file is a usage error."""
+    """``parse`` of the file at ``path``, handed over open, so a CSV parser reads
+    it a piece at a time and no whole text is held.  The bytes of a file that
+    cannot seek (a pipe such as ``<(cat m.csv)``) are held in memory and read
+    the same way, as a bad matrix row is read again from the start.  An
+    unreadable, undecodable or malformed file is a usage error.  A decode
+    error names no position: the decoder's is within the piece it reads."""
     try:
-        text = Path(path).read_text()
+        with open(path) as f, _as_usage_error(f"bad {what} file {path!r}"):
+            return parse(f if f.seekable() else io.TextIOWrapper(io.BytesIO(f.buffer.read())))
     except OSError as exc:
         raise _UsageError(f"cannot read {what}: {exc}") from exc
-    with _as_usage_error(f"bad {what} file {path!r}"):
-        return parse(text)
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"cannot read {what} file {path!r}: {exc.encoding!r} codec can't decode "
+                          f"byte {exc.object[exc.start]:#04x}: {exc.reason}") from exc
 
 
 def _load_values(text: str) -> list[LogValue]:
-    """Either a values CSV path or an inline comma list of linear values; at
-    most ``MAX_K`` of them, checked before any table is built."""
-    try:
-        is_file = Path(text).is_file()
-    except OSError:  # too long for a path name: a long inline list
-        is_file = False
+    """Either a values CSV path (any path but a directory, so a pipe too) or an
+    inline comma list of linear values; at most ``MAX_K`` of them, checked
+    before any table is built.  A long inline list, too long for a path name,
+    does not exist as one."""
+    is_file = os.path.exists(text) and not os.path.isdir(text)
     if is_file:
         values = _read(text, "values", formats.parse_values_csv)
     else:

@@ -16,15 +16,18 @@ the CSV text (``_json_float_out``).  Every SVG has one frame (``_svg``).
 
 Matrix text is made and read a row at a time, in bounded chunks: the
 writers yield a row per chunk to ``write_chunks``, and every CSV parser reads
-lines through ``_lines``.  At K = 500, ``matrix --heatmap --out`` peaks at
-3.7 MB of heap (17.5 MB whole) and the parse at 3.1 MB (12.4 MB).  Row r of a matrix CSV is its
+lines through ``_lines``, 64 KiB of a text or of an open file at a time.  At
+K = 500, ``matrix --heatmap --out`` peaks at 3.7 MB of heap (17.5 MB whole),
+the parse at 3.1 MB (12.4 MB) and ``region`` at 4.1 MB (8.4 MB with the whole
+file read first).  Row r of a matrix CSV is its
 r+1 non-empty lines ``r,j,log10_value,bucket`` for j = 0..r; joined with
 newlines and split on commas they must be exactly the 3r+4 tokens ``r``,
 then per cell ``j`` (the writer's ``str(j)``), a value ``float`` reads as
 non-NaN, and ``bucket\nr`` (a bare ``bucket`` for the last cell), the bucket
 being the name ``_buckets`` gives the value.  A row that fails is read again
-line by line (``_matrix_row_error``) to name its first bad line, so a text
-with one fault gets the message a line-at-a-time reader would give.
+line by line from the start (``_matrix_row_error``) to name its first bad
+line, so a text with one fault gets the message a line-at-a-time reader would
+give.
 
 A value is converted once per column run: a matrix cell with the bits of the
 cell above it reuses that cell's repr, the parser reuses the float of a token
@@ -48,7 +51,7 @@ import platform
 import sys
 import typing
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -63,6 +66,9 @@ from .simulate import ExperimentConfig, RunResult
 SERIES_HEADER = "step,row,kind,log10_value,value"
 MATRIX_HEADER = "r,j,log10_value,bucket"
 VALUES_HEADER = "k,log10_value"
+
+# What a parser reads: a text, or a text file open for reading.
+Source = str | TextIO
 
 
 def linear_value(log10_value: float) -> float | None:
@@ -99,7 +105,10 @@ def json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _read_json(text: str, what: str):
+def _read_json(source: Source, what: str):
+    """The JSON value of ``source``; an open file is read whole, as JSON files are small."""
+    text = source if isinstance(source, str) else source.read()
+
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         obj = {}
         for key, value in pairs:
@@ -122,28 +131,43 @@ def write_chunks(chunks: Iterable[str], path: str | Path | None) -> None:
         f.flush()
 
 
-def _lines(text: str, chunk: int = 1 << 16) -> Iterator[str]:
-    r"""``text.splitlines()``, split from cuts about ``chunk`` characters apart.
-    Each cut falls just after a ``"\n"``, so ``"\r\n"`` never straddles one and
-    every break ``splitlines`` honours still ends a line."""
-    a = 0
-    while a < len(text):
-        b = text.find("\n", a + chunk) + 1 or len(text)
-        yield from text[a:b].splitlines()
-        a = b
+def _pieces(source: Source, size: int) -> Iterator[str]:
+    """``source`` ``size`` characters at a time (at least one): slices of a
+    text, or reads of an open text file up to its end."""
+    size = max(size, 1)
+    if isinstance(source, str):
+        return (source[a:a + size] for a in range(0, len(source), size))
+    return iter(lambda: source.read(size), "")
 
 
-def _after_header(text: str, header: str, what: str) -> Iterator[str]:
-    """The lines of ``text`` after its first, which must be ``header``."""
-    lines = _lines(text)
+def _lines(source: Source, chunk: int = 1 << 16) -> Iterator[str]:
+    r"""``splitlines()`` of the whole text of ``source``, read ``chunk``
+    characters at a time, so no whole text is built.  Each piece is cut just
+    after its last ``"\n"``, which ends a line whatever follows it (the
+    ``"\n"`` of a ``"\r\n"`` included), and the rest is carried into the next
+    piece, so every break ``splitlines`` honours still ends a line."""
+    rest = ""
+    for piece in _pieces(source, chunk):
+        cut = piece.rfind("\n") + 1
+        if cut:
+            yield from (rest + piece[:cut]).splitlines()
+            rest = piece[cut:]
+        else:
+            rest += piece
+    yield from rest.splitlines()
+
+
+def _after_header(source: Source, header: str, what: str) -> Iterator[str]:
+    """The lines of ``source`` after its first, which must be ``header``."""
+    lines = _lines(source)
     if next(lines, None) != header:
         raise DomainError(f"{what} CSV must start with {header!r}")
     return lines
 
 
-def _data_lines(text: str, header: str, what: str):
+def _data_lines(source: Source, header: str, what: str):
     """(line number, line) of each non-empty line after ``header``."""
-    return ((n, line) for n, line in enumerate(_after_header(text, header, what), start=2) if line)
+    return ((n, line) for n, line in enumerate(_after_header(source, header, what), start=2) if line)
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +278,11 @@ def series_csv(records: Sequence[tuple[int, int, str, float]]) -> str:
     return "".join(series_csv_chunks(records))
 
 
-def parse_series_csv(text: str) -> list[tuple[int, int, str, float]]:
+def parse_series_csv(source: Source) -> list[tuple[int, int, str, float]]:
     """Inverse of ``series_csv``; a bad line, including a ``value`` that is
     not ``linear_cell(log10_value)``, raises DomainError naming it."""
     records = []
-    for n, line in _data_lines(text, SERIES_HEADER, "series"):
+    for n, line in _data_lines(source, SERIES_HEADER, "series"):
         try:
             step_s, row_s, kind, l10_s, value = line.split(",")
             step, row, l10 = int(step_s), int(row_s), float(l10_s)
@@ -331,12 +355,15 @@ def _matrix_row(tokens: list[str], index: list[str], above: tuple[list[str], np.
     return (texts, row) if tokens[3::3] == want else None
 
 
-def _matrix_row_error(text: str, r: int) -> DomainError:
-    """The error of row r, which ``_matrix_row`` rejected: its lines are checked
+def _matrix_row_error(source: Source, r: int) -> DomainError:
+    """The error of row r, which ``_matrix_row`` rejected: its lines, read
+    again from the start of ``source`` (a file must be seekable), are checked
     one by one (fields, cell index, NaN), then the end of the text, then their
     buckets, and the first fault is named with its line."""
     start = (r - 1) * (r + 2) // 2  # the cells of rows 1..r-1
-    lines = _data_lines(text, MATRIX_HEADER, "matrix")
+    if not isinstance(source, str):
+        source.seek(0)
+    lines = _data_lines(source, MATRIX_HEADER, "matrix")
     numbered = list(itertools.islice(lines, start, start + r + 1))
     values, names = [], []
     for j, (n, line) in enumerate(numbered):
@@ -361,9 +388,9 @@ def _matrix_row_error(text: str, r: int) -> DomainError:
     return DomainError(f"line {n}: bucket of {line!r} must be {want[j]}")
 
 
-def _matrix_rows(text: str) -> list[np.ndarray]:
+def _matrix_rows(source: Source) -> list[np.ndarray]:
     """The rows of a matrix CSV, row r from its r+1 non-empty lines."""
-    cells = filter(None, _after_header(text, MATRIX_HEADER, "matrix"))
+    cells = filter(None, _after_header(source, MATRIX_HEADER, "matrix"))
     index = ["0"]
     rows = []
     above = ([], np.empty(0))
@@ -374,17 +401,19 @@ def _matrix_rows(text: str) -> list[np.ndarray]:
         index.append(str(r))
         above = _matrix_row("\n".join(row_lines).split(","), index, above)
         if above is None:
-            raise _matrix_row_error(text, r)
+            raise _matrix_row_error(source, r)
         rows.append(above[1])
 
 
-def parse_matrix_csv(text: str) -> DiscoveryMatrix:
+def parse_matrix_csv(source: Source) -> DiscoveryMatrix:
     """Inverse of ``matrix_csv``: the cells in the order it writes them, rows
     1..K and columns j = 0..r within row r, never NaN (+-inf are legal), each
     in the bucket of its value; a bad line raises DomainError naming it.  Each
     line's ``r`` and ``j`` text must be the writer's ``str`` of the next cell,
-    so a repeated, skipped or reordered cell fails on the line it is read."""
-    rows = _matrix_rows(text)
+    so a repeated, skipped or reordered cell fails on the line it is read.  An
+    open ``source`` file is read a piece at a time, and must be seekable: a
+    bad row is read again from the start to name its line."""
+    rows = _matrix_rows(source)
     if not rows:
         raise DomainError("matrix CSV has no cells")
     k = len(rows)
@@ -401,11 +430,11 @@ def values_csv(values: Sequence[LogValue]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_values_csv(text: str) -> list[LogValue]:
+def parse_values_csv(source: Source) -> list[LogValue]:
     """Inverse of ``values_csv``: hypotheses 1..K once each, in any order; a
     bad line raises DomainError naming it."""
     by_index: dict[int, LogValue] = {}
-    for n, line in _data_lines(text, VALUES_HEADER, "values"):
+    for n, line in _data_lines(source, VALUES_HEADER, "values"):
         try:
             k_s, l10_s = line.split(",")
             i, value = int(k_s), LogValue.from_log10(float(l10_s))  # DomainError on NaN
@@ -613,13 +642,13 @@ def config_from_obj(obj) -> ExperimentConfig:
                                for name, _, read, _ in _CONFIG_SCHEMA if name in obj})
 
 
-def config_from_json(text: str) -> ExperimentConfig:
-    return config_from_obj(_read_json(text, "config"))
+def config_from_json(source: Source) -> ExperimentConfig:
+    return config_from_obj(_read_json(source, "config"))
 
 
-def poly_from_json(text: str) -> MultiaffinePoly:
+def poly_from_json(source: Source) -> MultiaffinePoly:
     """Polynomial JSON: {"k": 2, "coeffs": {"": 0.2, "1": 0.3, "1,2": 0.5}}."""
-    obj = _read_json(text, "polynomial")
+    obj = _read_json(source, "polynomial")
     if not isinstance(obj, dict) or "k" not in obj or not isinstance(obj.get("coeffs"), dict):
         raise DomainError("polynomial JSON needs fields k and coeffs, coeffs an object")
     k = _json_int(obj["k"], "polynomial k")

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -514,6 +515,65 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         code, out, err = run_cli(capsys, "validate-poly", "--poly", str(poly))
         assert (code, out) == (1, ""), coeffs
         assert err.startswith("error:") and err.count("\n") == 1 and named in err, coeffs
+    undecodable = tmp_path / "latin1.txt"  # a byte 0xe9 that no UTF-8 text holds
+    for blank in (1, 200_000):  # the bad byte in the first piece read, and far past it
+        for header, argv in (
+            (b"r,j,log10_value,bucket",
+             ("region", "--matrix", str(undecodable), "--row", "1", "--alpha", "10")),
+            (b"k,log10_value", ("diagonal", "--values", str(undecodable))),
+            (b"{", ("simulate", "--config", str(undecodable), "--out", str(tmp_path / "o"))),
+            (b"{", ("validate-poly", "--poly", str(undecodable))),
+        ):
+            undecodable.write_bytes(header + b"\n" * blank + b"1,0.\xe95\n")
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("error: cannot read") and err.count("\n") == 1, argv
+            assert err.endswith(f" file {str(undecodable)!r}: 'utf-8' codec can't decode byte 0xe9: "
+                                "invalid continuation byte\n"), argv
+
+
+def _pipe(data: bytes) -> int:
+    """The read end of a pipe that a thread fills with ``data`` and then
+    closes: as bash's ``<(cat file)`` gives, ``/dev/fd/<fd>`` names it and it
+    cannot seek."""
+    read, write = os.pipe()
+
+    def fill():
+        with open(write, "wb") as f:
+            f.write(data)
+
+    threading.Thread(target=fill, daemon=True).start()
+    return read
+
+
+@pytest.mark.parametrize("data, argv", [
+    ((GOLDEN / "edge_values.csv").read_bytes(), ("matrix", "--merge", "u2", "--values")),
+    ((GOLDEN / "matrix_8_4_1_u1.csv").read_bytes(), ("region", "--row", "2", "--alpha", "3", "--matrix")),
+    ((GOLDEN / "matrix_8_4_1_u1.csv").read_bytes().replace(b"\n", b"\r\n"),
+     ("region", "--row", "3", "--alpha", "10", "--matrix")),
+    (b"r,j,log10_value,bucket\n1,0,0.0,green\n1,1,0.0,green\n2,0,0.0,green\n2,1,0.0,red\n"
+     b"2,2,0.0,green\n", ("region", "--row", "1", "--alpha", "10", "--matrix")),  # a bad bucket
+    (b"k,log10_value\n1,0.5\n1,0.7\n", ("diagonal", "--values")),  # a repeated index
+    (b"r,j,log10_value,bucket\n1,0,0.0,gr\xe9en\n", ("region", "--row", "1", "--alpha", "10", "--matrix")),
+    # a wrong header, then a byte no UTF-8 text holds far past the first piece read
+    (b"r,j,log10_value,bucket" + b"\n" * 200_000 + b"1,0.\xe95\n", ("diagonal", "--values")),
+])
+def test_piped_inputs_read_as_files(tmp_path, capsys, data, argv):
+    """An input from a pipe, which cannot seek, gives the output, exit code
+    and error text of the same bytes in a file; a bad matrix row, read again
+    from the start, still names its line."""
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    want = run_cli(capsys, *argv, str(path))
+    fd = _pipe(data)
+    try:
+        code, out, err = run_cli(capsys, *argv, f"/dev/fd/{fd}")
+    finally:
+        os.close(fd)
+    assert (code, out, err.replace(f"/dev/fd/{fd}", str(path))) == want
+    assert (code, bool(out), err.count("\n")) in ((0, True, 0), (1, False, 1))
+    if b"red" in data:
+        assert "line 5: bucket of '2,1,0.0,red' must be green" in err
 
 
 def test_domain_errors_exit_2(tmp_path, capsys):
