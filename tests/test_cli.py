@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import evalanche
 from evalanche import (
     ExperimentConfig,
     LogValue,
@@ -32,6 +31,7 @@ from evalanche.merging import MAX_DEGREE
 from evalanche.simulate import MAX_K, MAX_STEPS
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -188,13 +188,20 @@ def test_matrix_golden_bytes(tmp_path, capsys):
     (("matrix", "--merge", "mix:0.2,0.3,0.5"), "edge_matrix_mix.csv"),
     (("diagonal",), "edge_diagonal.csv"),
     (("subdiag",), "edge_subdiag.csv"),
+    (("diagonal", "--rows", "4,3,2,1"), "edge_diagonal.csv"),
+    (("subdiag", "--rows", "4,4"), "edge_subdiag.csv"),
 ])
 def test_edge_values_golden_bytes(capsys, argv, golden):
     """Values whose log10 column holds +inf twice, ties of 0.0 and -0.0, and
-    -inf: the matrix and row tables match their golden files byte for byte."""
+    -inf: the matrix and row tables match their golden files byte for byte,
+    and ``--rows`` prints the golden's lines of those rows in the order
+    given, repeats included."""
     code, out, err = run_cli(capsys, *argv, "--values", str(GOLDEN / "edge_values.csv"))
     assert (code, err) == (0, "")
-    assert out.encode() == (GOLDEN / golden).read_bytes()
+    header, *lines = (GOLDEN / golden).read_bytes().splitlines(keepends=True)
+    if "--rows" in argv:
+        lines = [lines[int(r) - 1] for r in argv[argv.index("--rows") + 1].split(",")]
+    assert out.encode() == header + b"".join(lines)
 
 
 @pytest.mark.parametrize("merge, golden", [
@@ -246,6 +253,15 @@ def test_region_matches_library(tmp_path, capsys):
     region = confidence_region(regularize(m), 2, 3.0)
     assert parsed["members"] == sorted(region.members)
     assert parsed["lower_bound"] == region.lower_bound == 1
+    # region regularizes a matrix as it loads it: the golden bundle's raw
+    # matrix_20.csv reads like its matrix_20_regularized.csv, which differs from it
+    bundle = GOLDEN / "small_run"
+    assert (bundle / "matrix_20.csv").read_bytes() != (bundle / "matrix_20_regularized.csv").read_bytes()
+    for row in ("1", "3"):
+        for alpha in ("10", "100"):
+            raw, reg = (run_cli(capsys, "region", "--matrix", str(bundle / name), "--row", row,
+                                "--alpha", alpha) for name in ("matrix_20.csv", "matrix_20_regularized.csv"))
+            assert raw == reg and raw[0] == 0 and raw[1].startswith(f"r={row} "), (row, alpha)
 
 
 def test_region_reads_a_cell_whose_log_overflows_quietly(tmp_path, capsys):
@@ -686,6 +702,30 @@ def test_merge_defaults(capsys, command, default, other):
     assert implicit != run_cli(capsys, command, "--values", "8,4,1", "--merge", other)
 
 
+def _launch(*args: str) -> subprocess.Popen:
+    """``python *args`` on this checkout's ``src``, stdout and stderr piped.
+    ``_launch("-m", "evalanche.cli", *argv)`` runs ``entry()``, as the
+    installed ``evalanche`` script does."""
+    return subprocess.Popen([sys.executable, *args], env={**os.environ, "PYTHONPATH": str(SRC)},
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("argv, code, golden", [
+    (["matrix", "--values", "8,4,1"], 0, "matrix_8_4_1_u1.csv"),
+    (["region", "--matrix", str(GOLDEN / "missing.csv"), "--row", "1", "--alpha", "10"], 1, None),
+    (["merge", "--values", "nan,4", "--merge", "u1"], 2, None),
+])
+def test_process_exit_codes_and_bytes(argv, code, golden):
+    """A process of the command exits with ``main``'s code and writes the
+    golden's bytes to stdout (none for a failure), and one ``error:`` line to
+    stderr for a failure, none for a success."""
+    proc = _launch("-m", "evalanche.cli", *argv)
+    out, err = proc.communicate(timeout=120)
+    want = (GOLDEN / golden).read_bytes() if golden else b""
+    assert (proc.returncode, out, err.count(b"\n")) == (code, want, int(code > 0)), err
+    assert err.startswith(b"error: ") == (code > 0), err
+
+
 @pytest.mark.parametrize("argv, head", [
     (["matrix", "--values", ",".join(str(1.0 + i / 64) for i in range(500))], 1),  # 4 MB of CSV
     (["merge", "--values", "8,4,1", "--merge", "u1"], 0),  # left for the flush at exit
@@ -693,9 +733,7 @@ def test_merge_defaults(capsys, command, default, other):
 def test_closed_stdout_ends_output_quietly(argv, head):
     """A reader that closes stdout early, as ``| head -c 1`` does, ends the
     output: exit 0 and nothing on stderr, at the flush on exit included."""
-    env = {**os.environ, "PYTHONPATH": str(Path(evalanche.__file__).resolve().parents[1])}
-    proc = subprocess.Popen([sys.executable, "-m", "evalanche.cli", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc = _launch("-m", "evalanche.cli", *argv)
     assert len(proc.stdout.read(head)) == head
     proc.stdout.close()
     err = proc.stderr.read()
@@ -707,7 +745,6 @@ def test_scans_leave_numpy_ma_unimported():
     """``matrix``, ``diagonal`` and ``subdiag`` never import ``numpy.ma``, as a
     float ``np.unique`` would (numpy 2.4), adding about 1.3 MB to the peak
     RSS of each run; ``row_bounds`` takes ``np.unique`` of int64 rows only."""
-    env = {**os.environ, "PYTHONPATH": str(Path(evalanche.__file__).resolve().parents[1])}
     code = (
         "import contextlib, io, sys\n"
         "from evalanche.cli import main\n"
@@ -717,9 +754,9 @@ def test_scans_leave_numpy_ma_unimported():
         "        assert main([*argv, '--values', sys.argv[1]]) == 0, argv\n"
         "    assert 'numpy.ma' not in sys.modules, argv\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code, str(GOLDEN / "prune_values.csv")], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    proc = _launch("-c", code, str(GOLDEN / "prune_values.csv"))
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
 
 
 # --- fuzzing the input parsers through the CLI -------------------------------

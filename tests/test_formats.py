@@ -40,7 +40,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def golden_config(name: str) -> ExperimentConfig:
-    """The config of the golden bundle ``GOLDEN / name``, which CI also runs."""
+    """The config of the golden bundle ``GOLDEN / name``."""
     return formats.config_from_json((GOLDEN / f"{name}.json").read_text())
 
 
@@ -355,15 +355,23 @@ def test_parse_series_csv_rejects_bad_lines(line):
 
 
 def test_matrix_csv_round_trip_and_buckets():
-    rk = RankedValues.from_values([LogValue.of(v) for v in (8, 4, 1)])
-    m = discovery_matrix(rk, U1)
-    text = formats.matrix_csv(m)
-    assert text.startswith("r,j,log10_value,bucket\n")
-    parsed = formats.parse_matrix_csv(text)
-    assert formats.matrix_csv(parsed) == text
-    for line in text.splitlines()[1:]:
-        r, j, l10, bucket = line.split(",")
-        assert colorize(LogValue.from_log10(float(l10))).value == bucket
+    """serialize -> parse -> serialize is byte-identical, each bucket is its
+    cell's, and the JSON report holds the CSV's cells, bit for bit: the K = 3
+    example, and K = 200 under u2, a quarter of whose cells repeat the bits of
+    the cell above them."""
+    for values, spec in (((8, 4, 1), U1),
+                         (np.random.default_rng(7).lognormal(0.0, 2.0, 200).tolist(), MergeSpec.nesp(2))):
+        m = discovery_matrix(RankedValues.from_values([LogValue.of(v) for v in values]), spec)
+        text = formats.matrix_csv(m)
+        assert text.startswith("r,j,log10_value,bucket\n")
+        parsed = formats.parse_matrix_csv(text)
+        assert formats.matrix_csv(parsed) == text
+        for line in text.splitlines()[1:]:
+            r, j, l10, bucket = line.split(",")
+            assert colorize(LogValue.from_log10(float(l10))).value == bucket
+        rows = json.loads("".join(formats.matrix_report(m, "json")))["rows"]
+        assert [[float(x).hex() for x in row] for row in rows] == [[x.hex() for x in row.tolist()]
+                                                                    for row in parsed.rows]
 
 
 def test_matrix_csv_rejects_gaps():
@@ -1010,6 +1018,19 @@ def test_tracked_inf_rows_bundle_matches_golden_bytes(tmp_path):
     assert (block[:, 0] == math.inf).all() and ((block == math.inf).sum(axis=1) == 6).sum() == 185
     assert not scans.called
     _assert_golden_bundle(cfg, run, "tracked_inf_rows", tmp_path)
+
+
+def test_golden_configs_are_the_compared_bundles():
+    """``tests/golden/*.json`` names exactly the bundles the
+    ``*_bundle_matches_golden_bytes`` tests compare (``small_run`` by
+    ``test_bundle_matches_golden_bytes``), each beside its directory: a config
+    with no test, or a test with no config, fails here."""
+    suffix = "bundle_matches_golden_bytes"
+    tested = {name.removeprefix("test_").removesuffix(suffix).rstrip("_") or "small_run"
+              for name in globals() if name.endswith(suffix)}
+    assert len(tested) == 5
+    assert {p.stem for p in GOLDEN.glob("*.json")} == tested
+    assert all((GOLDEN / name).is_dir() for name in tested)
 
 
 def test_bundle_from_repeated_unsorted_rows_matches_golden_bytes(tmp_path):
