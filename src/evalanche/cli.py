@@ -2,8 +2,9 @@
 
 Subcommands: simulate, diagonal, subdiag, matrix, region, merge,
 validate-poly, oracle-check.  argparse reads and converts each input once,
-through its flag's ``type``, so a command only computes and emits; every
-``--format`` output is rendered by ``formats``.  Data goes to stdout or
+through its flag's ``type`` (but ``region`` reads ``--matrix`` after every
+flag, with ``--row``, to keep one row), so a command only computes and emits;
+every ``--format`` output is rendered by ``formats``.  Data goes to stdout or
 files; diagnostics go to stderr.  Exit codes: 0 success, 1 usage error (bad
 flags, unreadable or malformed input file, unwritable output), 2 numerical
 or domain error or a failed ``oracle-check`` row.  A stdout closed early by
@@ -23,7 +24,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import formats
-from .discovery import confidence_region, discovery_matrix, regularize, row_bounds
+from .discovery import discovery_matrix, regularize, row_bounds, row_region
 from .errors import DomainError, EvalancheError
 from .logvalue import LogValue
 from .martingales import RankedValues
@@ -53,11 +54,9 @@ def _as_usage_error(context: str):
 
 def _read(path: str, what: str, parse):
     """``parse`` of the file at ``path``, handed over open, so a CSV parser reads
-    it a piece at a time and no whole text is held.  The bytes of a file that
-    cannot seek (a pipe such as ``<(cat m.csv)``) are held in memory and read
-    the same way, as a bad matrix row is read again from the start.  An
-    unreadable, undecodable or malformed file is a usage error.  A decode
-    error names no position: the decoder's is within the piece it reads."""
+    it a piece at a time; the bytes of a pipe (``<(cat m.csv)``) are held, as a
+    bad matrix row is read again from the start.  An unreadable, undecodable
+    or malformed file is a usage error; a decode error names no position."""
     try:
         with open(path) as f, _as_usage_error(f"bad {what} file {path!r}"):
             return parse(f if f.seekable() else io.TextIOWrapper(io.BytesIO(f.buffer.read())))
@@ -149,8 +148,8 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    region = confidence_region(regularize(args.matrix), args.row, args.alpha)
-    _emit([formats.region_report(region, args.format)], args.out)
+    k, row = _read(args.matrix, "matrix", lambda f: formats.matrix_row(f, args.row))
+    _emit([formats.region_report(row_region(row, k, args.row, args.alpha), args.format)], args.out)
     return 0
 
 
@@ -222,8 +221,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_matrix)
 
     p = sub.add_parser("region", parents=[out], help="confidence region from a matrix CSV row")
-    p.add_argument("--matrix", required=True, help="matrix CSV (regularized on load)",
-                   type=lambda path: _read(path, "matrix", formats.parse_matrix_csv))
+    p.add_argument("--matrix", required=True, help="matrix CSV: every line checked, row r regularized")
     p.add_argument("--row", type=int, required=True, help="matrix row r, 1..K")
     p.add_argument("--alpha", type=float, required=True, help="level: the columns of row r below alpha")
     p.add_argument("--format", choices=("text", "json"), default="text", help="output format")

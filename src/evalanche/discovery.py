@@ -763,11 +763,20 @@ def confidence_region(m: DiscoveryMatrix, r: int, alpha: float) -> ConfidenceReg
     """Columns of row r lying strictly below alpha, on a regularized matrix."""
     if not m.regularized:
         raise DomainError("confidence_region requires a regularized matrix")
+    return row_region(m.log10[r - 1, : r + 1] if 1 <= r <= m.k else None, m.k, r, alpha)
+
+
+def row_region(row: np.ndarray | None, k: int, r: int, alpha: float) -> ConfidenceRegion:
+    """Columns of row r of a K-row matrix lying strictly below alpha once the
+    row is regularized: ``row`` holds its cells j = 0..r (read only when r is
+    in 1..K), and their running minimum has the bits of ``regularize``'s row
+    r, as a minimum is exact."""
     if math.isnan(alpha) or alpha <= 0.0:
         raise DomainError(f"significance level must be positive, got {alpha!r}")
-    m._check(r)
-    row = m.log10[r - 1, : r + 1]
-    members = frozenset(int(j) for j in np.flatnonzero(row < math.log10(alpha)))
+    if not 1 <= r <= k:
+        raise DomainError(f"row {r} outside 1..{k}")
+    below = np.minimum.accumulate(row) < math.log10(alpha)
+    members = frozenset(int(j) for j in np.flatnonzero(below))
     lower = min(members) if members else None
     return ConfidenceRegion(r=r, alpha=float(alpha), members=members, lower_bound=lower)
 

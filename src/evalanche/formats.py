@@ -18,16 +18,16 @@ Matrix text is made and read a row at a time, in bounded chunks: the
 writers yield a row per chunk to ``write_chunks``, and every CSV parser reads
 lines through ``_lines``, 64 KiB of a text or of an open file at a time.  At
 K = 500, ``matrix --heatmap --out`` peaks at 3.7 MB of heap (17.5 MB whole),
-the parse at 3.1 MB (12.4 MB) and ``region`` at 4.1 MB (8.4 MB with the whole
-file read first).  Row r of a matrix CSV is its
-r+1 non-empty lines ``r,j,log10_value,bucket`` for j = 0..r; joined with
-newlines and split on commas they must be exactly the 3r+4 tokens ``r``,
-then per cell ``j`` (the writer's ``str(j)``), a value ``float`` reads as
-non-NaN, and ``bucket\nr`` (a bare ``bucket`` for the last cell), the bucket
-being the name ``_buckets`` gives the value.  A row that fails is read again
-line by line from the start (``_matrix_row_error``) to name its first bad
-line, so a text with one fault gets the message a line-at-a-time reader would
-give.
+the parse at 3.1 MB (12.4 MB) and ``region``, which keeps only its row
+(``matrix_row``), at 0.6 MB (4.1 MB with every row held).  Row r of a matrix
+CSV is its r+1 non-empty lines ``r,j,log10_value,bucket`` for j = 0..r;
+joined with newlines and split on commas they must be exactly the 3r+4
+tokens ``r``, then per cell ``j`` (the writer's ``str(j)``), a value
+``float`` reads as non-NaN, and ``bucket\nr`` (a bare ``bucket`` for the last
+cell), the bucket being the name ``_buckets`` gives the value.  A row that
+fails is read again line by line from the start (``_matrix_row_error``) to
+name its first bad line, so a text with one fault gets the message a
+line-at-a-time reader would give.
 
 A value is converted once per column run: a matrix cell with the bits of the
 cell above it reuses that cell's repr, the parser reuses the float of a token
@@ -388,21 +388,22 @@ def _matrix_row_error(source: Source, r: int) -> DomainError:
     return DomainError(f"line {n}: bucket of {line!r} must be {want[j]}")
 
 
-def _matrix_rows(source: Source) -> list[np.ndarray]:
-    """The rows of a matrix CSV, row r from its r+1 non-empty lines."""
+def _matrix_rows(source: Source) -> Iterator[np.ndarray]:
+    """The rows of a matrix CSV, row r from its r+1 non-empty lines, each
+    yielded once it is checked; only the row above is kept, for its texts."""
     cells = filter(None, _after_header(source, MATRIX_HEADER, "matrix"))
-    index = ["0"]
-    rows = []
-    above = ([], np.empty(0))
+    index, above = ["0"], ([], np.empty(0))
     for r in itertools.count(1):
         row_lines = list(itertools.islice(cells, r + 1))
         if not row_lines:
-            return rows
+            if r == 1:
+                raise DomainError("matrix CSV has no cells")
+            return
         index.append(str(r))
         above = _matrix_row("\n".join(row_lines).split(","), index, above)
         if above is None:
             raise _matrix_row_error(source, r)
-        rows.append(above[1])
+        yield above[1]
 
 
 def parse_matrix_csv(source: Source) -> DiscoveryMatrix:
@@ -413,14 +414,20 @@ def parse_matrix_csv(source: Source) -> DiscoveryMatrix:
     so a repeated, skipped or reordered cell fails on the line it is read.  An
     open ``source`` file is read a piece at a time, and must be seekable: a
     bad row is read again from the start to name its line."""
-    rows = _matrix_rows(source)
-    if not rows:
-        raise DomainError("matrix CSV has no cells")
-    k = len(rows)
-    out = np.full((k, k + 1), np.nan)
+    rows = list(_matrix_rows(source))
+    out = np.full((len(rows), len(rows) + 1), np.nan)
     for i, row in enumerate(rows):
         out[i, : i + 2] = row
     return DiscoveryMatrix(out)
+
+
+def matrix_row(source: Source, r: int) -> tuple[int, np.ndarray | None]:
+    """K and row r of a matrix CSV (None when r is outside 1..K): every line
+    is read and checked as ``parse_matrix_csv`` reads it, but only row r is kept."""
+    k, row = 0, None
+    for k, cells in enumerate(_matrix_rows(source), start=1):
+        row = cells if k == r else row
+    return k, row
 
 
 def values_csv(values: Sequence[LogValue]) -> str:
@@ -666,12 +673,8 @@ def poly_from_json(source: Source) -> MultiaffinePoly:
 
 
 def region_to_obj(region: ConfidenceRegion) -> dict:
-    return {
-        "r": region.r,
-        "alpha": _json_float_out(region.alpha),
-        "members": sorted(region.members),
-        "lower_bound": region.lower_bound,
-    }
+    return {"r": region.r, "alpha": _json_float_out(region.alpha), "members": sorted(region.members),
+            "lower_bound": region.lower_bound}
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +718,7 @@ def region_report(region: ConfidenceRegion, fmt: str) -> str:
     if fmt == "json":
         return json_text(region_to_obj(region))
     members = f"{{{region.lower_bound}..{region.r}}}" if region.members else "{}"
-    return (f"r={region.r} alpha={region.alpha!r} members={members} "
-            f"lower_bound={region.lower_bound}\n")
+    return f"r={region.r} alpha={region.alpha!r} members={members} lower_bound={region.lower_bound}\n"
 
 
 def manifest_json(cfg: ExperimentConfig, files: Sequence[str]) -> str:

@@ -9,6 +9,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -253,15 +254,59 @@ def test_region_matches_library(tmp_path, capsys):
     region = confidence_region(regularize(m), 2, 3.0)
     assert parsed["members"] == sorted(region.members)
     assert parsed["lower_bound"] == region.lower_bound == 1
-    # region regularizes a matrix as it loads it: the golden bundle's raw
-    # matrix_20.csv reads like its matrix_20_regularized.csv, which differs from it
+    # region regularizes the row it keeps: the golden bundle's raw
+    # matrix_20.csv reads like its matrix_20_regularized.csv, which differs from
+    # it in cell (5, 5), 0.0 against -1.05, so that row 5 at alpha 1 has one
+    # more member regularized than raw
     bundle = GOLDEN / "small_run"
-    assert (bundle / "matrix_20.csv").read_bytes() != (bundle / "matrix_20_regularized.csv").read_bytes()
-    for row in ("1", "3"):
-        for alpha in ("10", "100"):
-            raw, reg = (run_cli(capsys, "region", "--matrix", str(bundle / name), "--row", row,
-                                "--alpha", alpha) for name in ("matrix_20.csv", "matrix_20_regularized.csv"))
-            assert raw == reg and raw[0] == 0 and raw[1].startswith(f"r={row} "), (row, alpha)
+    raw_row, reg_row = (formats.parse_matrix_csv((bundle / name).read_text()).log10[4, :6]
+                        for name in ("matrix_20.csv", "matrix_20_regularized.csv"))
+    assert np.count_nonzero(raw_row < 0.0) + 1 == np.count_nonzero(reg_row < 0.0) == 6
+    for row in ("1", "3", "5"):
+        for alpha in ("1", "10", "100"):
+            for fmt in ("text", "json"):
+                raw, reg = (run_cli(capsys, "region", "--matrix", str(bundle / name), "--row", row,
+                                    "--alpha", alpha, "--format", fmt)
+                            for name in ("matrix_20.csv", "matrix_20_regularized.csv"))
+                shown = raw[1].startswith(f"r={row} ") if fmt == "text" else json.loads(raw[1])["r"] == int(row)
+                assert raw == reg and raw[0] == 0 and shown, (row, alpha, fmt)
+
+
+@pytest.mark.parametrize("golden", [
+    "matrix_8_4_1_u1.csv", "small_run/matrix_20.csv", "edge_matrix_u2.csv", "edge_matrix_u5.csv",
+    "edge_matrix_mix.csv", "prune_matrix_u2.csv", "prune_matrix_u5.csv", "prune_matrix_mix.csv",
+    "prune_matrix_mix_0.25_0.75.csv",
+])
+def test_region_keeps_one_row_and_checks_every_line(tmp_path, capsys, golden):
+    """``region`` keeps only row r of its matrix CSV, yet prints, for every
+    row, the levels 3, 10 and 100 and both formats, the bytes of the library's
+    region of the whole regularized matrix; and it reads every line: a bad
+    bucket on the last line fails row 1, and a bad line in row 1 fails row K,
+    each with exit 1 and its line named.  ``--matrix`` is read after every
+    flag, so a bad ``--row`` is reported first and ``--help`` prints help."""
+    path = GOLDEN / golden
+    m = regularize(formats.parse_matrix_csv(path.read_text()))
+    for r in range(1, m.k + 1):
+        for alpha in (3.0, 10.0, 100.0):
+            region = confidence_region(m, r, alpha)
+            for fmt in ("text", "json"):
+                got = run_cli(capsys, "region", "--matrix", str(path), "--row", str(r),
+                              "--alpha", repr(alpha), "--format", fmt)
+                assert got == (0, formats.region_report(region, fmt), ""), (r, alpha, fmt)
+    header, *lines = path.read_text().splitlines()
+    r, j, l10, bucket = lines[-1].split(",")
+    last = f"{r},{j},{l10},{'black' if bucket == 'green' else 'green'}"
+    bad = tmp_path / "bad.csv"
+    for row, n, body in ((1, len(lines) + 1, [*lines[:-1], last]), (m.k, 2, ["1,0,x,green", *lines[1:]])):
+        bad.write_text("\n".join([header, *body]) + "\n")
+        code, out, err = run_cli(capsys, "region", "--matrix", str(bad), "--row", str(row), "--alpha", "10")
+        assert (code, out) == (1, "") and err.count("\n") == 1, (row, err)
+        assert f"line {n}: " in err and repr(body[n - 2]) in err, (row, err)
+    code, out, err = run_cli(capsys, "region", "--matrix", str(bad), "--row", "x", "--alpha", "10")
+    assert (code, out) == (1, "") and "--row" in err and "line" not in err, err
+    with pytest.raises(SystemExit) as exc:
+        main(["region", "--matrix", str(bad), "--help"])
+    assert exc.value.code == 0 and "--matrix" in capsys.readouterr().out
 
 
 def test_region_reads_a_cell_whose_log_overflows_quietly(tmp_path, capsys):

@@ -668,16 +668,18 @@ def test_cli_matrix_peak_memory(tmp_path):
 
 def test_cli_region_peak_memory(tmp_path):
     """``evalanche region`` on a K = 500 u1 matrix CSV (4.2 MB) peaks below
-    5 MB of heap: the file is parsed a 64 KiB piece at a time, so no whole text
-    is held.  Measured on Python 3.11.7, numpy 2.4.6: 4.1 MB; reading the
-    whole text first peaked at 8.4 MB, its bytes and its decoded text at once."""
+    1 MB of heap, less than the 2.0 MB of one dense (K, K+1) matrix: every
+    line is read, 64 KiB at a time, and checked, but only row r and the row
+    above the one being read are kept.  Measured on Python 3.11.7, numpy
+    2.4.6: 0.6 MB; holding every row, the dense matrix and its regularized
+    copy peaked at 4.1 MB, and reading the whole text first at 8.4 MB."""
     m = _k500_u1_matrix()
     matrix, out = tmp_path / "matrix.csv", tmp_path / "region.txt"
     matrix.write_text(formats.matrix_csv(m))
     peak, code = _peak(cli.main, ["region", "--matrix", str(matrix), "--row", "250",
                                   "--alpha", "10", "--out", str(out)])
     assert code == 0
-    assert peak <= 5e6, peak
+    assert peak <= 1e6, peak
     assert out.read_text() == formats.region_report(confidence_region(regularize(m), 250, 10.0), "text")
 
 
