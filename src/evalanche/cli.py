@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -54,12 +54,12 @@ def _as_usage_error(context: str):
 
 def _read(path: str, what: str, parse):
     """``parse`` of the file at ``path``, handed over open, so a CSV parser reads
-    it a piece at a time; the bytes of a pipe (``<(cat m.csv)``) are held, as a
-    bad matrix row is read again from the start.  An unreadable, undecodable
-    or malformed file is a usage error; a decode error names no position."""
+    it a piece at a time, once, and a pipe (``<(cat m.csv)``) as a file.  An
+    unreadable, undecodable or malformed file is a usage error; a decode error
+    names no position."""
     try:
         with open(path) as f, _as_usage_error(f"bad {what} file {path!r}"):
-            return parse(f if f.seekable() else io.TextIOWrapper(io.BytesIO(f.buffer.read())))
+            return parse(f)
     except OSError as exc:
         raise _UsageError(f"cannot read {what}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -183,7 +183,9 @@ def _cmd_oracle_check(args) -> int:
     return 0 if all(worst <= tol for _, worst, tol in rows) else 2
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argparse tree, built once per process; each ``parse_args`` makes a fresh Namespace."""
     parser = _Parser(prog="evalanche", description="Multiple hypothesis testing with merged test martingales: "
                      "discovery bounds, confidence regions and the seeded simulation study.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

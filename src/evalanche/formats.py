@@ -25,9 +25,9 @@ joined with newlines and split on commas they must be exactly the 3r+4
 tokens ``r``, then per cell ``j`` (the writer's ``str(j)``), a value
 ``float`` reads as non-NaN, and ``bucket\nr`` (a bare ``bucket`` for the last
 cell), the bucket being the name ``_buckets`` gives the value.  A row that
-fails is read again line by line from the start (``_matrix_row_error``) to
-name its first bad line, so a text with one fault gets the message a
-line-at-a-time reader would give.
+fails is checked again line by line, from the numbered lines it was read
+from (``_matrix_row_error``), to name its first bad line, so a text with one
+fault gets the message a line-at-a-time reader would give.
 
 A value is converted once per column run: a matrix cell with the bits of the
 cell above it reuses that cell's repr, the parser reuses the float of a token
@@ -248,9 +248,9 @@ def _runs(values: np.ndarray, text) -> np.ndarray:
 
 
 def series_csv_columns(run: RunResult) -> Iterator[str]:
-    """``series_csv_chunks(series_records(run))`` from the series columns, with
-    no record made: ``_CHUNK_LINES // columns`` steps a chunk, one object array
-    of step texts and each column's ``_runs`` of line tails, joined once."""
+    """``series_csv(series_records(run))``, in chunks, from the series columns
+    with no record made: ``_CHUNK_LINES // columns`` steps a chunk, one object
+    array of step texts and each column's ``_runs`` of line tails, joined once."""
     yield f"{SERIES_HEADER}\n"
     columns = _series_columns(run)
     n = len(columns[0][2]) if columns else 0
@@ -264,18 +264,14 @@ def series_csv_columns(run: RunResult) -> Iterator[str]:
         yield "".join(out.ravel().tolist())
 
 
-def series_csv_chunks(records: Iterable[tuple[int, int, str, float]]) -> Iterator[str]:
-    """The header, then the lines 4,096 at a time.  The ``value`` column is
-    derived here, by ``linear_cell``."""
-    yield f"{SERIES_HEADER}\n"
-    records = iter(records)
+def series_csv(records: Sequence[tuple[int, int, str, float]]) -> str:
+    """The header, then one line per record, joined 4,096 lines at a time.
+    The ``value`` column is derived here, by ``linear_cell``."""
+    chunks, records = [f"{SERIES_HEADER}\n"], iter(records)
     while lines := [f"{step},{row},{kind},{l10!r},{linear_cell(l10)}\n"
                     for step, row, kind, l10 in itertools.islice(records, _CHUNK_LINES)]:
-        yield "".join(lines)
-
-
-def series_csv(records: Sequence[tuple[int, int, str, float]]) -> str:
-    return "".join(series_csv_chunks(records))
+        chunks.append("".join(lines))
+    return "".join(chunks)
 
 
 def parse_series_csv(source: Source) -> list[tuple[int, int, str, float]]:
@@ -355,16 +351,11 @@ def _matrix_row(tokens: list[str], index: list[str], above: tuple[list[str], np.
     return (texts, row) if tokens[3::3] == want else None
 
 
-def _matrix_row_error(source: Source, r: int) -> DomainError:
-    """The error of row r, which ``_matrix_row`` rejected: its lines, read
-    again from the start of ``source`` (a file must be seekable), are checked
-    one by one (fields, cell index, NaN), then the end of the text, then their
-    buckets, and the first fault is named with its line."""
-    start = (r - 1) * (r + 2) // 2  # the cells of rows 1..r-1
-    if not isinstance(source, str):
-        source.seek(0)
-    lines = _data_lines(source, MATRIX_HEADER, "matrix")
-    numbered = list(itertools.islice(lines, start, start + r + 1))
+def _matrix_row_error(r: int, numbered: list[tuple[int, str]]) -> DomainError:
+    """The error of row r, which ``_matrix_row`` rejected, from its non-empty
+    lines and their line numbers: they are checked one by one (fields, cell
+    index, NaN), then the end of the text, then their buckets, and the first
+    fault is named with its line."""
     values, names = [], []
     for j, (n, line) in enumerate(numbered):
         try:
@@ -390,11 +381,15 @@ def _matrix_row_error(source: Source, r: int) -> DomainError:
 
 def _matrix_rows(source: Source) -> Iterator[np.ndarray]:
     """The rows of a matrix CSV, row r from its r+1 non-empty lines, each
-    yielded once it is checked; only the row above is kept, for its texts."""
-    cells = filter(None, _after_header(source, MATRIX_HEADER, "matrix"))
-    index, above = ["0"], ([], np.empty(0))
+    yielded once it is checked; only the row above is kept, for its texts, and
+    the lines of the row being read, blank ones too, from its line ``n`` on."""
+    lines = _after_header(source, MATRIX_HEADER, "matrix")
+    index, above, n = ["0"], ([], np.empty(0)), 2
     for r in itertools.count(1):
-        row_lines = list(itertools.islice(cells, r + 1))
+        raw, row_lines = [], []
+        while len(row_lines) <= r and (more := list(itertools.islice(lines, r + 1 - len(row_lines)))):
+            raw += more
+            row_lines += filter(None, more)
         if not row_lines:
             if r == 1:
                 raise DomainError("matrix CSV has no cells")
@@ -402,7 +397,8 @@ def _matrix_rows(source: Source) -> Iterator[np.ndarray]:
         index.append(str(r))
         above = _matrix_row("\n".join(row_lines).split(","), index, above)
         if above is None:
-            raise _matrix_row_error(source, r)
+            raise _matrix_row_error(r, [(m, line) for m, line in enumerate(raw, start=n) if line])
+        n += len(raw)
         yield above[1]
 
 
@@ -412,8 +408,7 @@ def parse_matrix_csv(source: Source) -> DiscoveryMatrix:
     in the bucket of its value; a bad line raises DomainError naming it.  Each
     line's ``r`` and ``j`` text must be the writer's ``str`` of the next cell,
     so a repeated, skipped or reordered cell fails on the line it is read.  An
-    open ``source`` file is read a piece at a time, and must be seekable: a
-    bad row is read again from the start to name its line."""
+    open ``source`` file, a pipe too, is read once, a piece at a time."""
     rows = list(_matrix_rows(source))
     out = np.full((len(rows), len(rows) + 1), np.nan)
     for i, row in enumerate(rows):

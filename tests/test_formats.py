@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import tracemalloc
 import typing
 from pathlib import Path
@@ -35,6 +36,7 @@ from oracles import (
     bucket_oracle, linear_value_oracle, matrix_csv_oracle, matrix_json_oracle,
     parse_matrix_csv_oracle, series_csv_oracle, series_svg_oracle,
 )
+from test_cli import _pipe
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -441,6 +443,16 @@ def _mutated_matrix_csv(draw):
     return newline.join([header, *lines, ""]), mutations
 
 
+class _Unseekable(io.StringIO):
+    """A text stream that, like a pipe, cannot seek."""
+
+    def seekable(self) -> bool:
+        return False
+
+    def seek(self, *_):
+        raise io.UnsupportedOperation("seek")
+
+
 @settings(max_examples=400, deadline=None)
 @given(_mutated_matrix_csv())
 @example(("r,j,log10_value,bucket\n1,0,nan,black\n1,1,0.0,green\n", ["value"]))  # NaN buckets black
@@ -448,10 +460,13 @@ def _mutated_matrix_csv(draw):
           "2,2,0.0,green\n", ["index"]))  # a row's first index
 @example(("r,j,log10_value,bucket\n1,0,1.0,yellow\n1,1,-0.0,green\n2,0,1.00,yellow\n2,1,0.0,green\n"
           "2,2,0.0,green\n", ["reformat"]))  # a value repeated in other text, and -0.0 above 0.0
+@example(("r,j,log10_value,bucket\n1,0,0.0,green\n\n1,1,0.0,green\n\n2,0,0.0,green\n2,1,nan,green\n"
+          "2,2,0.0,green\n", ["blank", "blank", "value"]))  # blank lines in and between rows: the NaN is line 7
 def test_parse_matrix_csv_matches_line_oracle(case):
     """The row-at-a-time parser accepts exactly the texts the line-at-a-time
     oracle accepts, with bit-identical cells; on a text with at most one
-    mutation that is not benign both name the same fault."""
+    mutation that is not benign both name the same fault.  A stream that, like
+    a pipe, cannot seek gives the cells or the message of the text."""
     text, mutations = case
     try:
         want = parse_matrix_csv_oracle(text).log10
@@ -460,8 +475,12 @@ def test_parse_matrix_csv_matches_line_oracle(case):
             formats.parse_matrix_csv(text)
         if len([m for m in mutations if m not in _BENIGN]) <= 1:
             assert str(got.value) == str(exc)
+        with pytest.raises(DomainError) as piped:
+            formats.parse_matrix_csv(_Unseekable(text, newline=""))
+        assert str(piped.value) == str(got.value)
     else:
         assert formats.parse_matrix_csv(text).log10.tobytes() == want.tobytes()
+        assert formats.parse_matrix_csv(_Unseekable(text, newline="")).log10.tobytes() == want.tobytes()
 
 
 _MAX_DOUBLE = 1.7976931348623157e308
@@ -667,20 +686,34 @@ def test_cli_matrix_peak_memory(tmp_path):
 
 
 def test_cli_region_peak_memory(tmp_path):
-    """``evalanche region`` on a K = 500 u1 matrix CSV (4.2 MB) peaks below
-    1 MB of heap, less than the 2.0 MB of one dense (K, K+1) matrix: every
-    line is read, 64 KiB at a time, and checked, but only row r and the row
-    above the one being read are kept.  Measured on Python 3.11.7, numpy
-    2.4.6: 0.6 MB; holding every row, the dense matrix and its regularized
-    copy peaked at 4.1 MB, and reading the whole text first at 8.4 MB."""
+    """``evalanche region`` on a K = 500 u1 matrix CSV (4.2 MB), from a file
+    and from a pipe (``<(cat m.csv)``), peaks below 1 MB of heap, less than
+    the 2.0 MB of one dense (K, K+1) matrix: every line is read once, 64 KiB
+    at a time, and checked, but only row r and the row above the one being
+    read are kept.  Measured on Python 3.11.7, numpy 2.4.6: 0.56 MB from the
+    file and 0.50 MB from the pipe; holding every row, the dense matrix and
+    its regularized copy peaked at 4.1 MB, reading the whole text first at
+    8.4 MB, and holding a pipe's bytes, so that a bad row could be read again
+    from the start, at 4.78 MB."""
     m = _k500_u1_matrix()
     matrix, out = tmp_path / "matrix.csv", tmp_path / "region.txt"
     matrix.write_text(formats.matrix_csv(m))
-    peak, code = _peak(cli.main, ["region", "--matrix", str(matrix), "--row", "250",
-                                  "--alpha", "10", "--out", str(out)])
-    assert code == 0
-    assert peak <= 1e6, peak
-    assert out.read_text() == formats.region_report(confidence_region(regularize(m), 250, 10.0), "text")
+    data = matrix.read_bytes()
+
+    def region(pipe: bool) -> int:
+        fd = _pipe(data) if pipe else None
+        try:
+            return cli.main(["region", "--matrix", f"/dev/fd/{fd}" if pipe else str(matrix), "--row", "250",
+                             "--alpha", "10", "--out", str(out)])
+        finally:
+            if pipe:
+                os.close(fd)
+
+    for pipe in (False, True):
+        peak, code = _peak(region, pipe)
+        assert code == 0
+        assert peak <= 1e6, (pipe, peak)
+        assert out.read_text() == formats.region_report(confidence_region(regularize(m), 250, 10.0), "text")
 
 
 def test_cli_matrix_json_peak_memory(tmp_path):
