@@ -2,9 +2,9 @@
 reports, SVG heatmaps and line charts, and the CLI reports.
 
 Each output decision has one rule.  Float text is ``f"{x!r}"``, the
-shortest round-trip repr, so serialize -> parse -> serialize is
-byte-identical; columns come from ``.tolist()``, ``LogValue`` or
-``float()``, so they are Python floats and no numpy scalar reaches the text.
+shortest round-trip repr, so the CSVs it reads, matrix and values, serialize
+-> parse -> serialize byte-identically; columns come from ``.tolist()``,
+``LogValue`` or ``float()``: Python floats, so no numpy scalar reaches the text.
 The linear ``value`` is ``linear_value``, ``math.exp(log10_value * LN10)``
 with no ``LogValue`` made: a blank CSV cell, and a null JSON value, outside
 the double range (``log10_value`` still holds it).  A cell's color bucket
@@ -25,9 +25,10 @@ joined with newlines and split on commas they must be exactly the 3r+4
 tokens ``r``, then per cell ``j`` (the writer's ``str(j)``), a value
 ``float`` reads as non-NaN, and ``bucket\nr`` (a bare ``bucket`` for the last
 cell), the bucket being the name ``_buckets`` gives the value.  A row that
-fails is checked again line by line, from the numbered lines it was read
-from (``_matrix_row_error``), to name its first bad line, so a text with one
-fault gets the message a line-at-a-time reader would give.
+fails is checked again line by line (``_matrix_row_error``) to name its
+first bad line, so a text with one fault gets the message a line-at-a-time
+reader would give: its first r+1 lines are numbered then, from the row's
+first line, and any line past them was numbered as it was read.
 
 A value is converted once per column run: a matrix cell with the bits of the
 cell above it reuses that cell's repr, the parser reuses the float of a token
@@ -274,25 +275,6 @@ def series_csv(records: Sequence[tuple[int, int, str, float]]) -> str:
     return "".join(chunks)
 
 
-def parse_series_csv(source: Source) -> list[tuple[int, int, str, float]]:
-    """Inverse of ``series_csv``; a bad line, including a ``value`` that is
-    not ``linear_cell(log10_value)``, raises DomainError naming it."""
-    records = []
-    for n, line in _data_lines(source, SERIES_HEADER, "series"):
-        try:
-            step_s, row_s, kind, l10_s, value = line.split(",")
-            step, row, l10 = int(step_s), int(row_s), float(l10_s)
-            cell = linear_cell(l10)  # DomainError when l10 is NaN
-        except (ValueError, DomainError):
-            raise DomainError(f"line {n}: expected {SERIES_HEADER}, got {line!r}") from None
-        if kind not in _SERIES_KINDS:
-            raise DomainError(f"line {n}: kind must be diagonal or subdiagonal, got {kind!r}")
-        if value != cell:
-            raise DomainError(f"line {n}: value {value!r} is not the linear value of {l10_s}")
-        records.append((step, row, kind, l10))
-    return records
-
-
 # ---------------------------------------------------------------------------
 # matrices and value lists
 
@@ -382,14 +364,17 @@ def _matrix_row_error(r: int, numbered: list[tuple[int, str]]) -> DomainError:
 def _matrix_rows(source: Source) -> Iterator[np.ndarray]:
     """The rows of a matrix CSV, row r from its r+1 non-empty lines, each
     yielded once it is checked; only the row above is kept, for its texts, and
-    the lines of the row being read, blank ones too, from its line ``n`` on."""
+    the lines of the row being read: its first r+1, blank ones too, from its
+    line ``n`` on, then the numbered non-empty lines past them."""
     lines = _after_header(source, MATRIX_HEADER, "matrix")
     index, above, n = ["0"], ([], np.empty(0)), 2
     for r in itertools.count(1):
-        raw, row_lines = [], []
-        while len(row_lines) <= r and (more := list(itertools.islice(lines, r + 1 - len(row_lines)))):
-            raw += more
-            row_lines += filter(None, more)
+        raw = list(itertools.islice(lines, r + 1))
+        row_lines, rest = list(filter(None, raw)), []
+        if len(row_lines) <= r:  # blank lines, or the end: the rest numbered, blanks skipped, in C
+            numbered = zip(itertools.count(n + len(raw)), lines)
+            rest = list(itertools.islice(filter(operator.itemgetter(1), numbered), r + 1 - len(row_lines)))
+            row_lines += map(operator.itemgetter(1), rest)
         if not row_lines:
             if r == 1:
                 raise DomainError("matrix CSV has no cells")
@@ -397,8 +382,8 @@ def _matrix_rows(source: Source) -> Iterator[np.ndarray]:
         index.append(str(r))
         above = _matrix_row("\n".join(row_lines).split(","), index, above)
         if above is None:
-            raise _matrix_row_error(r, [(m, line) for m, line in enumerate(raw, start=n) if line])
-        n += len(raw)
+            raise _matrix_row_error(r, [(m, line) for m, line in enumerate(raw, start=n) if line] + rest)
+        n = rest[-1][0] + 1 if rest else n + len(raw)
         yield above[1]
 
 

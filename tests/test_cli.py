@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -593,18 +594,41 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                                 "invalid continuation byte\n"), argv
 
 
-def _pipe(data: bytes) -> int:
+@contextlib.contextmanager
+def _pipe(data: bytes) -> Iterator[int]:
     """The read end of a pipe that a thread fills with ``data`` and then
     closes: as bash's ``<(cat file)`` gives, ``/dev/fd/<fd>`` names it and it
-    cannot seek.  A reader that stops at a fault and closes it ends the write."""
+    cannot seek.  On exit the read end is closed, which ends a write that a
+    reader stopped at a fault left unfinished, the writer is joined, and an
+    error it raised is raised here, in the test that made the pipe."""
     read, write = os.pipe()
+    errors = []
 
     def fill():
-        with contextlib.suppress(BrokenPipeError), open(write, "wb") as f:
-            f.write(data)
+        try:
+            with contextlib.suppress(BrokenPipeError), open(write, "wb") as f:
+                f.write(data)
+        except BaseException as exc:
+            errors.append(exc)
 
-    threading.Thread(target=fill, daemon=True).start()
-    return read
+    writer = threading.Thread(target=fill, daemon=True)
+    writer.start()
+    try:
+        yield read
+    finally:
+        os.close(read)
+        writer.join(timeout=30)
+    assert not writer.is_alive(), "the pipe's writer did not finish"
+    if errors:
+        raise errors[0]
+
+
+def test_pipe_raises_its_writers_error():
+    """A writer that fails, here on a text it cannot write to a binary
+    file, fails the test whose pipe it fills, not the session's teardown."""
+    with pytest.raises(TypeError):
+        with _pipe("not bytes") as fd:
+            assert os.read(fd, 1) == b""  # the writer closed its end
 
 
 @pytest.mark.parametrize("data, argv", [
@@ -626,11 +650,8 @@ def test_piped_inputs_read_as_files(tmp_path, capsys, data, argv):
     path = tmp_path / "input"
     path.write_bytes(data)
     want = run_cli(capsys, *argv, str(path))
-    fd = _pipe(data)
-    try:
+    with _pipe(data) as fd:
         code, out, err = run_cli(capsys, *argv, f"/dev/fd/{fd}")
-    finally:
-        os.close(fd)
     assert (code, out, err.replace(f"/dev/fd/{fd}", str(path))) == want
     assert (code, bool(out), err.count("\n")) in ((0, True, 0), (1, False, 1))
     if b"red" in data:

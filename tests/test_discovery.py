@@ -315,8 +315,31 @@ def test_row_tracker_suffix_start_keeps_every_bit():
     """The tracker carries the bits, sign bits included, of the same tracker
     at a = 0, which scores every whole-suffix cell from column 0, and its
     values match brute force; both certified steps and steps the certificate
-    leaves open are exercised."""
+    leaves open are exercised, on every run by a fixed block of each."""
     seen = {"certified": 0, "open": 0}
+
+    def score(block, rows, specs):
+        """Check ``block``'s tracked values; the number of its steps that the
+        certificate leaves open (None when the tracker starts at column 0)."""
+        tracker = RowTracker(block.shape[1], rows, *specs)
+        with mock.patch.object(RowTracker, "_empty_base", autospec=True,
+                               side_effect=RowTracker._empty_base) as spy:
+            got = tracker.step(block)
+        want = _suffix_start(tracker, 0).step(block)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for b, logs in enumerate(block):
+            _assert_tracked_match_brute_force([LogValue(x) for x in logs], rows, *got[:, b], *specs)
+        if not tracker._a:
+            return None
+        opened = sum(len(c.args[2]) for c in spy.call_args_list if c.args[3] == 0)  # scored again from 0
+        seen["open"] += opened
+        seen["certified"] += len(block) - opened
+        return opened
+
+    # K = 8 tracking row 8 starts its table at column a = 4: an all-tied step
+    # is inside the certificate's margin, one of widely spread values is not
+    assert score(np.zeros((1, 8)), [8], (U2, U1)) == 1
+    assert score(np.array([[30.0, 25.0, 20.0, 15.0, 10.0, 5.0, 0.0, -5.0]]), [8], (U2, U1)) == 0
     step_logs = {
         "ties": st.lists(_ZERO_LOGS, min_size=1),
         "equal": st.one_of(_ZERO_LOGS, st.floats(-700.0, 700.0)).map(lambda x: [x]),
@@ -341,19 +364,7 @@ def test_row_tracker_suffix_start_keeps_every_bit():
         if data.draw(st.booleans(), label="infinite row"):
             block[len(block) // 2, : data.draw(st.integers(1, k), label="n_inf")] = math.inf
         spec_pool = st.sampled_from(SPECS + (_U5, _U0))
-        specs = data.draw(st.tuples(spec_pool, spec_pool), label="specs")
-        tracker = RowTracker(k, rows, *specs)
-        with mock.patch.object(RowTracker, "_empty_base", autospec=True,
-                               side_effect=RowTracker._empty_base) as spy:
-            got = tracker.step(block)
-        want = _suffix_start(tracker, 0).step(block)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        if tracker._a:  # the steps scored again from column 0
-            opened = sum(len(c.args[2]) for c in spy.call_args_list if c.args[3] == 0)
-            seen["open"] += opened
-            seen["certified"] += len(block) - opened
-        for b, logs in enumerate(block):
-            _assert_tracked_match_brute_force([LogValue(x) for x in logs], rows, *got[:, b], *specs)
+        score(block, rows, data.draw(st.tuples(spec_pool, spec_pool), label="specs"))
 
     check()
     assert seen["certified"] > 0 and seen["open"] > 0, seen

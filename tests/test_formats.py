@@ -1,8 +1,8 @@
+import contextlib
 import dataclasses
 import io
 import json
 import math
-import os
 import tracemalloc
 import typing
 from pathlib import Path
@@ -63,7 +63,6 @@ def test_float_round_trip_formatting():
     records = [(1, 1, "diagonal", x) for x in xs]
     text = formats.series_csv(records)
     assert [line.split(",")[3] for line in text.splitlines()[1:]] == [repr(x) for x in xs]
-    assert formats.parse_series_csv(text) == records
 
     log10 = np.full((3, 4), np.nan)
     log10[np.tril_indices(3, 1, 4)] = xs
@@ -98,15 +97,18 @@ def test_writers_print_no_numpy_scalars(tmp_path, capsys, monkeypatch):
 
 
 def test_series_csv_round_trip_is_byte_identical():
+    """The small run's series CSV is the per-line writer's bytes, and each
+    line's log10 text is the repr of its record's value, which reads back to
+    the same bits."""
     _, run = small_run()
     records = formats.series_records(run)
     text = formats.series_csv(records)
     assert text.startswith("step,row,kind,log10_value,value\n")
     assert len(text.splitlines()) == 1 + 20 * 4
-    parsed = formats.parse_series_csv(text)
-    assert parsed == records
-    again = formats.series_csv(parsed)
-    assert again == text
+    assert text == series_csv_oracle(records)
+    logs = [line.split(",")[3] for line in text.splitlines()[1:]]
+    assert logs == [repr(l10) for *_, l10 in records]
+    assert [float(x).hex() for x in logs] == [l10.hex() for *_, l10 in records]
 
 
 def test_series_value_column_blank_outside_linear_range():
@@ -152,7 +154,7 @@ def test_series_value_column_blank_outside_linear_range():
     assert cells[2] == ""  # positive but underflows
     assert cells[3] == "0.0"  # exact zero is representable
     assert logs[3] == "-inf"  # the log column is always present
-    assert formats.series_csv(formats.parse_series_csv(text)) == text
+    assert text == series_csv_oracle(records)
 
 
 # the largest log10 values whose linear value is a finite double / rounds to
@@ -226,8 +228,6 @@ def test_series_csv_matches_per_line_writer(records):
     to its series' value before it, writes the bytes of the per-line writer."""
     text = formats.series_csv(records)
     assert text == series_csv_oracle(records)
-    parsed = formats.parse_series_csv(text)
-    assert [l10.hex() for *_, l10 in parsed] == [l10.hex() for *_, l10 in records]
 
 
 def test_series_csv_nan_after_a_run_raises():
@@ -331,29 +331,6 @@ def test_series_svg_matches_one_format_call(columns):
                              log10_values=np.array(c, float))
               for i, c in enumerate(columns)]
     assert formats.series_svg(series) == series_svg_oracle(series)
-
-
-@pytest.mark.parametrize(
-    "line",
-    [
-        "2,1,diagonal,0.5",  # four fields
-        "2,1,diagonal,0.0,1.0,1.0",  # six fields
-        "a,1,diagonal,0.0,1.0",  # non-integer step
-        "2,1.5,diagonal,0.0,1.0",  # non-integer row
-        "2,1,bogus,0.0,1.0",  # unknown kind, with a consistent value
-        "2,1,diagonal,abc,1.0",  # log10_value not a number
-        "2,1,diagonal,nan,",  # NaN log10_value
-        "2,1,diagonal,0.0,abc",  # value not a number
-        "2,1,diagonal,2.0,999",  # value disagrees with log10_value
-        "2,1,diagonal,2.0,100",  # same number, not the written text
-        "2,1,diagonal,400.0,inf",  # must be blank above the double range
-        "2,1,diagonal,2.0,",  # must not be blank inside it
-    ],
-)
-def test_parse_series_csv_rejects_bad_lines(line):
-    text = f"step,row,kind,log10_value,value\n1,1,diagonal,0.0,1.0\n{line}\n"
-    with pytest.raises(DomainError, match="^line 3: "):
-        formats.parse_series_csv(text)
 
 
 def test_matrix_csv_round_trip_and_buckets():
@@ -701,19 +678,40 @@ def test_cli_region_peak_memory(tmp_path):
     data = matrix.read_bytes()
 
     def region(pipe: bool) -> int:
-        fd = _pipe(data) if pipe else None
-        try:
+        with _pipe(data) if pipe else contextlib.nullcontext() as fd:
             return cli.main(["region", "--matrix", f"/dev/fd/{fd}" if pipe else str(matrix), "--row", "250",
                              "--alpha", "10", "--out", str(out)])
-        finally:
-            if pipe:
-                os.close(fd)
 
     for pipe in (False, True):
         peak, code = _peak(region, pipe)
         assert code == 0
         assert peak <= 1e6, (pipe, peak)
         assert out.read_text() == formats.region_report(confidence_region(regularize(m), 250, 10.0), "text")
+
+
+def test_parse_matrix_csv_skips_blank_runs_in_a_row():
+    """A row whose two cells lie 1,000,000 blank lines apart parses below
+    2 MB of heap, from a text and from a pipe: the blank lines past a row's
+    first r+1 are skipped as they are read, not held.  With a bad bucket after
+    the blanks, the error names line 1,000,003.  Measured on Python 3.11.7,
+    numpy 2.4.6: 0.63 MB; holding and refilling the blanks one at a time
+    peaked at 9.1 MB."""
+    text = "r,j,log10_value,bucket\n1,0,0.0,green\n" + "\n" * 1_000_000 + "1,1,0.0,green\n"
+    bad = text.replace("1,1,0.0,green", "1,1,0.0,red")
+
+    def parse(source: str | bytes) -> DiscoveryMatrix:
+        """The matrix of a text, or of bytes read from a pipe."""
+        if isinstance(source, str):
+            return formats.parse_matrix_csv(source)
+        with _pipe(source) as fd, open(fd, closefd=False) as f:
+            return formats.parse_matrix_csv(f)
+
+    for good, wrong in ((text, bad), (text.encode(), bad.encode())):
+        peak, m = _peak(parse, good)
+        assert peak <= 2e6, (type(good), peak)
+        assert m.log10.tolist() == [[0.0, 0.0]]
+        with pytest.raises(DomainError, match=r"^line 1000003: bucket of '1,1,0.0,red' must be green$"):
+            parse(wrong)
 
 
 def test_cli_matrix_json_peak_memory(tmp_path):
